@@ -1,0 +1,40 @@
+"""Quantum Otto heat engines with multilevel identical particles.
+
+Work, heat and efficiency of the four-stroke Otto cycle for M bosons,
+fermions or distinguishable particles on N truncated single-particle
+levels, with two independent partition-function backends (direct
+enumeration and the identical-particle recursion) that cross-validate
+each other.
+"""
+
+from .errors import EmptyStateSpaceError, NumericalCancellationError
+from .experiments import (RatioRecord, SweepGrid, evaluate_point,
+                          harmonic_closed_form_W, harmonic_closed_form_Z,
+                          make_record, records_to_csv, sweep_fig2, sweep_fig3,
+                          sweep_fig45, sweep_fig67, write_csv)
+from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, ManyBodyLevel,
+                       PartitionEvaluation, enumerate_states, internal_energy,
+                       partition_by_enumeration, partition_by_recursion,
+                       state_energy_coefficients)
+from .spectrum import (KINDS, SpectrumSpec, adiabatic_energy_ratio,
+                       level_coefficients, single_particle_energies)
+from .thermo import (CycleConfig, CycleResult, ThermalOccupation,
+                     positive_work_threshold, run_cycle, thermal_occupation,
+                     work_ratio_multiparticle, work_ratio_two_particle)
+
+__version__ = "0.1.0"
+
+__all__ = [
+    "CycleConfig", "CycleResult", "DEFAULT_STATE_CAP", "EmptyStateSpaceError",
+    "EnsembleSpec", "KINDS", "ManyBodyLevel", "NumericalCancellationError",
+    "PartitionEvaluation", "RatioRecord", "SpectrumSpec", "SweepGrid",
+    "ThermalOccupation", "adiabatic_energy_ratio", "enumerate_states",
+    "evaluate_point", "harmonic_closed_form_W", "harmonic_closed_form_Z",
+    "internal_energy", "level_coefficients", "make_record",
+    "partition_by_enumeration", "partition_by_recursion",
+    "positive_work_threshold", "records_to_csv", "run_cycle",
+    "single_particle_energies", "state_energy_coefficients", "sweep_fig2",
+    "sweep_fig3", "sweep_fig45", "sweep_fig67", "thermal_occupation",
+    "work_ratio_multiparticle", "work_ratio_two_particle", "write_csv",
+    "__version__",
+]

@@ -1,0 +1,272 @@
+"""Deterministic work-ratio sweeps and the untruncated harmonic validators.
+
+Each sweep reproduces one of the standard parameter studies as a list of
+RatioRecord rows, serializable to CSV with byte-stable formatting. The
+parameterization follows the dimensionless convention: L1 = 1, T_c = 1,
+and the spectrum prefactor carries the regime parameter
+lam = scale_c / (L1^p * T_c), so hot-bath temperatures are in units of T_c.
+
+Sweep presets:
+
+    fig2    intermediate regime, lam=1, N=3, R in {2,3,4}, T_h swept
+    fig3    low-temperature regime, lam=20, R=2, N in {3,4}, T_h swept
+    fig45   high (lam=0.05) and intermediate (lam=1) regimes, R=2,
+            several truncations N, T_h swept
+    fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
+            recursion backend with enumeration cross-checks
+
+For the harmonic spectrum with infinitely many levels, the two-particle
+partition functions close to
+
+    Z_B = 1 / ((1-q)^2 (1+q)),   Z_F = q * Z_B,   q = exp(-c/(L^2 T)),
+
+and the cycle work for two bosons equals that for two fermions. Note the
+net work carries the cycle efficiency (1 - 1/R^2) on top of the heat
+input; the coth/csch bracket alone is Q_h.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields
+
+import numpy as np
+
+from .manybody import EnsembleSpec, partition_by_enumeration, partition_by_recursion
+from .spectrum import SpectrumSpec
+from .thermo import UNDEFINED_RATIO_GUARD, CycleConfig, run_cycle
+
+CSV_COLUMNS = ("spectrum", "statistics", "M", "N", "L1", "R", "Tc", "Th",
+               "lambda", "U1", "U2", "U3", "U4", "Qh", "Qc", "W", "eta",
+               "Ws", "ratio", "positive_work")
+
+# cross-check the recursion against enumeration up to this many states
+_CROSS_CHECK_CAP = 200_000
+_CROSS_CHECK_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class SweepGrid:
+    """Values of one swept parameter, strictly increasing."""
+
+    parameter: str
+    values: tuple[float, ...]
+
+    def __post_init__(self):
+        if len(self.values) < 1:
+            raise ValueError("sweep grid is empty")
+        if any(b <= a for a, b in zip(self.values, self.values[1:])):
+            raise ValueError("sweep grid values must be strictly increasing")
+
+    @classmethod
+    def from_range(cls, parameter: str, lo: float, hi: float,
+                   steps: int) -> "SweepGrid":
+        if steps < 2:
+            raise ValueError(f"a range grid needs >= 2 steps, got {steps}")
+        if not (hi > lo):
+            raise ValueError(f"grid needs max > min, got [{lo}, {hi}]")
+        return cls(parameter, tuple(np.linspace(lo, hi, steps).tolist()))
+
+
+@dataclass(frozen=True)
+class RatioRecord:
+    """One evaluated sweep point: cycle quantities for the M-particle system
+    plus the single-particle work Ws and the ratio W/Ws (NaN if undefined)."""
+
+    spectrum: str
+    statistics: str
+    M: int
+    N: int
+    L1: float
+    R: float
+    Tc: float
+    Th: float
+    lam: float
+    U1: float
+    U2: float
+    U3: float
+    U4: float
+    Qh: float
+    Qc: float
+    W: float
+    eta: float
+    Ws: float
+    ratio: float
+    positive_work: bool
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".17g")
+    return str(value)
+
+
+def records_to_csv(records: list[RatioRecord]) -> str:
+    lines = [",".join(CSV_COLUMNS)]
+    for rec in records:
+        lines.append(",".join(_fmt(getattr(rec, f.name)) for f in fields(RatioRecord)))
+    return "\n".join(lines) + "\n"
+
+
+def write_csv(records: list[RatioRecord], path: str) -> None:
+    """Write atomically: a temp file in the target directory, then rename."""
+    text = records_to_csv(records)
+    directory = os.path.dirname(os.path.abspath(path))
+    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def make_record(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
+                Tc: float, Th: float, method: str = "auto") -> RatioRecord:
+    """Evaluate the M-particle and single-particle cycles at one point."""
+    cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc, T_h=Th)
+    res = run_cycle(cfg, method=method)
+    single = CycleConfig(spec=spec, ens=EnsembleSpec(ens.statistics, 1, ens.N),
+                         L1=L1, R=R, T_c=Tc, T_h=Th)
+    Ws = run_cycle(single, method=method).W
+    ratio = res.W / Ws if abs(Ws) >= UNDEFINED_RATIO_GUARD else math.nan
+    return RatioRecord(
+        spectrum=spec.kind, statistics=ens.statistics, M=ens.M, N=ens.N,
+        L1=L1, R=R, Tc=Tc, Th=Th, lam=cfg.regime_lambda, U1=res.U1, U2=res.U2,
+        U3=res.U3, U4=res.U4, Qh=res.Q_h, Qc=res.Q_c, W=res.W, eta=res.eta,
+        Ws=Ws, ratio=ratio, positive_work=res.positive_work)
+
+
+def evaluate_point(kind: str, statistics: str, M: int, N: int, lam: float,
+                   R: float, Th: float, method: str = "auto") -> RatioRecord:
+    """One sweep point under the L1=1, Tc=1, scale_c=lam convention."""
+    return make_record(SpectrumSpec(kind, scale_c=lam),
+                       EnsembleSpec(statistics, M, N),
+                       1.0, R, 1.0, Th, method)
+
+
+def _evaluate_ordered(points: list[tuple], threads: int) -> list[RatioRecord]:
+    if threads > 1 and len(points) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(lambda p: evaluate_point(*p), points))
+    return [evaluate_point(*p) for p in points]
+
+
+def default_th_grid(R: float, power_p: float, steps: int = 200,
+                    top: float = 20.0) -> tuple[float, ...]:
+    """steps values in (R^p, top], open at the positive-work threshold."""
+    lo = R**power_p
+    if lo >= top:
+        raise ValueError(f"positive-work threshold {lo} is not below {top}")
+    return tuple(np.linspace(lo, top, steps + 1)[1:].tolist())
+
+
+def sweep_fig2(steps: int = 200, threads: int = 1) -> list[RatioRecord]:
+    """Two three-level particles, lam=1, R in {2,3,4}, both statistics."""
+    points = []
+    for R in (2.0, 3.0, 4.0):
+        grid = default_th_grid(R, 2.0, steps)
+        for statistics in ("boson", "fermion"):
+            for Th in grid:
+                points.append(("box", statistics, 2, 3, 1.0, R, Th))
+    return _evaluate_ordered(points, threads)
+
+
+def sweep_fig3(steps: int = 200, threads: int = 1) -> list[RatioRecord]:
+    """Low-temperature regime: lam=20, R=2, N in {3,4}.
+
+    The grid stays within (4, 12]*T_c; by 20*T_c the hot bath already
+    reaches beta*E ~ 1 and the regime assumption breaks down.
+    """
+    grid = tuple(np.linspace(4.0, 12.0, steps + 1)[1:].tolist())
+    points = []
+    for N in (3, 4):
+        for statistics in ("boson", "fermion"):
+            for Th in grid:
+                points.append(("box", statistics, 2, N, 20.0, 2.0, Th))
+    return _evaluate_ordered(points, threads)
+
+
+def sweep_fig45(steps: int = 200, threads: int = 1,
+                n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
+                ) -> list[RatioRecord]:
+    """High (lam=0.05) and intermediate (lam=1) regimes, R=2, N swept."""
+    grid = default_th_grid(2.0, 2.0, steps)
+    points = []
+    for lam in (0.05, 1.0):
+        for N in n_values:
+            for statistics in ("boson", "fermion"):
+                for Th in grid:
+                    points.append(("box", statistics, 2, N, lam, 2.0, Th))
+    return _evaluate_ordered(points, threads)
+
+
+def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
+                n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150),
+                threads: int = 1) -> list[RatioRecord]:
+    """Multiparticle ratios at T_h = 5*T_c, R=2, recursion backend.
+
+    Fermion rows are restricted to M <= N. Where the state space is small
+    enough, the recursion is cross-checked against enumeration.
+    """
+    points = []
+    for lam in (0.05, 1.0):
+        for N in n_values:
+            for statistics in ("boson", "fermion"):
+                for M in m_values:
+                    if statistics == "fermion" and M > N:
+                        continue
+                    points.append(("box", statistics, M, N, lam, 2.0, 5.0,
+                                   "recursion"))
+    records = _evaluate_ordered(points, threads)
+    for rec in records:
+        _cross_check(rec)
+    return records
+
+
+def _cross_check(rec: RatioRecord) -> None:
+    ens = EnsembleSpec(rec.statistics, rec.M, rec.N)
+    if ens.state_count > _CROSS_CHECK_CAP:
+        return
+    spec = SpectrumSpec(rec.spectrum, scale_c=rec.lam)
+    for T, L in ((rec.Th, rec.L1), (rec.Tc, rec.R * rec.L1)):
+        a = partition_by_recursion(ens, spec, 1.0 / T, L)
+        b = partition_by_enumeration(ens, spec, 1.0 / T, L)
+        if abs(a.log_Z - b.log_Z) > _CROSS_CHECK_TOL or \
+                abs(a.U - b.U) > _CROSS_CHECK_TOL * max(1.0, abs(b.U)):
+            raise AssertionError(
+                f"recursion/enumeration mismatch at {rec}: "
+                f"dlogZ={a.log_Z - b.log_Z:.3g} dU={a.U - b.U:.3g}")
+
+
+def harmonic_closed_form_Z(statistics: str, T: float, L: float,
+                           c: float = 1.0) -> float:
+    """Two-particle harmonic partition function, untruncated level ladder."""
+    if statistics not in ("boson", "fermion"):
+        raise ValueError(f"closed form defined for boson/fermion, got {statistics!r}")
+    if not (T > 0 and L > 0 and c > 0):
+        raise ValueError("T, L and c must be positive")
+    q = math.exp(-c / (L * L * T))
+    zb = 1.0 / ((1.0 - q) ** 2 * (1.0 + q))
+    return q * zb if statistics == "fermion" else zb
+
+
+def harmonic_closed_form_W(L1: float, R: float, T_c: float, T_h: float,
+                           c: float = 1.0) -> float:
+    """Net cycle work of two untruncated harmonic particles; bosons and
+    fermions coincide. The bracket is the heat input Q_h; the leading
+    (1 - 1/R^2) is the cycle efficiency."""
+    if not (L1 > 0 and R > 1 and T_c > 0 and T_h > 0 and c > 0):
+        raise ValueError("parameters must be positive with R > 1")
+    a_h = c / (L1 * L1 * T_h)
+    a_c = c / (R * R * L1 * L1 * T_c)
+    bracket = (3.0 * (1.0 / math.tanh(a_h) - 1.0 / math.tanh(a_c))
+               + (1.0 / math.sinh(a_h) - 1.0 / math.sinh(a_c)))
+    return (1.0 - 1.0 / R**2) * (c / (2.0 * L1 * L1)) * bracket

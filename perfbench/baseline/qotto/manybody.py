@@ -1,0 +1,324 @@
+"""Canonical ensembles of M identical particles on N truncated levels.
+
+Two independent routes to the partition function and internal energy:
+
+* ``partition_by_enumeration`` sums exp(-beta*E) over every symmetrized
+  many-body configuration (multisets for bosons, strictly increasing level
+  tuples for fermions, ordered tuples for distinguishable particles).
+
+* ``partition_by_recursion`` uses the exact recursion for noninteracting
+  identical particles,
+
+      Z_M(beta) = (1/M) sum_{m=1..M} (+-1)^{m+1} Z_1(m*beta) Z_{M-m}(beta),
+
+  upper sign for bosons, lower for fermions, Z_0 = 1, with Z_1 built from
+  the same N-level truncation. The internal energy comes from the
+  analytically differentiated recursion, never finite differences.
+
+The two routes share nothing but Z_1's level coefficients, so they serve as
+mutual oracles.
+
+The fermionic recursion alternates signs and can cancel catastrophically at
+large beta (the surviving Z_M is exponentially smaller than individual
+terms). The float path tracks how many digits the cancellations consumed
+and, when too many, reruns the recursion in mpmath at a precision sized to
+the measured loss. That keeps the backend independent of enumeration at any
+beta. ``NumericalCancellationError`` is still raised if even the escalated
+computation produces a nonpositive partition function.
+"""
+
+from __future__ import annotations
+
+import itertools
+import math
+import threading
+from dataclasses import dataclass
+
+import numpy as np
+from mpmath import mp
+
+from . import kernels
+from .errors import EmptyStateSpaceError, NumericalCancellationError
+from .spectrum import SpectrumSpec, level_coefficients
+
+STATISTICS = ("boson", "fermion", "distinguishable")
+
+# `auto` switches from enumeration to the recursion above this many states.
+DEFAULT_STATE_CAP = 2_000_000
+
+# enumeration refuses outright above this (memory guard)
+HARD_ENUMERATION_LIMIT = 50_000_000
+
+# escalate the fermionic recursion to mpmath beyond this cancellation loss
+_LOSS_NATS_LIMIT = 6.9  # ~3 decimal digits
+
+_MAX_DPS = 20_000
+
+# mpmath precision state is process-global
+_MP_LOCK = threading.Lock()
+
+
+@dataclass(frozen=True)
+class EnsembleSpec:
+    """M identical particles with given statistics on N single-particle levels."""
+
+    statistics: str
+    M: int
+    N: int
+
+    def __post_init__(self):
+        if self.statistics not in STATISTICS:
+            raise ValueError(
+                f"unknown statistics {self.statistics!r}; expected one of {STATISTICS}")
+        if self.M < 1:
+            raise ValueError(f"particle count must be >= 1, got {self.M}")
+        if self.N < 1:
+            raise ValueError(f"level count must be >= 1, got {self.N}")
+        if self.statistics == "fermion" and self.M > self.N:
+            raise EmptyStateSpaceError(
+                f"{self.M} fermions do not fit on {self.N} levels")
+
+    @property
+    def state_count(self) -> int:
+        """Number of many-body configurations."""
+        if self.statistics == "boson":
+            return math.comb(self.N + self.M - 1, self.M)
+        if self.statistics == "fermion":
+            return math.comb(self.N, self.M)
+        return self.N**self.M
+
+
+@dataclass(frozen=True)
+class ManyBodyLevel:
+    """One symmetrized configuration: occupied level indices and total
+    energy coefficient (energy times L^p)."""
+
+    occupation: tuple[int, ...]
+    energy_coefficient: float
+
+
+@dataclass(frozen=True)
+class PartitionEvaluation:
+    log_Z: float
+    U: float
+    method: str
+
+
+def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarray:
+    """Total energy coefficient of every many-body configuration.
+
+    Deterministic (lexicographic) generation order, not sorted by energy.
+    """
+    count = ens.state_count
+    if count > HARD_ENUMERATION_LIMIT:
+        raise ValueError(
+            f"state space of {count} configurations exceeds the enumeration "
+            f"limit of {HARD_ENUMERATION_LIMIT}; use the recursion backend")
+    w = level_coefficients(spec, ens.N)
+    if ens.statistics == "boson":
+        return kernels.multiset_sums(w, ens.M, count)
+    if ens.statistics == "fermion":
+        return kernels.subset_sums(w, ens.M, count)
+    out = w
+    for _ in range(ens.M - 1):
+        out = np.add.outer(out, w).ravel()
+    return out
+
+
+def enumerate_states(ens: EnsembleSpec, spec: SpectrumSpec) -> list[ManyBodyLevel]:
+    """Every configuration as a ManyBodyLevel, sorted by energy coefficient
+    with lexicographic occupation order breaking ties.
+
+    Occupation entries are absolute level indices (starting at the
+    spectrum's n_min).
+    """
+    count = ens.state_count
+    if count > DEFAULT_STATE_CAP:
+        raise ValueError(
+            f"refusing to materialize {count} configurations as objects; "
+            "use state_energy_coefficients for bulk work")
+    w = level_coefficients(spec, ens.N)
+    n0 = spec.n_min
+    if ens.statistics == "boson":
+        combos = itertools.combinations_with_replacement(range(ens.N), ens.M)
+    elif ens.statistics == "fermion":
+        combos = itertools.combinations(range(ens.N), ens.M)
+    else:
+        combos = itertools.product(range(ens.N), repeat=ens.M)
+    levels = [
+        ManyBodyLevel(tuple(n0 + i for i in c), float(sum(w[i] for i in c)))
+        for c in combos
+    ]
+    levels.sort(key=lambda lv: (lv.energy_coefficient, lv.occupation))
+    return levels
+
+
+def _check_beta_L(beta: float, L: float) -> None:
+    if not (beta >= 0):
+        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
+    if not (L > 0):
+        raise ValueError(f"trap width must be positive, got {L}")
+
+
+def partition_by_enumeration(ens: EnsembleSpec, spec: SpectrumSpec,
+                             beta: float, L: float) -> PartitionEvaluation:
+    """Direct Boltzmann sum over the enumerated many-body configurations."""
+    _check_beta_L(beta, L)
+    scale = L**spec.power_p
+    ws = state_energy_coefficients(ens, spec)
+    log_z, mean_w = kernels.log_z_and_mean(ws, beta / scale)
+    return PartitionEvaluation(log_Z=log_z, U=mean_w / scale, method="enumeration")
+
+
+def _signed_logsumexp(logs: np.ndarray, signs: np.ndarray) -> tuple[float, float, float]:
+    """log|sum|, sign of the sum, and cancellation loss in nats."""
+    mx = logs.max()
+    if mx == -math.inf:
+        return -math.inf, 0.0, 0.0
+    s = float((signs * np.exp(logs - mx)).sum())
+    if s == 0.0:
+        return -math.inf, 0.0, math.inf
+    return mx + math.log(abs(s)), math.copysign(1.0, s), max(0.0, -math.log(abs(s)))
+
+
+def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
+    """One float64 pass of the recursion.
+
+    Returns (log_Z_M, U_M_coeff, loss_nats, lz1, failed). U is in
+    coefficient units; loss_nats is the worst cancellation any signed sum
+    suffered; lz1[m] = log Z_1(m*beta_eff) is kept for sizing an escalated
+    rerun.
+    """
+    lz1 = np.empty(M + 1)
+    u1 = np.empty(M + 1)
+    lz1[0] = 0.0
+    u1[0] = 0.0
+    for m in range(1, M + 1):
+        lz1[m], u1[m] = kernels.log_z_and_mean(w, m * beta_eff)
+
+    lz = np.zeros(M + 1)   # log Z_k (sums that survive are positive)
+    uu = np.zeros(M + 1)   # U_k in coefficient units
+    loss = 0.0
+    failed = False
+    for k in range(1, M + 1):
+        ms = np.arange(1, k + 1)
+        signs = np.ones(k) if not fermion else np.where(ms % 2 == 1, 1.0, -1.0)
+        logs = lz1[1:k + 1] + lz[k - ms]
+        lsum, ssign, lloss = _signed_logsumexp(logs, signs)
+        loss = max(loss, lloss)
+        if ssign <= 0.0:
+            failed = True
+            break
+        lz[k] = lsum - math.log(k)
+        # energy numerator: same terms weighted by (m*u1[m] + U_{k-m}) >= 0,
+        # and U_k = numerator / (k Z_k) = numerator / exp(lsum)
+        factors = ms * u1[1:k + 1] + uu[k - ms]
+        pos = factors > 0
+        nlogs = np.where(pos, logs + np.log(np.where(pos, factors, 1.0)), -math.inf)
+        nlsum, nssign, nloss = _signed_logsumexp(nlogs, signs)
+        if nlsum == -math.inf:
+            uu[k] = 0.0
+        else:
+            loss = max(loss, nloss)
+            uu[k] = nssign * math.exp(nlsum - lsum)
+    return lz[M], uu[M], loss, lz1, failed
+
+
+def _recursion_mp(w: np.ndarray, M: int, beta_eff: float, fermion: bool,
+                  dps: int) -> tuple[float, float]:
+    """Arbitrary-precision rerun of the recursion (exact up to dps digits)."""
+    with _MP_LOCK:
+        with mp.workdps(dps):
+            b = mp.mpf(beta_eff)
+            z1 = [mp.mpf(1)] * (M + 1)
+            e1 = [mp.mpf(0)] * (M + 1)
+            wm = [mp.mpf(float(x)) for x in w]
+            for m in range(1, M + 1):
+                terms = [mp.e**(-b * m * x) for x in wm]
+                z = mp.fsum(terms)
+                z1[m] = z
+                e1[m] = mp.fsum(x * t for x, t in zip(wm, terms)) / z
+            def sgn(m):
+                return mp.mpf(-1) if (fermion and m % 2 == 0) else mp.mpf(1)
+
+            zz = [mp.mpf(1)] + [mp.mpf(0)] * M
+            ee = [mp.mpf(0)] * (M + 1)
+            for k in range(1, M + 1):
+                zz[k] = mp.fsum(sgn(m) * z1[m] * zz[k - m] for m in range(1, k + 1)) / k
+                if zz[k] <= 0:
+                    raise NumericalCancellationError(
+                        f"recursion level {k} nonpositive even at {dps} digits")
+                ee[k] = mp.fsum(
+                    sgn(m) * z1[m] * zz[k - m] * (m * e1[m] + ee[k - m])
+                    for m in range(1, k + 1)) / (k * zz[k])
+            return float(mp.log(zz[M])), float(ee[M])
+
+
+def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
+                           beta: float, L: float) -> PartitionEvaluation:
+    """Recursion-backend partition function and internal energy.
+
+    Only defined for bosons and fermions; distinguishable particles
+    factorize as Z_1^M and need no recursion.
+    """
+    if ens.statistics == "distinguishable":
+        raise ValueError("recursion backend supports boson/fermion statistics only; "
+                         "distinguishable particles factorize as Z_1^M")
+    _check_beta_L(beta, L)
+    scale = L**spec.power_p
+    beta_eff = beta / scale
+    w = level_coefficients(spec, ens.N)
+    fermion = ens.statistics == "fermion"
+    M = ens.M
+
+    log_z, u_coeff, loss, lz1, failed = _recursion_float(w, M, beta_eff, fermion)
+    if failed or loss > _LOSS_NATS_LIMIT:
+        # Size the precision from the worst headroom between an upper bound
+        # on the terms feeding Z_k and a ground-state lower bound on Z_k.
+        # Upper bound via the sign-free max-plus recursion (dropping 1/k
+        # only enlarges it); lower bound: Z_k >= exp(-beta_eff * E0_k).
+        upper = np.zeros(M + 1)
+        for k in range(1, M + 1):
+            upper[k] = max(lz1[m] + upper[k - m] for m in range(1, k + 1))
+        ground = np.cumsum(w[:M])
+        needed = max(
+            upper[k] + beta_eff * float(ground[k - 1]) for k in range(1, M + 1))
+        dps = 30 + int(1.15 * max(needed, 0.0) / math.log(10.0))
+        if dps > _MAX_DPS:
+            raise NumericalCancellationError(
+                f"fermionic recursion needs ~{dps} digits, above the "
+                f"{_MAX_DPS} limit")
+        log_z, u_coeff = _recursion_mp(w, M, beta_eff, fermion, dps)
+    return PartitionEvaluation(log_Z=log_z, U=u_coeff / scale, method="recursion")
+
+
+def internal_energy(ens: EnsembleSpec, spec: SpectrumSpec, T: float, L: float,
+                    method: str = "auto",
+                    state_cap: int = DEFAULT_STATE_CAP) -> float:
+    """Canonical internal energy U(T, L) = -d ln Z / d beta at beta = 1/T.
+
+    method 'auto' enumerates up to ``state_cap`` configurations and uses the
+    recursion beyond, falling back to enumeration if the recursion reports
+    unrecoverable cancellation.
+    """
+    if not (T > 0):
+        raise ValueError(f"temperature must be positive, got {T}")
+    beta = 1.0 / T
+    if method == "enumeration":
+        return partition_by_enumeration(ens, spec, beta, L).U
+    if method == "recursion":
+        return partition_by_recursion(ens, spec, beta, L).U
+    if method != "auto":
+        raise ValueError(f"unknown method {method!r}")
+
+    if ens.statistics == "distinguishable":
+        if ens.state_count <= state_cap:
+            return partition_by_enumeration(ens, spec, beta, L).U
+        single = EnsembleSpec("distinguishable", 1, ens.N)
+        return ens.M * partition_by_enumeration(single, spec, beta, L).U
+    if ens.state_count <= state_cap:
+        return partition_by_enumeration(ens, spec, beta, L).U
+    try:
+        return partition_by_recursion(ens, spec, beta, L).U
+    except NumericalCancellationError:
+        return partition_by_enumeration(ens, spec, beta, L).U
