@@ -10,8 +10,10 @@ each other.
 from .errors import EmptyStateSpaceError, NumericalCancellationError
 from .experiments import (RatioRecord, SweepGrid, evaluate_point,
                           harmonic_closed_form_W, harmonic_closed_form_Z,
-                          make_record, records_to_csv, sweep_fig2, sweep_fig3,
-                          sweep_fig45, sweep_fig67, write_csv)
+                          make_record, make_series, records_to_csv, sweep_fig2,
+                          sweep_fig3, sweep_fig45, sweep_fig67,
+                          work_ratio_multiparticle, work_ratio_two_particle,
+                          write_csv)
 from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, ManyBodyLevel,
                        PartitionEvaluation, enumerate_states, internal_energy,
                        partition_by_enumeration, partition_by_recursion,
@@ -19,8 +21,7 @@ from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, ManyBodyLevel,
 from .spectrum import (KINDS, SpectrumSpec, adiabatic_energy_ratio,
                        level_coefficients, single_particle_energies)
 from .thermo import (CycleConfig, CycleResult, ThermalOccupation,
-                     positive_work_threshold, run_cycle, thermal_occupation,
-                     work_ratio_multiparticle, work_ratio_two_particle)
+                     positive_work_threshold, run_cycle, thermal_occupation)
 
 __version__ = "0.1.0"
 
@@ -30,7 +31,7 @@ __all__ = [
     "PartitionEvaluation", "RatioRecord", "SpectrumSpec", "SweepGrid",
     "ThermalOccupation", "adiabatic_energy_ratio", "enumerate_states",
     "evaluate_point", "harmonic_closed_form_W", "harmonic_closed_form_Z",
-    "internal_energy", "level_coefficients", "make_record",
+    "internal_energy", "level_coefficients", "make_record", "make_series",
     "partition_by_enumeration", "partition_by_recursion",
     "positive_work_threshold", "records_to_csv", "run_cycle",
     "single_particle_energies", "state_energy_coefficients", "sweep_fig2",

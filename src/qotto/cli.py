@@ -13,13 +13,12 @@ state space, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
 from .errors import EmptyStateSpaceError
-from .experiments import (SweepGrid, make_record, sweep_fig2, sweep_fig3,
-                          sweep_fig45, sweep_fig67, write_csv)
-from .manybody import EnsembleSpec
+from .experiments import (SweepGrid, make_record, make_series, sweep_fig2,
+                          sweep_fig3, sweep_fig45, sweep_fig67, write_csv)
+from .manybody import STATISTICS, EnsembleSpec
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import CycleConfig, positive_work_threshold, run_cycle
 from .validate import run_all
@@ -30,7 +29,6 @@ EXIT_USAGE = 2
 EXIT_EMPTY_STATE_SPACE = 3
 EXIT_IO = 4
 
-_STATISTICS = ("boson", "fermion", "distinguishable")
 _METHODS = ("auto", "enumeration", "recursion")
 
 # dest -> (converter, default); config-file keys are the dest names
@@ -53,7 +51,7 @@ _PHYSICS_PARAMS = {
 def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="key=value parameter file")
     parser.add_argument("--spectrum", choices=KINDS)
-    parser.add_argument("--stats", choices=_STATISTICS)
+    parser.add_argument("--stats", choices=STATISTICS)
     parser.add_argument("--particles", type=int, metavar="M")
     parser.add_argument("--levels", type=int, metavar="N")
     parser.add_argument("--L1", type=float)
@@ -85,7 +83,7 @@ def _load_config(path: str) -> dict[str, str]:
 
 
 def _resolve(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    """Layer flag values over config-file values over defaults."""
+    """Flags over config-file values over defaults; --lambda sets L1, Tc, scale."""
     table = dict(_PHYSICS_PARAMS)
     if extra:
         table.update(extra)
@@ -102,28 +100,21 @@ def _resolve(args: argparse.Namespace, extra: dict | None = None) -> dict:
             out[name] = conv(filevals[name])
         else:
             out[name] = default
-    return out
-
-
-def _explicit(args: argparse.Namespace, filevals_present: dict,
-              name: str) -> bool:
-    return getattr(args, name, None) is not None or name in filevals_present
-
-
-def _build_cycle_config(args: argparse.Namespace) -> tuple[CycleConfig, str]:
-    params = _resolve(args)
-    filevals = _load_config(args.config) if args.config else {}
-    if params["lam"] is not None:
+    if out["lam"] is not None:
         for clash in ("scale", "L1", "Tc"):
-            if _explicit(args, filevals, clash):
+            if getattr(args, clash, None) is not None or clash in filevals:
                 raise ValueError(
                     f"--lambda fixes L1=1 and Tc=1 and derives the scale; "
                     f"it cannot be combined with --{clash}")
-        params["scale"], params["L1"], params["Tc"] = params["lam"], 1.0, 1.0
-    spec = SpectrumSpec(params["spectrum"], scale_c=params["scale"])
-    ens = EnsembleSpec(params["stats"], params["particles"], params["levels"])
-    cfg = CycleConfig(spec=spec, ens=ens, L1=params["L1"], R=params["R"],
-                      T_c=params["Tc"], T_h=params["Th"])
+        out["scale"], out["L1"], out["Tc"] = out["lam"], 1.0, 1.0
+    return out
+
+
+def _build_cycle_config(params: dict) -> tuple[CycleConfig, str]:
+    cfg = CycleConfig(
+        spec=SpectrumSpec(params["spectrum"], scale_c=params["scale"]),
+        ens=EnsembleSpec(params["stats"], params["particles"], params["levels"]),
+        L1=params["L1"], R=params["R"], T_c=params["Tc"], T_h=params["Th"])
     return cfg, params["method"]
 
 
@@ -132,7 +123,7 @@ def _print_kv(pairs) -> None:
 
 
 def cmd_cycle(args: argparse.Namespace) -> int:
-    cfg, method = _build_cycle_config(args)
+    cfg, method = _build_cycle_config(_resolve(args))
     res = run_cycle(cfg, method=method)
     _print_kv([("spectrum", cfg.spec.kind), ("statistics", cfg.ens.statistics),
                ("M", cfg.ens.M), ("N", cfg.ens.N),
@@ -150,7 +141,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    cfg, method = _build_cycle_config(args)
+    cfg, method = _build_cycle_config(_resolve(args))
     rec = make_record(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, cfg.T_h,
                       method)
     per_particle = rec.ratio / cfg.ens.M
@@ -166,7 +157,6 @@ _SWEEP_EXTRA = {
     "th_min": (float, None),
     "th_max": (float, None),
     "th_steps": (int, 200),
-    "threads": (int, os.cpu_count() or 1),
 }
 
 
@@ -174,7 +164,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     params = _resolve(args, _SWEEP_EXTRA)
     if not args.output:
         raise ValueError("--output is required")
-    threads = params["threads"]
     figure = params["figure"]
     if figure is not None:
         presets = {2: sweep_fig2, 3: sweep_fig3,
@@ -182,24 +171,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                    6: sweep_fig67, 7: sweep_fig67}
         if figure not in presets:
             raise ValueError(f"--figure must be one of {sorted(presets)}, got {figure}")
-        records = presets[figure](threads=threads)
+        records = presets[figure]()
     else:
         if params["th_min"] is None or params["th_max"] is None:
             raise ValueError("explicit sweeps need --th-min and --th-max "
                              "(or --figure for a preset)")
         grid = SweepGrid.from_range("Th", params["th_min"], params["th_max"],
                                     params["th_steps"])
-        filevals = _load_config(args.config) if args.config else {}
-        if params["lam"] is not None:
-            for clash in ("scale", "L1", "Tc"):
-                if _explicit(args, filevals, clash):
-                    raise ValueError(f"--lambda cannot be combined with --{clash}")
-            params["scale"], params["L1"], params["Tc"] = params["lam"], 1.0, 1.0
-        spec = SpectrumSpec(params["spectrum"], scale_c=params["scale"])
-        ens = EnsembleSpec(params["stats"], params["particles"], params["levels"])
-        records = [make_record(spec, ens, params["L1"], params["R"],
-                               params["Tc"], Th, params["method"])
-                   for Th in grid.values]
+        cfg, method = _build_cycle_config({**params, "Th": grid.values[0]})
+        records = make_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c,
+                              grid.values, method)
     write_csv(records, args.output)
     print(f"wrote {len(records)} rows to {args.output}")
     return EXIT_OK
@@ -238,7 +219,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--th-min", dest="th_min", type=float)
     p_sweep.add_argument("--th-max", dest="th_max", type=float)
     p_sweep.add_argument("--th-steps", dest="th_steps", type=int)
-    p_sweep.add_argument("--threads", type=int)
     p_sweep.add_argument("--output", required=True, help="CSV output path")
     p_sweep.set_defaults(func=cmd_sweep)
 

@@ -30,18 +30,21 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .manybody import EnsembleSpec, partition_by_enumeration, partition_by_recursion
+from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, partition_by_enumeration,
+                       partition_by_recursion)
 from .spectrum import SpectrumSpec
-from .thermo import UNDEFINED_RATIO_GUARD, CycleConfig, run_cycle
+from .thermo import CycleConfig, run_cycle_series
 
 CSV_COLUMNS = ("spectrum", "statistics", "M", "N", "L1", "R", "Tc", "Th",
                "lambda", "U1", "U2", "U3", "U4", "Qh", "Qc", "W", "eta",
                "Ws", "ratio", "positive_work")
+
+# |W_s| below this makes a work ratio meaningless; NaN is returned instead
+UNDEFINED_RATIO_GUARD = 1e-14
 
 # cross-check the recursion against enumeration up to this many states
 _CROSS_CHECK_CAP = 200_000
@@ -128,35 +131,66 @@ def write_csv(records: list[RatioRecord], path: str) -> None:
         raise
 
 
-def make_record(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
-                Tc: float, Th: float, method: str = "auto") -> RatioRecord:
-    """Evaluate the M-particle and single-particle cycles at one point."""
-    cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc, T_h=Th)
-    res = run_cycle(cfg, method=method)
-    single = CycleConfig(spec=spec, ens=EnsembleSpec(ens.statistics, 1, ens.N),
-                         L1=L1, R=R, T_c=Tc, T_h=Th)
-    Ws = run_cycle(single, method=method).W
-    ratio = res.W / Ws if abs(Ws) >= UNDEFINED_RATIO_GUARD else math.nan
-    return RatioRecord(
-        spectrum=spec.kind, statistics=ens.statistics, M=ens.M, N=ens.N,
-        L1=L1, R=R, Tc=Tc, Th=Th, lam=cfg.regime_lambda, U1=res.U1, U2=res.U2,
+def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
+                Tc: float, Th_values, method: str = "auto",
+                state_cap: int = DEFAULT_STATE_CAP) -> list[RatioRecord]:
+    """M- and single-particle cycles over a Th series, each ensemble built once."""
+    if len(Th_values) == 0:
+        return []
+    cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc, T_h=Th_values[0])
+    results = run_cycle_series(cfg, Th_values, method, state_cap)
+    singles = run_cycle_series(replace(cfg, ens=EnsembleSpec(ens.statistics, 1, ens.N)),
+                               Th_values, method, state_cap)
+    return [RatioRecord(
+        spectrum=spec.kind, statistics=ens.statistics, M=ens.M, N=ens.N, L1=L1,
+        R=R, Tc=Tc, Th=Th, lam=cfg.regime_lambda, U1=res.U1, U2=res.U2,
         U3=res.U3, U4=res.U4, Qh=res.Q_h, Qc=res.Q_c, W=res.W, eta=res.eta,
-        Ws=Ws, ratio=ratio, positive_work=res.positive_work)
+        Ws=single.W, positive_work=res.positive_work,
+        ratio=res.W / single.W if abs(single.W) >= UNDEFINED_RATIO_GUARD else math.nan)
+        for Th, res, single in zip(Th_values, results, singles)]
+
+
+def make_record(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
+                Tc: float, Th: float, method: str = "auto",
+                state_cap: int = DEFAULT_STATE_CAP) -> RatioRecord:
+    """Evaluate the M-particle and single-particle cycles at one point."""
+    return make_series(spec, ens, L1, R, Tc, [Th], method, state_cap)[0]
+
+
+def work_ratio_multiparticle(spec: SpectrumSpec, N: int, statistics: str,
+                             M: int, L1: float, R: float, T_c: float,
+                             T_h: float, method: str = "auto",
+                             state_cap: int = DEFAULT_STATE_CAP) -> float:
+    """W_M / (M * W_s): M-particle work per particle relative to a single
+    particle under the same conditions; the record's ratio over M."""
+    return float(make_record(spec, EnsembleSpec(statistics, M, N), L1, R, T_c,
+                             T_h, method, state_cap).ratio) / M
+
+
+def work_ratio_two_particle(spec: SpectrumSpec, N: int, statistics: str,
+                            L1: float, R: float, T_c: float, T_h: float,
+                            method: str = "auto",
+                            state_cap: int = DEFAULT_STATE_CAP) -> float:
+    """W of two identical particles over W of a single particle under the same
+    L1, R, baths and truncation N; NaN when |W_s| is below the guard."""
+    if statistics not in ("boson", "fermion"):
+        raise ValueError("two-particle ratio is defined for boson/fermion "
+                         f"statistics, got {statistics!r}")
+    return work_ratio_multiparticle(spec, N, statistics, 2, L1, R, T_c, T_h,
+                                    method, state_cap) * 2.0
+
+
+def evaluate_series(kind: str, statistics: str, M: int, N: int, lam: float,
+                    R: float, Th_values, method: str = "auto") -> list[RatioRecord]:
+    """One sweep series under the L1=1, Tc=1, scale_c=lam convention."""
+    return make_series(SpectrumSpec(kind, scale_c=lam), EnsembleSpec(statistics, M, N),
+                       1.0, R, 1.0, Th_values, method)
 
 
 def evaluate_point(kind: str, statistics: str, M: int, N: int, lam: float,
                    R: float, Th: float, method: str = "auto") -> RatioRecord:
     """One sweep point under the L1=1, Tc=1, scale_c=lam convention."""
-    return make_record(SpectrumSpec(kind, scale_c=lam),
-                       EnsembleSpec(statistics, M, N),
-                       1.0, R, 1.0, Th, method)
-
-
-def _evaluate_ordered(points: list[tuple], threads: int) -> list[RatioRecord]:
-    if threads > 1 and len(points) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda p: evaluate_point(*p), points))
-    return [evaluate_point(*p) for p in points]
+    return evaluate_series(kind, statistics, M, N, lam, R, [Th], method)[0]
 
 
 def default_th_grid(R: float, power_p: float, steps: int = 200,
@@ -168,64 +202,60 @@ def default_th_grid(R: float, power_p: float, steps: int = 200,
     return tuple(np.linspace(lo, top, steps + 1)[1:].tolist())
 
 
-def sweep_fig2(steps: int = 200, threads: int = 1) -> list[RatioRecord]:
+def sweep_fig2(steps: int = 200) -> list[RatioRecord]:
     """Two three-level particles, lam=1, R in {2,3,4}, both statistics."""
-    points = []
+    records = []
     for R in (2.0, 3.0, 4.0):
         grid = default_th_grid(R, 2.0, steps)
         for statistics in ("boson", "fermion"):
-            for Th in grid:
-                points.append(("box", statistics, 2, 3, 1.0, R, Th))
-    return _evaluate_ordered(points, threads)
+            records += evaluate_series("box", statistics, 2, 3, 1.0, R, grid)
+    return records
 
 
-def sweep_fig3(steps: int = 200, threads: int = 1) -> list[RatioRecord]:
+def sweep_fig3(steps: int = 200) -> list[RatioRecord]:
     """Low-temperature regime: lam=20, R=2, N in {3,4}.
 
     The grid stays within (4, 12]*T_c; by 20*T_c the hot bath already
     reaches beta*E ~ 1 and the regime assumption breaks down.
     """
     grid = tuple(np.linspace(4.0, 12.0, steps + 1)[1:].tolist())
-    points = []
+    records = []
     for N in (3, 4):
         for statistics in ("boson", "fermion"):
-            for Th in grid:
-                points.append(("box", statistics, 2, N, 20.0, 2.0, Th))
-    return _evaluate_ordered(points, threads)
+            records += evaluate_series("box", statistics, 2, N, 20.0, 2.0, grid)
+    return records
 
 
-def sweep_fig45(steps: int = 200, threads: int = 1,
+def sweep_fig45(steps: int = 200,
                 n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
                 ) -> list[RatioRecord]:
     """High (lam=0.05) and intermediate (lam=1) regimes, R=2, N swept."""
     grid = default_th_grid(2.0, 2.0, steps)
-    points = []
+    records = []
     for lam in (0.05, 1.0):
         for N in n_values:
             for statistics in ("boson", "fermion"):
-                for Th in grid:
-                    points.append(("box", statistics, 2, N, lam, 2.0, Th))
-    return _evaluate_ordered(points, threads)
+                records += evaluate_series("box", statistics, 2, N, lam, 2.0, grid)
+    return records
 
 
 def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
-                n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150),
-                threads: int = 1) -> list[RatioRecord]:
+                n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
+                ) -> list[RatioRecord]:
     """Multiparticle ratios at T_h = 5*T_c, R=2, recursion backend.
 
     Fermion rows are restricted to M <= N. Where the state space is small
     enough, the recursion is cross-checked against enumeration.
     """
-    points = []
+    records = []
     for lam in (0.05, 1.0):
         for N in n_values:
             for statistics in ("boson", "fermion"):
                 for M in m_values:
                     if statistics == "fermion" and M > N:
                         continue
-                    points.append(("box", statistics, M, N, lam, 2.0, 5.0,
-                                   "recursion"))
-    records = _evaluate_ordered(points, threads)
+                    records.append(evaluate_point("box", statistics, M, N, lam,
+                                                  2.0, 5.0, "recursion"))
     for rec in records:
         _cross_check(rec)
     return records

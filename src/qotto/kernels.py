@@ -20,11 +20,6 @@ import os
 import numpy as np
 
 
-def _want_numba() -> bool:
-    flag = os.environ.get("QOTTO_NO_NUMBA", "").strip().lower()
-    return flag in ("", "0", "false", "no")
-
-
 # ---------------------------------------------------------------------------
 # pure numpy / itertools implementations
 
@@ -36,6 +31,22 @@ def _log_z_and_mean_np(w: np.ndarray, beta_eff: float) -> tuple[float, float]:
     log_z = float(-beta_eff * w0 + np.log(s))
     mean_w = float(w0 + ((w - w0) * x).sum() / s)
     return log_z, mean_w
+
+
+# elements of the temperature x state block mean_coefficients holds at once
+_BLOCK_ELEMENTS = 1 << 16
+
+
+def mean_coefficients(w: np.ndarray, beta_effs: np.ndarray) -> np.ndarray:
+    """Mean of w at each beta_eff: numpy only, bit for bit _log_z_and_mean_np."""
+    w0 = w.min()
+    d = w - w0
+    rows = max(1, _BLOCK_ELEMENTS // d.size)
+    out = np.empty(beta_effs.size)
+    for i in range(0, beta_effs.size, rows):
+        x = np.exp(-beta_effs[i:i + rows, None] * d)
+        out[i:i + rows] = w0 + (d * x).sum(axis=1) / x.sum(axis=1)
+    return out
 
 
 def _gibbs_weights_np(w: np.ndarray, beta_eff: float) -> np.ndarray:
@@ -64,7 +75,7 @@ def _subset_sums_np(w: np.ndarray, m: int, count: int) -> np.ndarray:
 
 USING_NUMBA = False
 
-if _want_numba():
+if os.environ.get("QOTTO_NO_NUMBA", "").strip().lower() in ("", "0", "false", "no"):
     try:
         from numba import njit
     except ImportError:

@@ -154,10 +154,21 @@ def enumerate_states(ens: EnsembleSpec, spec: SpectrumSpec) -> list[ManyBodyLeve
 
 
 def _check_beta_L(beta: float, L: float) -> None:
-    if not (beta >= 0):
-        raise ValueError(f"inverse temperature must be >= 0, got {beta}")
-    if not (L > 0):
-        raise ValueError(f"trap width must be positive, got {L}")
+    if not (0 <= beta < math.inf):
+        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
+    if not (0 < L < math.inf):
+        raise ValueError(f"trap width must be positive and finite, got {L}")
+
+
+def inverse_temperature(T: float, L: float) -> float:
+    """beta = 1/T at a point (T, L) the Boltzmann sums can take: T positive
+    and finite with a 1/T that does not overflow (a subnormal T makes every
+    sum NaN), L positive and finite."""
+    if not (0 < T < math.inf and 1.0 / T < math.inf):
+        raise ValueError(
+            f"temperature must be positive and finite with a finite 1/T, got {T}")
+    _check_beta_L(1.0 / T, L)
+    return 1.0 / T
 
 
 def partition_by_enumeration(ens: EnsembleSpec, spec: SpectrumSpec,
@@ -292,33 +303,40 @@ def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
     return PartitionEvaluation(log_Z=log_z, U=u_coeff / scale, method="recursion")
 
 
+def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
+                      points: list[tuple[float, float]], method: str = "auto",
+                      state_cap: int = DEFAULT_STATE_CAP) -> list[float]:
+    """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``.
+
+    method 'auto' enumerates up to ``state_cap`` configurations, one table
+    for all points. Beyond: M times the single-particle U (distinguishable),
+    else the recursion per point, enumerating where it raises
+    NumericalCancellationError. Values keep their backend's scalar type.
+    """
+    betas = [inverse_temperature(T, L) for T, L in points]
+    if method not in ("auto", "enumeration", "recursion"):
+        raise ValueError(f"unknown method {method!r}")
+    if method == "enumeration" or (method == "auto" and ens.state_count <= state_cap):
+        scales = [L**spec.power_p for _, L in points]
+        beta_effs = np.array([beta / scale for beta, scale in zip(betas, scales)])
+        means = kernels.mean_coefficients(state_energy_coefficients(ens, spec), beta_effs)
+        return [mean / scale for mean, scale in zip(means.tolist(), scales)]
+    if method == "auto" and ens.statistics == "distinguishable":
+        single = EnsembleSpec("distinguishable", 1, ens.N)
+        return [ens.M * u for u in internal_energies(single, spec, points, "enumeration")]
+    out = []
+    for beta, (_, L) in zip(betas, points):
+        try:
+            out.append(partition_by_recursion(ens, spec, beta, L).U)
+        except NumericalCancellationError:
+            if method == "recursion":
+                raise
+            out.append(partition_by_enumeration(ens, spec, beta, L).U)
+    return out
+
+
 def internal_energy(ens: EnsembleSpec, spec: SpectrumSpec, T: float, L: float,
                     method: str = "auto",
                     state_cap: int = DEFAULT_STATE_CAP) -> float:
-    """Canonical internal energy U(T, L) = -d ln Z / d beta at beta = 1/T.
-
-    method 'auto' enumerates up to ``state_cap`` configurations and uses the
-    recursion beyond, falling back to enumeration if the recursion reports
-    unrecoverable cancellation.
-    """
-    if not (T > 0):
-        raise ValueError(f"temperature must be positive, got {T}")
-    beta = 1.0 / T
-    if method == "enumeration":
-        return partition_by_enumeration(ens, spec, beta, L).U
-    if method == "recursion":
-        return partition_by_recursion(ens, spec, beta, L).U
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-
-    if ens.statistics == "distinguishable":
-        if ens.state_count <= state_cap:
-            return partition_by_enumeration(ens, spec, beta, L).U
-        single = EnsembleSpec("distinguishable", 1, ens.N)
-        return ens.M * partition_by_enumeration(single, spec, beta, L).U
-    if ens.state_count <= state_cap:
-        return partition_by_enumeration(ens, spec, beta, L).U
-    try:
-        return partition_by_recursion(ens, spec, beta, L).U
-    except NumericalCancellationError:
-        return partition_by_enumeration(ens, spec, beta, L).U
+    """U(T, L) at one point; see ``internal_energies``."""
+    return internal_energies(ens, spec, [(T, L)], method, state_cap)[0]

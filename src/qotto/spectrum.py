@@ -42,8 +42,8 @@ class SpectrumSpec:
     def __post_init__(self):
         if self.kind not in _FAMILY:
             raise ValueError(f"unknown spectrum kind {self.kind!r}; expected one of {KINDS}")
-        if not (self.scale_c > 0):
-            raise ValueError(f"scale_c must be positive, got {self.scale_c}")
+        if not (0 < self.scale_c < np.inf):
+            raise ValueError(f"scale_c must be positive and finite, got {self.scale_c}")
 
     @property
     def power_p(self) -> float:

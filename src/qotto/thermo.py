@@ -27,11 +27,8 @@ import numpy as np
 
 from . import kernels
 from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, enumerate_states,
-                       internal_energy)
+                       internal_energies, inverse_temperature)
 from .spectrum import SpectrumSpec, adiabatic_energy_ratio
-
-# |W_s| below this makes a work ratio meaningless; NaN is returned instead
-UNDEFINED_RATIO_GUARD = 1e-14
 
 
 @dataclass(frozen=True)
@@ -44,13 +41,10 @@ class CycleConfig:
     T_h: float
 
     def __post_init__(self):
-        if not (self.L1 > 0):
-            raise ValueError(f"L1 must be positive, got {self.L1}")
-        if not (self.R > 1):
-            raise ValueError(f"compression ratio R must exceed 1, got {self.R}")
-        if not (self.T_c > 0 and self.T_h > 0):
-            raise ValueError(f"bath temperatures must be positive, got "
-                             f"T_c={self.T_c}, T_h={self.T_h}")
+        if not (1 < self.R < math.inf):
+            raise ValueError(f"compression ratio R must exceed 1 and be finite, got {self.R}")
+        inverse_temperature(self.T_h, self.L1)  # each bath at its corner's width
+        inverse_temperature(self.T_c, self.L2)
 
     @property
     def L2(self) -> float:
@@ -84,70 +78,41 @@ class ThermalOccupation:
 
 def thermal_occupation(ens: EnsembleSpec, spec: SpectrumSpec, T: float,
                        L: float) -> ThermalOccupation:
-    if not (T > 0):
-        raise ValueError(f"temperature must be positive, got {T}")
-    if not (L > 0):
-        raise ValueError(f"trap width must be positive, got {L}")
+    inverse_temperature(T, L)
     levels = enumerate_states(ens, spec)
     ws = np.array([lv.energy_coefficient for lv in levels])
     p = kernels.gibbs_weights(ws, 1.0 / (T * L**spec.power_p))
     return ThermalOccupation(probabilities=p)
 
 
+def run_cycle_series(cfg: CycleConfig, T_h_values, method: str = "auto",
+                     state_cap: int = DEFAULT_STATE_CAP) -> list[CycleResult]:
+    """Cycles of ``cfg`` at every hot-bath temperature in ``T_h_values``
+    (not ``cfg.T_h``): U4 once, all corners from one ``internal_energies``."""
+    U4, *U2s = internal_energies(
+        cfg.ens, cfg.spec, [(cfg.T_c, cfg.L2)] + [(T_h, cfg.L1) for T_h in T_h_values],
+        method, state_cap)
+    shrink = adiabatic_energy_ratio(cfg.spec, cfg.L1, cfg.L2)
+    grow = adiabatic_energy_ratio(cfg.spec, cfg.L2, cfg.L1)
+    U1 = U4 * grow
+    results = []
+    for U2 in U2s:
+        U3 = U2 * shrink
+        Q_h = U2 - U1
+        Q_c = U3 - U4
+        W = Q_h - Q_c
+        results.append(CycleResult(U1=U1, U2=U2, U3=U3, U4=U4, Q_h=Q_h, Q_c=Q_c,
+                                   W=W, eta=1.0 - shrink, positive_work=W > 0))
+    return results
+
+
 def run_cycle(cfg: CycleConfig, method: str = "auto",
               state_cap: int = DEFAULT_STATE_CAP) -> CycleResult:
     """Evaluate one full cycle. W <= 0 is flagged, not an error."""
-    U2 = internal_energy(cfg.ens, cfg.spec, cfg.T_h, cfg.L1, method, state_cap)
-    U4 = internal_energy(cfg.ens, cfg.spec, cfg.T_c, cfg.L2, method, state_cap)
-    shrink = adiabatic_energy_ratio(cfg.spec, cfg.L1, cfg.L2)
-    grow = adiabatic_energy_ratio(cfg.spec, cfg.L2, cfg.L1)
-    U3 = U2 * shrink
-    U1 = U4 * grow
-    Q_h = U2 - U1
-    Q_c = U3 - U4
-    W = Q_h - Q_c
-    return CycleResult(U1=U1, U2=U2, U3=U3, U4=U4, Q_h=Q_h, Q_c=Q_c, W=W,
-                       eta=1.0 - shrink, positive_work=W > 0)
+    return run_cycle_series(cfg, [cfg.T_h], method, state_cap)[0]
 
 
 def positive_work_threshold(cfg: CycleConfig) -> float:
     """Hot-bath temperature above which the cycle outputs net work:
     R^p * T_c."""
     return cfg.R**cfg.spec.power_p * cfg.T_c
-
-
-def _work(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
-          T_c: float, T_h: float, method: str, state_cap: int) -> float:
-    cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=T_c, T_h=T_h)
-    return run_cycle(cfg, method, state_cap).W
-
-
-def work_ratio_two_particle(spec: SpectrumSpec, N: int, statistics: str,
-                            L1: float, R: float, T_c: float, T_h: float,
-                            method: str = "auto",
-                            state_cap: int = DEFAULT_STATE_CAP) -> float:
-    """W of two identical particles over W of a single particle, identical
-    external conditions (same L1, R, baths and truncation N).
-
-    NaN when the single-particle work is too close to zero to divide by.
-    """
-    if statistics not in ("boson", "fermion"):
-        raise ValueError("two-particle ratio is defined for boson/fermion "
-                         f"statistics, got {statistics!r}")
-    return work_ratio_multiparticle(spec, N, statistics, 2, L1, R, T_c, T_h,
-                                    method, state_cap) * 2.0
-
-
-def work_ratio_multiparticle(spec: SpectrumSpec, N: int, statistics: str,
-                             M: int, L1: float, R: float, T_c: float,
-                             T_h: float, method: str = "auto",
-                             state_cap: int = DEFAULT_STATE_CAP) -> float:
-    """W_M / (M * W_s): M-particle work per particle relative to a single
-    particle under the same conditions. NaN when |W_s| is below the guard."""
-    ens = EnsembleSpec(statistics, M, N)
-    single = EnsembleSpec(statistics, 1, N)
-    W_M = _work(spec, ens, L1, R, T_c, T_h, method, state_cap)
-    W_s = _work(spec, single, L1, R, T_c, T_h, method, state_cap)
-    if abs(W_s) < UNDEFINED_RATIO_GUARD:
-        return math.nan
-    return W_M / (M * W_s)

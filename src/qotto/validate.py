@@ -29,6 +29,13 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
 
+def _work(spec: SpectrumSpec, ens: EnsembleSpec, T_h: float,
+          method: str = "auto") -> float:
+    """Net work of the L1=1, R=2, T_c=1 cycle."""
+    return run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0,
+                                 T_h=T_h), method).W
+
+
 def check_recursion_vs_enumeration() -> CheckResult:
     worst = 0.0
     for kind in ("box", "harmonic"):
@@ -87,9 +94,7 @@ def check_positive_work_threshold() -> CheckResult:
             lo, hi = 0.5 * threshold, 1.7 * threshold
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                w = run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0,
-                                          T_c=1.0, T_h=mid)).W
-                if w > 0:
+                if _work(spec, ens, mid) > 0:
                     hi = mid
                 else:
                     lo = mid
@@ -110,9 +115,7 @@ def check_harmonic_closed_forms() -> CheckResult:
                     z = partition_by_recursion(ens, spec, 1.0 / T, L)
                     closed = harmonic_closed_form_Z(statistics, T, L, lam)
                     worst = max(worst, abs(math.exp(z.log_Z) - closed))
-                cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0,
-                                  T_c=1.0, T_h=Th)
-                works[statistics] = run_cycle(cfg, method="recursion").W
+                works[statistics] = _work(spec, ens, Th, method="recursion")
                 worst = max(worst, abs(
                     works[statistics] - harmonic_closed_form_W(1.0, 2.0, 1.0, Th, lam)))
             worst = max(worst, abs(works["boson"] - works["fermion"]))
@@ -124,13 +127,9 @@ def check_distinguishable_factorization() -> CheckResult:
     for kind in KINDS:
         spec = SpectrumSpec(kind)
         p = spec.power_p
-        single = run_cycle(CycleConfig(
-            spec=spec, ens=EnsembleSpec("distinguishable", 1, 5),
-            L1=1.0, R=2.0, T_c=1.0, T_h=3.0 * 2**p)).W
+        single = _work(spec, EnsembleSpec("distinguishable", 1, 5), 3.0 * 2**p)
         for M in (2, 3, 4):
-            w = run_cycle(CycleConfig(
-                spec=spec, ens=EnsembleSpec("distinguishable", M, 5),
-                L1=1.0, R=2.0, T_c=1.0, T_h=3.0 * 2**p)).W
+            w = _work(spec, EnsembleSpec("distinguishable", M, 5), 3.0 * 2**p)
             worst = max(worst, abs(w - M * single) / abs(M * single))
     return CheckResult("distinguishable-factorization", worst, 1e-12)
 
@@ -143,12 +142,8 @@ def check_fermion_full_shell_identity() -> CheckResult:
         for lam, Th in ((0.05, 5.0), (1.0, 8.0), (5.0, 4.5), (1.0, 5.0),
                         (0.5, 6.0)):
             spec = SpectrumSpec("harmonic", scale_c=lam)
-            ws = run_cycle(CycleConfig(
-                spec=spec, ens=EnsembleSpec("fermion", 1, M + 1),
-                L1=1.0, R=2.0, T_c=1.0, T_h=Th)).W
-            wf = run_cycle(CycleConfig(
-                spec=spec, ens=EnsembleSpec("fermion", M, M + 1),
-                L1=1.0, R=2.0, T_c=1.0, T_h=Th)).W
+            ws = _work(spec, EnsembleSpec("fermion", 1, M + 1), Th)
+            wf = _work(spec, EnsembleSpec("fermion", M, M + 1), Th)
             worst = max(worst, abs(wf / ws - 1.0))
     return CheckResult("fermion-full-shell-identity", worst, 1e-10)
 

@@ -70,10 +70,14 @@ def test_lambda_flag_fixes_units(capsys):
     assert float(got["lambda"]) == 20.0
 
 
-def test_lambda_conflicts_with_explicit_units():
+def test_lambda_conflicts_with_explicit_units(tmp_path):
     assert main(["cycle", "--lambda", "1", "--scale", "2"]) == 2
     assert main(["cycle", "--lambda", "1", "--L1", "2"]) == 2
     assert main(["cycle", "--lambda", "1", "--Tc", "2"]) == 2
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--lambda", "1", "--scale", "2", "--th-min", "5",
+                 "--th-max", "9", "--output", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
@@ -116,6 +120,14 @@ def test_config_file_rejects_malformed_lines(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["cycle", "--R", "0.5"],
     ["cycle", "--Th", "-3"],
+    ["cycle", "--Tc", "1e-320", "--Th", "8"],
+    ["cycle", "--Th", "inf"],
+    ["cycle", "--Tc", "nan"],
+    ["cycle", "--L1", "inf"],
+    ["cycle", "--scale", "inf"],
+    ["cycle", "--lambda", "inf"],
+    ["sweep", "--th-min", "1e-320", "--th-max", "9", "--output", "x.csv"],
+    ["sweep", "--figure", "2", "--threads", "1", "--output", "x.csv"],
     ["cycle", "--spectrum", "triangle"],
     ["cycle", "--method", "guess"],
     ["sweep", "--figure", "9", "--output", "x.csv"],
@@ -162,7 +174,7 @@ def test_sweep_explicit_grid(tmp_path, capsys):
     out = tmp_path / "grid.csv"
     code = main(["sweep", "--stats", "fermion", "--particles", "2",
                  "--levels", "4", "--th-min", "5", "--th-max", "9",
-                 "--th-steps", "5", "--threads", "1", "--output", str(out)])
+                 "--th-steps", "5", "--output", str(out)])
     assert code == 0
     assert "wrote 5 rows" in capsys.readouterr().out
     rows = out.read_text().splitlines()

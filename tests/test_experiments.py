@@ -1,10 +1,14 @@
 """Sweeps, CSV serialization, and the untruncated harmonic validators."""
 
+import importlib.util
 import math
 import os
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from qotto import manybody
 from qotto import (CycleConfig, EnsembleSpec, SpectrumSpec, SweepGrid,
                    evaluate_point, harmonic_closed_form_W,
                    harmonic_closed_form_Z, make_record,
@@ -12,7 +16,7 @@ from qotto import (CycleConfig, EnsembleSpec, SpectrumSpec, SweepGrid,
                    records_to_csv, run_cycle, sweep_fig2, sweep_fig3,
                    sweep_fig45, sweep_fig67, work_ratio_multiparticle,
                    write_csv)
-from qotto.experiments import CSV_COLUMNS
+from qotto.experiments import CSV_COLUMNS, evaluate_series
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +158,59 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == [blocker]
 
 
-def test_threaded_sweep_matches_serial():
-    assert sweep_fig2(steps=10, threads=4) == sweep_fig2(steps=10, threads=1)
+def test_sweep_is_deterministic():
+    assert sweep_fig2(steps=10) == sweep_fig2(steps=10)
+
+
+def test_series_rows_equal_per_point_records():
+    grid = (4.5, 5.0, 7.25, 12.0)
+    cases = [(sweep_fig2(steps=10), "auto"),
+             (evaluate_series("box", "fermion", 3, 8, 1.0, 2.0, grid, "recursion")
+              + evaluate_series("box", "boson", 4, 6, 0.05, 2.0, grid, "recursion"),
+              "recursion")]
+    for records, method in cases:
+        points = [evaluate_point(r.spectrum, r.statistics, r.M, r.N, r.lam, r.R,
+                                 r.Th, method) for r in records]
+        assert records == points
+        assert records_to_csv(records) == records_to_csv(points)
+    assert evaluate_series("box", "boson", 2, 3, 1.0, 2.0, np.array(grid)) == \
+        evaluate_series("box", "boson", 2, 3, 1.0, 2.0, grid)
+    assert evaluate_series("box", "boson", 2, 3, 1.0, 2.0, ()) == []
+
+
+def test_fig45_builds_each_ensemble_once(monkeypatch):
+    built = []
+    original = manybody.state_energy_coefficients
+
+    def counted(ens, spec):
+        built.append((ens, spec))
+        return original(ens, spec)
+
+    monkeypatch.setattr(manybody, "state_energy_coefficients", counted)
+    records = sweep_fig45(steps=5)
+    # 2 regimes x 7 truncations x 2 statistics, each with its single-particle twin
+    assert len(records) == 28 * 5
+    assert len(built) == 56
+    assert len(set(built)) == 56
+
+
+def _perfbench_check():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
+    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("name, sweep", [("fig45", sweep_fig45),
+                                         ("fig67", sweep_fig67)])
+def test_preset_matches_stored_reference(name, sweep):
+    # the behaviour contract: every row within 1e-11 of the recorded output
+    check = _perfbench_check()
+    ref = check.read_reference(name)
+    got = records_to_csv(sweep()).encode("utf-8")
+    assert len(got.splitlines()) == len(ref.splitlines())
+    assert check.failed_against_reference(got, ref) == 0
 
 
 # ---------------------------------------------------------------------------

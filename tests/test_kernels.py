@@ -83,3 +83,14 @@ def test_numba_and_numpy_paths_agree():
             kernels._multiset_sums_np(ww, m, cnt_b).tolist()
         assert kernels._subset_sums_nb(ww, m, cnt_f).tolist() == \
             kernels._subset_sums_np(ww, m, cnt_f).tolist()
+
+
+def test_mean_coefficients_reproduces_log_z_and_mean_bit_for_bit():
+    # several blocks of rows, and one row larger than a whole block
+    rng = np.random.default_rng(11)
+    betas = rng.uniform(0.0, 3.0, size=150)
+    for size in (1, 7, 1000, 70_000):
+        w = np.sort(rng.uniform(1.0, 60.0, size=size))
+        got = kernels.mean_coefficients(w, betas)
+        assert got.tolist() == [kernels._log_z_and_mean_np(w, float(b))[1]
+                                for b in betas]

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qotto import (EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
                    enumerate_states, internal_energy, partition_by_enumeration,
                    partition_by_recursion, state_energy_coefficients)
+from qotto.manybody import internal_energies
 
 BOX = SpectrumSpec("box")
 HARM = SpectrumSpec("harmonic")
@@ -244,6 +245,44 @@ def test_internal_energy_methods_and_cap():
         internal_energy(ens, BOX, 2.0, 1.0, method="magic")
     with pytest.raises(ValueError):
         internal_energy(ens, BOX, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("method", ["enumeration", "recursion", "auto"])
+@pytest.mark.parametrize("T, L", [(1e-320, 1.0), (5e-309, 1.0), (math.inf, 1.0),
+                                  (math.nan, 1.0), (-1.0, 1.0), (1.0, math.inf),
+                                  (1.0, math.nan), (1.0, 0.0)])
+def test_internal_energy_rejects_points_that_break_the_boltzmann_sum(method, T, L):
+    # 1/T overflows below ~5.6e-309: enumeration used to return NaN and the
+    # recursion to fail with "cannot convert float NaN to integer"
+    for statistics in ("boson", "fermion"):
+        with pytest.raises(ValueError):
+            internal_energy(EnsembleSpec(statistics, 3, 8), BOX, T, L, method=method)
+
+
+def test_partition_backends_reject_non_finite_beta_and_width():
+    ens = EnsembleSpec("fermion", 2, 4)
+    for backend in (partition_by_enumeration, partition_by_recursion):
+        for beta, L in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)):
+            with pytest.raises(ValueError):
+                backend(ens, BOX, beta, L)
+
+
+def test_tiny_accepted_temperature_gives_ground_state_energy():
+    for statistics, ground in (("boson", 3.0), ("fermion", 14.0)):
+        ens = EnsembleSpec(statistics, 3, 8)
+        assert internal_energy(ens, BOX, 1e-300, 1.0, method="enumeration") == ground
+        assert internal_energy(ens, BOX, 1e-300, 1.0) == ground
+
+
+def test_internal_energies_equal_pointwise_values_on_every_route():
+    points = [(0.3, 2.0), (1.0, 1.0), (2.5, 1.0), (7.0, 1.5)]
+    cases = [(EnsembleSpec("boson", 3, 6), "enumeration", 2_000_000),
+             (EnsembleSpec("fermion", 3, 6), "recursion", 2_000_000),
+             (EnsembleSpec("fermion", 3, 6), "auto", 1),
+             (EnsembleSpec("distinguishable", 3, 4), "auto", 1)]
+    for ens, method, cap in cases:
+        batch = internal_energies(ens, BOX, points, method, cap)
+        assert batch == [internal_energy(ens, BOX, T, L, method, cap) for T, L in points]
 
 
 def test_distinguishable_beyond_cap_factorizes():

@@ -79,6 +79,8 @@ def test_uniform_scaling_is_exact(kind, L_from, L_to, N):
     lambda: SpectrumSpec("triangle"),
     lambda: SpectrumSpec("box", scale_c=0.0),
     lambda: SpectrumSpec("box", scale_c=-1.0),
+    lambda: SpectrumSpec("box", scale_c=float("inf")),
+    lambda: SpectrumSpec("box", scale_c=float("nan")),
     lambda: single_particle_energies(SpectrumSpec("box"), 0, 1.0),
     lambda: single_particle_energies(SpectrumSpec("box"), 3, 0.0),
     lambda: single_particle_energies(SpectrumSpec("box"), 3, -2.0),

@@ -1,6 +1,7 @@
 """Cycle thermodynamics: heats, work, efficiency, thresholds, ratios."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
                    adiabatic_energy_ratio, enumerate_states,
                    positive_work_threshold, run_cycle, thermal_occupation,
                    work_ratio_multiparticle, work_ratio_two_particle)
+from qotto.thermo import run_cycle_series
 
 BOX = SpectrumSpec("box")
 HARM = SpectrumSpec("harmonic")
@@ -200,6 +202,17 @@ def test_multiparticle_ratio_is_one_for_single_particle():
                                         1.0, 2.0, 1.0, 8.0) == 1.0
 
 
+def test_ratios_are_python_floats_on_every_route():
+    # the recursion used to hand back numpy.float64, enumeration float
+    for method in ("auto", "recursion"):
+        for statistics in ("boson", "fermion"):
+            r = work_ratio_multiparticle(BOX, 8, statistics, 3, 1.0, 2.0, 1.0,
+                                         5.0, method=method)
+            assert type(r) is float
+            assert type(work_ratio_two_particle(BOX, 8, statistics, 1.0, 2.0,
+                                                1.0, 5.0, method=method)) is float
+
+
 def test_multiparticle_full_shell_fermions():
     # W_M equals the single-particle work, so the per-particle ratio is 1/M
     for M in (2, 3, 4):
@@ -226,6 +239,20 @@ def test_config_validation():
         cfg(Tc=-1.0)
     with pytest.raises(ValueError):
         cfg(Th=0.0)
+    for bad in (dict(Tc=1e-320), dict(Th=math.inf), dict(Tc=math.nan),
+                dict(L1=math.inf), dict(R=math.inf)):
+        with pytest.raises(ValueError):
+            cfg(**bad)
+
+
+def test_cycle_series_equals_single_cycles():
+    for statistics, M, N, method in (("boson", 2, 5, "auto"),
+                                     ("fermion", 3, 6, "recursion"),
+                                     ("distinguishable", 2, 4, "auto")):
+        base = cfg(statistics=statistics, M=M, N=N)
+        grid = [4.5, 6.0, 11.0]
+        series = run_cycle_series(base, grid, method)
+        assert series == [run_cycle(replace(base, T_h=Th), method) for Th in grid]
 
 
 def test_regime_lambda():
