@@ -18,7 +18,7 @@ import sys
 from .errors import EmptyStateSpaceError
 from .experiments import (SweepGrid, make_record, make_series, sweep_fig2,
                           sweep_fig3, sweep_fig45, sweep_fig67, write_csv)
-from .manybody import STATISTICS, EnsembleSpec
+from .manybody import METHODS, STATISTICS, EnsembleSpec
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import CycleConfig, positive_work_threshold, run_cycle
 from .validate import run_all
@@ -28,8 +28,6 @@ EXIT_VALIDATION = 1
 EXIT_USAGE = 2
 EXIT_EMPTY_STATE_SPACE = 3
 EXIT_IO = 4
-
-_METHODS = ("auto", "enumeration", "recursion")
 
 # dest -> (converter, default); config-file keys are the dest names
 # ('lambda' is accepted as an alias for 'lam', '-' as '_')
@@ -62,7 +60,7 @@ def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
                         help="spectrum prefactor c in E = c g(n)/L^p")
     parser.add_argument("--lambda", dest="lam", type=float,
                         help="regime parameter c/(L1^p Tc); implies L1=1, Tc=1")
-    parser.add_argument("--method", choices=_METHODS)
+    parser.add_argument("--method", choices=METHODS)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -176,7 +174,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if params["th_min"] is None or params["th_max"] is None:
             raise ValueError("explicit sweeps need --th-min and --th-max "
                              "(or --figure for a preset)")
-        grid = SweepGrid.from_range("Th", params["th_min"], params["th_max"],
+        grid = SweepGrid.from_range(params["th_min"], params["th_max"],
                                     params["th_steps"])
         cfg, method = _build_cycle_config({**params, "Th": grid.values[0]})
         records = make_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c,

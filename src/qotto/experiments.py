@@ -53,9 +53,8 @@ _CROSS_CHECK_TOL = 1e-8
 
 @dataclass(frozen=True)
 class SweepGrid:
-    """Values of one swept parameter, strictly increasing."""
+    """Values of the swept parameter, strictly increasing."""
 
-    parameter: str
     values: tuple[float, ...]
 
     def __post_init__(self):
@@ -65,13 +64,12 @@ class SweepGrid:
             raise ValueError("sweep grid values must be strictly increasing")
 
     @classmethod
-    def from_range(cls, parameter: str, lo: float, hi: float,
-                   steps: int) -> "SweepGrid":
+    def from_range(cls, lo: float, hi: float, steps: int) -> "SweepGrid":
         if steps < 2:
             raise ValueError(f"a range grid needs >= 2 steps, got {steps}")
         if not (hi > lo):
             raise ValueError(f"grid needs max > min, got [{lo}, {hi}]")
-        return cls(parameter, tuple(np.linspace(lo, hi, steps).tolist()))
+        return cls(tuple(np.linspace(lo, hi, steps).tolist()))
 
 
 @dataclass(frozen=True)

@@ -42,11 +42,12 @@ from .errors import EmptyStateSpaceError, NumericalCancellationError
 from .spectrum import SpectrumSpec, level_coefficients
 
 STATISTICS = ("boson", "fermion", "distinguishable")
+METHODS = ("auto", "enumeration", "recursion")
 
 # `auto` switches from enumeration to the recursion above this many states.
 DEFAULT_STATE_CAP = 2_000_000
 
-# enumeration refuses outright above this (memory guard)
+# enumeration refuses outright above this many table entries (memory guard)
 HARD_ENUMERATION_LIMIT = 50_000_000
 
 # escalate the fermionic recursion to mpmath beyond this cancellation loss
@@ -104,16 +105,26 @@ class PartitionEvaluation:
     method: str
 
 
+def _table_entries(ens: EnsembleSpec) -> int:
+    """Size of the largest table enumeration holds: count x M level indices
+    (and as many gathered energies) for bosons and fermions, count sums for
+    distinguishable particles."""
+    if ens.statistics == "distinguishable":
+        return ens.state_count
+    return ens.state_count * ens.M
+
+
 def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarray:
     """Total energy coefficient of every many-body configuration.
 
     Deterministic (lexicographic) generation order, not sorted by energy.
     """
     count = ens.state_count
-    if count > HARD_ENUMERATION_LIMIT:
+    if _table_entries(ens) > HARD_ENUMERATION_LIMIT:
         raise ValueError(
-            f"state space of {count} configurations exceeds the enumeration "
-            f"limit of {HARD_ENUMERATION_LIMIT}; use the recursion backend")
+            f"enumerating {count} configurations of {ens.M} particles exceeds "
+            f"the limit of {HARD_ENUMERATION_LIMIT} table entries; use the "
+            "recursion backend")
     w = level_coefficients(spec, ens.N)
     if ens.statistics == "boson":
         return kernels.multiset_sums(w, ens.M, count)
@@ -177,8 +188,9 @@ def partition_by_enumeration(ens: EnsembleSpec, spec: SpectrumSpec,
     _check_beta_L(beta, L)
     scale = L**spec.power_p
     ws = state_energy_coefficients(ens, spec)
-    log_z, mean_w = kernels.log_z_and_mean(ws, beta / scale)
-    return PartitionEvaluation(log_Z=log_z, U=mean_w / scale, method="enumeration")
+    log_z, mean_w = kernels.log_z_and_mean(ws, np.array([beta / scale]))
+    return PartitionEvaluation(log_Z=float(log_z[0]), U=float(mean_w[0]) / scale,
+                               method="enumeration")
 
 
 def _signed_logsumexp(logs: np.ndarray, signs: np.ndarray) -> tuple[float, float, float]:
@@ -200,12 +212,9 @@ def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
     suffered; lz1[m] = log Z_1(m*beta_eff) is kept for sizing an escalated
     rerun.
     """
-    lz1 = np.empty(M + 1)
-    u1 = np.empty(M + 1)
-    lz1[0] = 0.0
-    u1[0] = 0.0
-    for m in range(1, M + 1):
-        lz1[m], u1[m] = kernels.log_z_and_mean(w, m * beta_eff)
+    lz1 = np.zeros(M + 1)
+    u1 = np.zeros(M + 1)
+    lz1[1:], u1[1:] = kernels.log_z_and_mean(w, beta_eff * np.arange(1, M + 1))
 
     lz = np.zeros(M + 1)   # log Z_k (sums that survive are positive)
     uu = np.zeros(M + 1)   # U_k in coefficient units
@@ -308,18 +317,20 @@ def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
                       state_cap: int = DEFAULT_STATE_CAP) -> list[float]:
     """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``.
 
-    method 'auto' enumerates up to ``state_cap`` configurations, one table
-    for all points. Beyond: M times the single-particle U (distinguishable),
-    else the recursion per point, enumerating where it raises
+    method 'auto' enumerates up to ``state_cap`` configurations (and within
+    the HARD_ENUMERATION_LIMIT memory guard), one table for all points.
+    Beyond: M times the single-particle U (distinguishable), else the
+    recursion per point, enumerating where it raises
     NumericalCancellationError. Values keep their backend's scalar type.
     """
     betas = [inverse_temperature(T, L) for T, L in points]
-    if method not in ("auto", "enumeration", "recursion"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "enumeration" or (method == "auto" and ens.state_count <= state_cap):
+    if method == "enumeration" or (method == "auto" and ens.state_count <= state_cap
+                                   and _table_entries(ens) <= HARD_ENUMERATION_LIMIT):
         scales = [L**spec.power_p for _, L in points]
         beta_effs = np.array([beta / scale for beta, scale in zip(betas, scales)])
-        means = kernels.mean_coefficients(state_energy_coefficients(ens, spec), beta_effs)
+        _, means = kernels.log_z_and_mean(state_energy_coefficients(ens, spec), beta_effs)
         return [mean / scale for mean, scale in zip(means.tolist(), scales)]
     if method == "auto" and ens.statistics == "distinguishable":
         single = EnsembleSpec("distinguishable", 1, ens.N)

@@ -100,12 +100,12 @@ def test_truncation_error_shrinks_monotonically():
 
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
-        SweepGrid.from_range("Th", 5.0, 5.0, 2)
+        SweepGrid.from_range(5.0, 5.0, 2)
     with pytest.raises(ValueError):
-        SweepGrid.from_range("Th", 5.0, 9.0, 1)
+        SweepGrid.from_range(5.0, 9.0, 1)
     with pytest.raises(ValueError):
-        SweepGrid("Th", (1.0, 1.0, 2.0))
-    grid = SweepGrid.from_range("Th", 4.0, 8.0, 5)
+        SweepGrid((1.0, 1.0, 2.0))
+    grid = SweepGrid.from_range(4.0, 8.0, 5)
     assert grid.values == (4.0, 5.0, 6.0, 7.0, 8.0)
 
 

@@ -1,4 +1,5 @@
-"""Kernel-level checks: numba and numpy paths agree and match brute force."""
+"""Kernel-level checks: the Boltzmann reduction and the enumeration kernels
+match brute force, and the batched reduction equals one-temperature calls."""
 
 import itertools
 import math
@@ -19,7 +20,7 @@ def brute_log_z_mean(w, beta_eff):
 def test_log_z_and_mean_matches_brute_force(beta_eff):
     rng = np.random.default_rng(7)
     w = np.sort(rng.uniform(0.0, 8.0, size=200))
-    lz, mean = kernels.log_z_and_mean(w, beta_eff)
+    (lz,), (mean,) = kernels.log_z_and_mean(w, np.array([beta_eff]))
     lz_ref, mean_ref = brute_log_z_mean(w, beta_eff)
     assert lz == pytest.approx(lz_ref, rel=1e-13)
     assert mean == pytest.approx(mean_ref, rel=1e-13)
@@ -28,7 +29,7 @@ def test_log_z_and_mean_matches_brute_force(beta_eff):
 def test_log_z_survives_huge_exponents():
     # raw exp(-beta*w) underflows; the shifted sum must stay finite
     w = np.array([100.0, 400.0, 900.0])
-    lz, mean = kernels.log_z_and_mean(w, 50.0)
+    (lz,), (mean,) = kernels.log_z_and_mean(w, np.array([50.0]))
     assert math.isfinite(lz)
     assert lz == pytest.approx(-50.0 * 100.0, abs=1e-9)
     assert mean == pytest.approx(100.0, rel=1e-12)
@@ -63,34 +64,23 @@ def test_subset_sums_match_itertools(n, m):
     assert got.tolist() == ref
 
 
-@pytest.mark.skipif(not kernels.USING_NUMBA, reason="numba path not active")
-def test_numba_and_numpy_paths_agree():
-    rng = np.random.default_rng(11)
-    w = np.sort(rng.uniform(0.0, 30.0, size=500))
-    for beta_eff in (0.0, 0.05, 1.0, 40.0):
-        lz_nb, mean_nb = kernels._log_z_and_mean_nb(w, beta_eff)
-        lz_np, mean_np = kernels._log_z_and_mean_np(w, beta_eff)
-        assert lz_nb == pytest.approx(lz_np, rel=1e-13, abs=1e-13)
-        assert mean_nb == pytest.approx(mean_np, rel=1e-13, abs=1e-13)
-        np.testing.assert_allclose(kernels._gibbs_weights_nb(w, beta_eff),
-                                   kernels._gibbs_weights_np(w, beta_eff),
-                                   rtol=1e-12, atol=1e-300)
-    for n, m in ((4, 2), (7, 3), (9, 5)):
-        ww = np.arange(1, n + 1, dtype=float) ** 2
-        cnt_b = math.comb(n + m - 1, m)
-        cnt_f = math.comb(n, m)
-        assert kernels._multiset_sums_nb(ww, m, cnt_b).tolist() == \
-            kernels._multiset_sums_np(ww, m, cnt_b).tolist()
-        assert kernels._subset_sums_nb(ww, m, cnt_f).tolist() == \
-            kernels._subset_sums_np(ww, m, cnt_f).tolist()
+def shifted_log_z_mean(w, beta_eff):
+    # the one-temperature numpy arithmetic the batched reduction must keep
+    w0 = w.min()
+    x = np.exp(-beta_eff * (w - w0))
+    s = x.sum()
+    return float(-beta_eff * w0 + np.log(s)), float(w0 + ((w - w0) * x).sum() / s)
 
 
-def test_mean_coefficients_reproduces_log_z_and_mean_bit_for_bit():
+def test_batched_log_z_and_mean_equals_one_temperature_calls_bit_for_bit():
     # several blocks of rows, and one row larger than a whole block
     rng = np.random.default_rng(11)
     betas = rng.uniform(0.0, 3.0, size=150)
     for size in (1, 7, 1000, 70_000):
         w = np.sort(rng.uniform(1.0, 60.0, size=size))
-        got = kernels.mean_coefficients(w, betas)
-        assert got.tolist() == [kernels._log_z_and_mean_np(w, float(b))[1]
-                                for b in betas]
+        lz, mean = kernels.log_z_and_mean(w, betas)
+        singles = [kernels.log_z_and_mean(w, betas[i:i + 1]) for i in range(betas.size)]
+        assert lz.tolist() == [float(one[0][0]) for one in singles]
+        assert mean.tolist() == [float(one[1][0]) for one in singles]
+        ref = [shifted_log_z_mean(w, float(b)) for b in betas]
+        assert list(zip(lz.tolist(), mean.tolist())) == ref

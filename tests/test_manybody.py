@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from qotto import (EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
                    enumerate_states, internal_energy, partition_by_enumeration,
                    partition_by_recursion, state_energy_coefficients)
+from qotto import kernels, manybody
 from qotto.manybody import internal_energies
 
 BOX = SpectrumSpec("box")
@@ -290,6 +291,34 @@ def test_distinguishable_beyond_cap_factorizes():
     direct = internal_energy(ens, BOX, 3.0, 1.0, method="enumeration")
     via_cap = internal_energy(ens, BOX, 3.0, 1.0, method="auto", state_cap=1)
     assert via_cap == pytest.approx(direct, rel=1e-13)
+
+
+def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
+    # 16.1M states of 5 bosons, below the 50M limit, but enumeration would
+    # hold 80.5M level indices and as many gathered energies at once
+    def reached(*args):
+        pytest.fail("the memory guard let the enumeration kernel run")
+
+    monkeypatch.setattr(kernels, "multiset_sums", reached)
+    ens = EnsembleSpec("boson", 5, 70)
+    assert ens.state_count == 16_108_764
+    with pytest.raises(ValueError, match="table entries"):
+        internal_energy(ens, BOX, 2.0, 1.0, method="enumeration")
+
+
+def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
+    # 20 states of 3 bosons are 60 table entries: under the state cap, above
+    # a guard of 10, so auto must not hand the ensemble to enumeration. One
+    # boson on 10 levels is 10 entries and still enumerates. At T=3.3 the
+    # two backends differ in the last bits, so the route shows.
+    three, one = EnsembleSpec("boson", 3, 4), EnsembleSpec("boson", 1, 10)
+    expected = [internal_energy(three, BOX, 3.3, 1.0, method="recursion"),
+                internal_energy(one, BOX, 3.3, 1.0, method="enumeration")]
+    assert expected[0] != internal_energy(three, BOX, 3.3, 1.0, method="enumeration")
+    assert expected[1] != internal_energy(one, BOX, 3.3, 1.0, method="recursion")
+    monkeypatch.setattr(manybody, "HARD_ENUMERATION_LIMIT", 10)
+    assert [internal_energy(three, BOX, 3.3, 1.0),
+            internal_energy(one, BOX, 3.3, 1.0)] == expected
 
 
 @given(statistics=st.sampled_from(["boson", "fermion", "distinguishable"]),
