@@ -7,7 +7,7 @@ enumeration and the identical-particle recursion) that cross-validate
 each other.
 """
 
-from .errors import EmptyStateSpaceError, NumericalCancellationError
+from .errors import EmptyStateSpaceError
 from .experiments import (RatioRecord, SweepGrid, evaluate_point,
                           harmonic_closed_form_W, harmonic_closed_form_Z,
                           make_record, make_series, records_to_csv, sweep_fig2,
@@ -27,9 +27,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycleConfig", "CycleResult", "DEFAULT_STATE_CAP", "EmptyStateSpaceError",
-    "EnsembleSpec", "KINDS", "ManyBodyLevel", "NumericalCancellationError",
-    "PartitionEvaluation", "RatioRecord", "SpectrumSpec", "SweepGrid",
-    "ThermalOccupation", "adiabatic_energy_ratio", "enumerate_states",
+    "EnsembleSpec", "KINDS", "ManyBodyLevel", "PartitionEvaluation",
+    "RatioRecord", "SpectrumSpec", "SweepGrid", "ThermalOccupation",
+    "adiabatic_energy_ratio", "enumerate_states",
     "evaluate_point", "harmonic_closed_form_W", "harmonic_closed_form_Z",
     "internal_energy", "level_coefficients", "make_record", "make_series",
     "partition_by_enumeration", "partition_by_recursion",

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""The package's own exception type; the command line maps it to exit code 3."""
 
 
 class EmptyStateSpaceError(ValueError):
@@ -6,11 +6,4 @@ class EmptyStateSpaceError(ValueError):
 
     Raised for fermionic ensembles with more particles than single-particle
     levels (Pauli exclusion leaves nothing to occupy).
-    """
-
-
-class NumericalCancellationError(ArithmeticError):
-    """The alternating fermionic recursion lost all significant digits.
-
-    Callers may fall back to direct enumeration when they receive this.
     """

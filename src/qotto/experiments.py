@@ -34,8 +34,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, partition_by_enumeration,
-                       partition_by_recursion)
+from . import kernels
+from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, partition_by_recursion,
+                       state_energy_coefficients)
 from .spectrum import SpectrumSpec
 from .thermo import CycleConfig, run_cycle_series
 
@@ -264,14 +265,21 @@ def _cross_check(rec: RatioRecord) -> None:
     if ens.state_count > _CROSS_CHECK_CAP:
         return
     spec = SpectrumSpec(rec.spectrum, scale_c=rec.lam)
-    for T, L in ((rec.Th, rec.L1), (rec.Tc, rec.R * rec.L1)):
-        a = partition_by_recursion(ens, spec, 1.0 / T, L)
-        b = partition_by_enumeration(ens, spec, 1.0 / T, L)
-        if abs(a.log_Z - b.log_Z) > _CROSS_CHECK_TOL or \
-                abs(a.U - b.U) > _CROSS_CHECK_TOL * max(1.0, abs(b.U)):
+    corners = ((1.0 / rec.Th, rec.L1), (1.0 / rec.Tc, rec.R * rec.L1))
+    scales = [L**spec.power_p for _, L in corners]
+    # one enumeration table for both corners, as partition_by_enumeration
+    # would reduce it at each
+    log_zs, means = kernels.log_z_and_mean(
+        state_energy_coefficients(ens, spec),
+        np.array([beta / scale for (beta, _), scale in zip(corners, scales)]))
+    for (beta, L), scale, log_z, mean in zip(corners, scales, log_zs, means):
+        a = partition_by_recursion(ens, spec, beta, L)
+        u = float(mean) / scale
+        if abs(a.log_Z - log_z) > _CROSS_CHECK_TOL or \
+                abs(a.U - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
             raise AssertionError(
                 f"recursion/enumeration mismatch at {rec}: "
-                f"dlogZ={a.log_Z - b.log_Z:.3g} dU={a.U - b.U:.3g}")
+                f"dlogZ={a.log_Z - log_z:.3g} dU={a.U - u:.3g}")
 
 
 def harmonic_closed_form_Z(statistics: str, T: float, L: float,

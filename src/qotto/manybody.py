@@ -21,24 +21,22 @@ mutual oracles.
 The fermionic recursion alternates signs and can cancel catastrophically at
 large beta (the surviving Z_M is exponentially smaller than individual
 terms). The float path tracks how many digits the cancellations consumed
-and, when too many, reruns the recursion in mpmath at a precision sized to
-the measured loss. That keeps the backend independent of enumeration at any
-beta. ``NumericalCancellationError`` is still raised if even the escalated
-computation produces a nonpositive partition function.
+and, when too many, recomputes Z_M and U_M by the level-by-level expansion
+of prod_n (1 +- x exp(-beta*e_n))^(+-1): each particle-number row relative
+to its own ground state, so every term is positive and nothing cancels.
+That keeps the backend independent of enumeration at any beta.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath import mp
 
 from . import kernels
-from .errors import EmptyStateSpaceError, NumericalCancellationError
+from .errors import EmptyStateSpaceError
 from .spectrum import SpectrumSpec, level_coefficients
 
 STATISTICS = ("boson", "fermion", "distinguishable")
@@ -50,13 +48,9 @@ DEFAULT_STATE_CAP = 2_000_000
 # enumeration refuses outright above this many table entries (memory guard)
 HARD_ENUMERATION_LIMIT = 50_000_000
 
-# escalate the fermionic recursion to mpmath beyond this cancellation loss
+# beyond this cancellation loss the particle recursion hands over to the
+# sign-free recursion over levels
 _LOSS_NATS_LIMIT = 6.9  # ~3 decimal digits
-
-_MAX_DPS = 20_000
-
-# mpmath precision state is process-global
-_MP_LOCK = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -207,10 +201,8 @@ def _signed_logsumexp(logs: np.ndarray, signs: np.ndarray) -> tuple[float, float
 def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
     """One float64 pass of the recursion.
 
-    Returns (log_Z_M, U_M_coeff, loss_nats, lz1, failed). U is in
-    coefficient units; loss_nats is the worst cancellation any signed sum
-    suffered; lz1[m] = log Z_1(m*beta_eff) is kept for sizing an escalated
-    rerun.
+    Returns (log_Z_M, U_M_coeff, loss_nats, failed). U is in coefficient
+    units; loss_nats is the worst cancellation any signed sum suffered.
     """
     lz1 = np.zeros(M + 1)
     u1 = np.zeros(M + 1)
@@ -241,37 +233,39 @@ def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
         else:
             loss = max(loss, nloss)
             uu[k] = nssign * math.exp(nlsum - lsum)
-    return lz[M], uu[M], loss, lz1, failed
+    return lz[M], uu[M], loss, failed
 
 
-def _recursion_mp(w: np.ndarray, M: int, beta_eff: float, fermion: bool,
-                  dps: int) -> tuple[float, float]:
-    """Arbitrary-precision rerun of the recursion (exact up to dps digits)."""
-    with _MP_LOCK:
-        with mp.workdps(dps):
-            b = mp.mpf(beta_eff)
-            z1 = [mp.mpf(1)] * (M + 1)
-            e1 = [mp.mpf(0)] * (M + 1)
-            wm = [mp.mpf(float(x)) for x in w]
-            for m in range(1, M + 1):
-                terms = [mp.e**(-b * m * x) for x in wm]
-                z = mp.fsum(terms)
-                z1[m] = z
-                e1[m] = mp.fsum(x * t for x, t in zip(wm, terms)) / z
-            def sgn(m):
-                return mp.mpf(-1) if (fermion and m % 2 == 0) else mp.mpf(1)
+def _recursion_levels(w: np.ndarray, M: int, beta_eff: float,
+                      fermion: bool) -> tuple[float, float]:
+    """Sign-free recursion over levels: log Z_M and U_M in coefficient units.
 
-            zz = [mp.mpf(1)] + [mp.mpf(0)] * M
-            ee = [mp.mpf(0)] * (M + 1)
-            for k in range(1, M + 1):
-                zz[k] = mp.fsum(sgn(m) * z1[m] * zz[k - m] for m in range(1, k + 1)) / k
-                if zz[k] <= 0:
-                    raise NumericalCancellationError(
-                        f"recursion level {k} nonpositive even at {dps} digits")
-                ee[k] = mp.fsum(
-                    sgn(m) * z1[m] * zz[k - m] * (m * e1[m] + ee[k - m])
-                    for m in range(1, k + 1)) / (k * zz[k])
-            return float(mp.log(zz[M])), float(ee[M])
+    Adding level n to the first n levels gives, for k = 1..M,
+
+        fermions  Z_k(n+1) = Z_k(n) + x_n Z_{k-1}(n),
+        bosons    Z_k(n+1) = Z_k(n) + x_n Z_{k-1}(n+1),
+
+    with x_n = exp(-beta_eff * w_n). Row k is kept relative to its own
+    ground state (reference level w[k-1] for fermions, w[0] for bosons), so
+    every factor is at most 1 and every sum positive. The excitation-energy
+    numerator D_k obeys the same recursion plus (w_n - ref) x_n Z_{k-1}.
+    """
+    N = w.size
+    z = np.ones(N + 1)    # Z_{k-1} over the first n levels, n = 0..N
+    d = np.zeros(N + 1)   # its excitation-energy numerator
+    for k in range(1, M + 1):
+        lo = k - 1 if fermion else 0   # row k's reference level
+        # Z_{k-1} without level n (fermions) or with it (bosons), n = lo..N-1
+        prev = slice(lo, N) if fermion else slice(1, N + 1)
+        e = w[lo:] - w[lo]
+        x = np.exp(-beta_eff * e)
+        t = x * z[prev]
+        head = np.zeros(lo + 1)
+        d = np.concatenate((head, np.cumsum(x * d[prev] + e * t)))
+        z = np.concatenate((head, np.cumsum(t)))
+    ground = list(w[:M]) if fermion else [w[0]] * M
+    return (-beta_eff * math.fsum(ground) + math.log(z[N]),
+            math.fsum(ground + [d[N] / z[N]]))
 
 
 def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
@@ -291,24 +285,9 @@ def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
     fermion = ens.statistics == "fermion"
     M = ens.M
 
-    log_z, u_coeff, loss, lz1, failed = _recursion_float(w, M, beta_eff, fermion)
+    log_z, u_coeff, loss, failed = _recursion_float(w, M, beta_eff, fermion)
     if failed or loss > _LOSS_NATS_LIMIT:
-        # Size the precision from the worst headroom between an upper bound
-        # on the terms feeding Z_k and a ground-state lower bound on Z_k.
-        # Upper bound via the sign-free max-plus recursion (dropping 1/k
-        # only enlarges it); lower bound: Z_k >= exp(-beta_eff * E0_k).
-        upper = np.zeros(M + 1)
-        for k in range(1, M + 1):
-            upper[k] = max(lz1[m] + upper[k - m] for m in range(1, k + 1))
-        ground = np.cumsum(w[:M])
-        needed = max(
-            upper[k] + beta_eff * float(ground[k - 1]) for k in range(1, M + 1))
-        dps = 30 + int(1.15 * max(needed, 0.0) / math.log(10.0))
-        if dps > _MAX_DPS:
-            raise NumericalCancellationError(
-                f"fermionic recursion needs ~{dps} digits, above the "
-                f"{_MAX_DPS} limit")
-        log_z, u_coeff = _recursion_mp(w, M, beta_eff, fermion, dps)
+        log_z, u_coeff = _recursion_levels(w, M, beta_eff, fermion)
     return PartitionEvaluation(log_Z=log_z, U=u_coeff / scale, method="recursion")
 
 
@@ -320,8 +299,7 @@ def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
     method 'auto' enumerates up to ``state_cap`` configurations (and within
     the HARD_ENUMERATION_LIMIT memory guard), one table for all points.
     Beyond: M times the single-particle U (distinguishable), else the
-    recursion per point, enumerating where it raises
-    NumericalCancellationError. Values keep their backend's scalar type.
+    recursion per point. Values keep their backend's scalar type.
     """
     betas = [inverse_temperature(T, L) for T, L in points]
     if method not in METHODS:
@@ -335,15 +313,8 @@ def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
     if method == "auto" and ens.statistics == "distinguishable":
         single = EnsembleSpec("distinguishable", 1, ens.N)
         return [ens.M * u for u in internal_energies(single, spec, points, "enumeration")]
-    out = []
-    for beta, (_, L) in zip(betas, points):
-        try:
-            out.append(partition_by_recursion(ens, spec, beta, L).U)
-        except NumericalCancellationError:
-            if method == "recursion":
-                raise
-            out.append(partition_by_enumeration(ens, spec, beta, L).U)
-    return out
+    return [partition_by_recursion(ens, spec, beta, L).U
+            for beta, (_, L) in zip(betas, points)]
 
 
 def internal_energy(ens: EnsembleSpec, spec: SpectrumSpec, T: float, L: float,

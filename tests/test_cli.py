@@ -182,6 +182,17 @@ def test_sweep_explicit_grid(tmp_path, capsys):
     assert rows[1].split(",")[1] == "fermion"
 
 
+def test_cli_import_loads_no_third_party_package_but_numpy():
+    # numpy is the one runtime dependency; anything else qotto.cli pulls in
+    # at import would be an undeclared one
+    probe = ("import sys; before = set(sys.modules); import qotto.cli; "
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+             "print(','.join(sorted(new - set(sys.stdlib_module_names))))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == "numpy,qotto"
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qotto", "cycle", "--levels", "2", "--Th", "8"],

@@ -3,12 +3,13 @@
 import importlib.util
 import math
 import os
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qotto import manybody
+from qotto import experiments, manybody
 from qotto import (CycleConfig, EnsembleSpec, SpectrumSpec, SweepGrid,
                    evaluate_point, harmonic_closed_form_W,
                    harmonic_closed_form_Z, make_record,
@@ -192,6 +193,31 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
     assert len(records) == 28 * 5
     assert len(built) == 56
     assert len(set(built)) == 56
+
+
+def test_cross_check_builds_one_table_per_row_and_compares_both_values(monkeypatch):
+    rec = evaluate_point("box", "fermion", 3, 8, 1.0, 2.0, 5.0, "recursion")
+    built = []
+    original = experiments.state_energy_coefficients
+
+    def counted(ens, spec):
+        built.append(ens)
+        return original(ens, spec)
+
+    monkeypatch.setattr(experiments, "state_energy_coefficients", counted)
+    experiments._cross_check(rec)
+    assert built == [EnsembleSpec("fermion", 3, 8)]
+
+    # twice each 1e-8 tolerance: absolute in log Z, relative in U (U > 1 here)
+    exact = experiments.partition_by_recursion
+    for field, shift in (("log_Z", lambda v: v + 2e-8), ("U", lambda v: v * (1.0 + 2e-8))):
+        def shifted(*args, field=field, shift=shift):
+            res = exact(*args)
+            return replace(res, **{field: shift(getattr(res, field))})
+
+        monkeypatch.setattr(experiments, "partition_by_recursion", shifted)
+        with pytest.raises(AssertionError, match="mismatch"):
+            experiments._cross_check(rec)
 
 
 def _perfbench_check():

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qotto import (EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
-                   enumerate_states, internal_energy, partition_by_enumeration,
-                   partition_by_recursion, state_energy_coefficients)
+from qotto import (KINDS, EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
+                   enumerate_states, internal_energy, level_coefficients,
+                   partition_by_enumeration, partition_by_recursion,
+                   state_energy_coefficients)
 from qotto import kernels, manybody
 from qotto.manybody import internal_energies
 
@@ -273,6 +274,34 @@ def test_tiny_accepted_temperature_gives_ground_state_energy():
         ens = EnsembleSpec(statistics, 3, 8)
         assert internal_energy(ens, BOX, 1e-300, 1.0, method="enumeration") == ground
         assert internal_energy(ens, BOX, 1e-300, 1.0) == ground
+    fermions = EnsembleSpec("fermion", 3, 8)
+    for T in (1e-300, 1e-4):
+        assert internal_energy(fermions, BOX, T, 1.0, method="recursion") == 14.0
+
+
+def test_level_recursion_matches_enumeration():
+    # every kind, regime and statistics up to 3M states, from beta = 0 to
+    # the ground state; the enumeration table is reduced at all betas in one
+    # call, bit for bit what partition_by_enumeration gives at L = 1
+    betas = np.array([0.0, 0.01, 0.2, 1.0, 10.0, 200.0, 1e8])
+    cases = 0
+    for kind, lam, statistics, M, N in itertools.product(
+            KINDS, (0.05, 1.0, 20.0), ("boson", "fermion"), (1, 2, 3, 5, 8),
+            (1, 3, 8, 25, 150)):
+        if statistics == "fermion" and M > N:
+            continue
+        ens = EnsembleSpec(statistics, M, N)
+        if ens.state_count > 3_000_000:
+            continue
+        spec = SpectrumSpec(kind, scale_c=lam)
+        log_zs, means = kernels.log_z_and_mean(state_energy_coefficients(ens, spec), betas)
+        w = level_coefficients(spec, N)
+        for beta, log_z, u in zip(betas, log_zs, means):
+            got = manybody._recursion_levels(w, M, beta, statistics == "fermion")
+            assert abs(got[0] - log_z) <= 1e-13 * max(1.0, abs(log_z))
+            assert abs(got[1] - u) <= 1e-13 * max(1.0, abs(u))
+            cases += 1
+    assert cases == 3276
 
 
 def test_internal_energies_equal_pointwise_values_on_every_route():
