@@ -14,28 +14,25 @@ from .experiments import (RatioRecord, SweepGrid, evaluate_point,
                           sweep_fig3, sweep_fig45, sweep_fig67,
                           work_ratio_multiparticle, work_ratio_two_particle,
                           write_csv)
-from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, ManyBodyLevel,
-                       PartitionEvaluation, enumerate_states, internal_energy,
-                       partition_by_enumeration, partition_by_recursion,
-                       state_energy_coefficients)
+from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, PartitionEvaluation,
+                       internal_energy, partition_by_enumeration,
+                       partition_by_recursion, state_energy_coefficients)
 from .spectrum import (KINDS, SpectrumSpec, adiabatic_energy_ratio,
                        level_coefficients, single_particle_energies)
-from .thermo import (CycleConfig, CycleResult, ThermalOccupation,
-                     positive_work_threshold, run_cycle, thermal_occupation)
+from .thermo import (CycleConfig, CycleResult, positive_work_threshold,
+                     run_cycle)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "CycleConfig", "CycleResult", "DEFAULT_STATE_CAP", "EmptyStateSpaceError",
-    "EnsembleSpec", "KINDS", "ManyBodyLevel", "PartitionEvaluation",
-    "RatioRecord", "SpectrumSpec", "SweepGrid", "ThermalOccupation",
-    "adiabatic_energy_ratio", "enumerate_states",
-    "evaluate_point", "harmonic_closed_form_W", "harmonic_closed_form_Z",
-    "internal_energy", "level_coefficients", "make_record", "make_series",
+    "EnsembleSpec", "KINDS", "PartitionEvaluation", "RatioRecord",
+    "SpectrumSpec", "SweepGrid", "adiabatic_energy_ratio", "evaluate_point",
+    "harmonic_closed_form_W", "harmonic_closed_form_Z", "internal_energy",
+    "level_coefficients", "make_record", "make_series",
     "partition_by_enumeration", "partition_by_recursion",
     "positive_work_threshold", "records_to_csv", "run_cycle",
     "single_particle_energies", "state_energy_coefficients", "sweep_fig2",
-    "sweep_fig3", "sweep_fig45", "sweep_fig67", "thermal_occupation",
-    "work_ratio_multiparticle", "work_ratio_two_particle", "write_csv",
-    "__version__",
+    "sweep_fig3", "sweep_fig45", "sweep_fig67", "work_ratio_multiparticle",
+    "work_ratio_two_particle", "write_csv", "__version__",
 ]

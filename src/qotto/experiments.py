@@ -34,9 +34,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import kernels
-from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, partition_by_recursion,
-                       state_energy_coefficients)
+from .manybody import (EnsembleSpec, enumeration_log_z_and_u,
+                       partition_by_recursion)
 from .spectrum import SpectrumSpec
 from .thermo import CycleConfig, run_cycle_series
 
@@ -131,15 +130,14 @@ def write_csv(records: list[RatioRecord], path: str) -> None:
 
 
 def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
-                Tc: float, Th_values, method: str = "auto",
-                state_cap: int = DEFAULT_STATE_CAP) -> list[RatioRecord]:
+                Tc: float, Th_values, method: str = "auto") -> list[RatioRecord]:
     """M- and single-particle cycles over a Th series, each ensemble built once."""
     if len(Th_values) == 0:
         return []
     cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc, T_h=Th_values[0])
-    results = run_cycle_series(cfg, Th_values, method, state_cap)
+    results = run_cycle_series(cfg, Th_values, method)
     singles = run_cycle_series(replace(cfg, ens=EnsembleSpec(ens.statistics, 1, ens.N)),
-                               Th_values, method, state_cap)
+                               Th_values, method)
     return [RatioRecord(
         spectrum=spec.kind, statistics=ens.statistics, M=ens.M, N=ens.N, L1=L1,
         R=R, Tc=Tc, Th=Th, lam=cfg.regime_lambda, U1=res.U1, U2=res.U2,
@@ -150,33 +148,30 @@ def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
 
 
 def make_record(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
-                Tc: float, Th: float, method: str = "auto",
-                state_cap: int = DEFAULT_STATE_CAP) -> RatioRecord:
+                Tc: float, Th: float, method: str = "auto") -> RatioRecord:
     """Evaluate the M-particle and single-particle cycles at one point."""
-    return make_series(spec, ens, L1, R, Tc, [Th], method, state_cap)[0]
+    return make_series(spec, ens, L1, R, Tc, [Th], method)[0]
 
 
 def work_ratio_multiparticle(spec: SpectrumSpec, N: int, statistics: str,
                              M: int, L1: float, R: float, T_c: float,
-                             T_h: float, method: str = "auto",
-                             state_cap: int = DEFAULT_STATE_CAP) -> float:
+                             T_h: float, method: str = "auto") -> float:
     """W_M / (M * W_s): M-particle work per particle relative to a single
     particle under the same conditions; the record's ratio over M."""
     return float(make_record(spec, EnsembleSpec(statistics, M, N), L1, R, T_c,
-                             T_h, method, state_cap).ratio) / M
+                             T_h, method).ratio) / M
 
 
 def work_ratio_two_particle(spec: SpectrumSpec, N: int, statistics: str,
                             L1: float, R: float, T_c: float, T_h: float,
-                            method: str = "auto",
-                            state_cap: int = DEFAULT_STATE_CAP) -> float:
+                            method: str = "auto") -> float:
     """W of two identical particles over W of a single particle under the same
     L1, R, baths and truncation N; NaN when |W_s| is below the guard."""
     if statistics not in ("boson", "fermion"):
         raise ValueError("two-particle ratio is defined for boson/fermion "
                          f"statistics, got {statistics!r}")
     return work_ratio_multiparticle(spec, N, statistics, 2, L1, R, T_c, T_h,
-                                    method, state_cap) * 2.0
+                                    method) * 2.0
 
 
 def evaluate_series(kind: str, statistics: str, M: int, N: int, lam: float,
@@ -266,15 +261,10 @@ def _cross_check(rec: RatioRecord) -> None:
         return
     spec = SpectrumSpec(rec.spectrum, scale_c=rec.lam)
     corners = ((1.0 / rec.Th, rec.L1), (1.0 / rec.Tc, rec.R * rec.L1))
-    scales = [L**spec.power_p for _, L in corners]
-    # one enumeration table for both corners, as partition_by_enumeration
-    # would reduce it at each
-    log_zs, means = kernels.log_z_and_mean(
-        state_energy_coefficients(ens, spec),
-        np.array([beta / scale for (beta, _), scale in zip(corners, scales)]))
-    for (beta, L), scale, log_z, mean in zip(corners, scales, log_zs, means):
+    # one enumeration table for both corners
+    log_zs, us = enumeration_log_z_and_u(ens, spec, corners)
+    for (beta, L), log_z, u in zip(corners, log_zs, us):
         a = partition_by_recursion(ens, spec, beta, L)
-        u = float(mean) / scale
         if abs(a.log_Z - log_z) > _CROSS_CHECK_TOL or \
                 abs(a.U - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
             raise AssertionError(

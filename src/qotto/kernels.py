@@ -1,9 +1,11 @@
-"""Hot numerical kernels: the Boltzmann reduction and occupation enumeration.
+"""Hot numerical kernels: the Boltzmann reduction and the state-energy tables.
 
 numpy only. ``log_z_and_mean`` is the one Boltzmann reduction: a table of
 energy coefficients at an array of inverse temperatures, reduced in blocks
 of at most 2^16 temperature x state elements. Enumeration, the recursion's
 single-particle sums and whole sweep grids all go through it.
+``multiset_sums`` and ``subset_sums`` build the enumerated boson and fermion
+energy tables.
 
 Conventions: ``w`` is a float64 array of energy coefficients (energy times
 L^p, so E = w / L^p) and ``beta_eff = beta / L^p``, making every Boltzmann
@@ -37,11 +39,6 @@ def log_z_and_mean(w: np.ndarray,
         log_z[i:i + rows] = -b * w0 + np.log(s)
         mean[i:i + rows] = w0 + (d * x).sum(axis=1) / s
     return log_z, mean
-
-
-def gibbs_weights(w: np.ndarray, beta_eff: float) -> np.ndarray:
-    x = np.exp(-beta_eff * (w - w.min()))
-    return x / x.sum()
 
 
 def _occupation_index_array(n: int, m: int, count: int, distinct: bool) -> np.ndarray:

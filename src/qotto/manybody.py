@@ -2,9 +2,11 @@
 
 Two independent routes to the partition function and internal energy:
 
-* ``partition_by_enumeration`` sums exp(-beta*E) over every symmetrized
-  many-body configuration (multisets for bosons, strictly increasing level
-  tuples for fermions, ordered tuples for distinguishable particles).
+* Enumeration: ``state_energy_coefficients`` lists the total energy of every
+  symmetrized many-body configuration (multisets for bosons, strictly
+  increasing level tuples for fermions, ordered tuples for distinguishable
+  particles) and ``enumeration_log_z_and_u`` reduces that one table at any
+  number of (beta, L) points.
 
 * ``partition_by_recursion`` uses the exact recursion for noninteracting
   identical particles,
@@ -18,18 +20,18 @@ Two independent routes to the partition function and internal energy:
 The two routes share nothing but Z_1's level coefficients, so they serve as
 mutual oracles.
 
-The fermionic recursion alternates signs and can cancel catastrophically at
-large beta (the surviving Z_M is exponentially smaller than individual
-terms). The float path tracks how many digits the cancellations consumed
-and, when too many, recomputes Z_M and U_M by the level-by-level expansion
-of prod_n (1 +- x exp(-beta*e_n))^(+-1): each particle-number row relative
-to its own ground state, so every term is positive and nothing cancels.
-That keeps the backend independent of enumeration at any beta.
+The float recursion can lose digits in two ways: the fermionic sum
+alternates signs and cancels catastrophically at large beta, and at any
+statistics a large |log Z| leaves its log-domain terms with few digits in
+their differences. The float path tracks both and, past either limit,
+recomputes Z_M and U_M by the level-by-level expansion of
+prod_n (1 +- x exp(-beta*e_n))^(+-1): each particle-number row relative to
+its own ground state, so every term is positive and nothing cancels. That
+keeps the backend independent of enumeration at any beta.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -48,9 +50,11 @@ DEFAULT_STATE_CAP = 2_000_000
 # enumeration refuses outright above this many table entries (memory guard)
 HARD_ENUMERATION_LIMIT = 50_000_000
 
-# beyond this cancellation loss the particle recursion hands over to the
-# sign-free recursion over levels
+# beyond this cancellation loss, or this |log Z|, the particle recursion hands
+# over to the sign-free recursion over levels; the float path's error grows as
+# |log Z| * eps, about 2e-13 relative at the limit
 _LOSS_NATS_LIMIT = 6.9  # ~3 decimal digits
+_LOG_Z_LIMIT = 4096.0
 
 
 @dataclass(frozen=True)
@@ -81,15 +85,6 @@ class EnsembleSpec:
         if self.statistics == "fermion":
             return math.comb(self.N, self.M)
         return self.N**self.M
-
-
-@dataclass(frozen=True)
-class ManyBodyLevel:
-    """One symmetrized configuration: occupied level indices and total
-    energy coefficient (energy times L^p)."""
-
-    occupation: tuple[int, ...]
-    energy_coefficient: float
 
 
 @dataclass(frozen=True)
@@ -130,34 +125,6 @@ def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarr
     return out
 
 
-def enumerate_states(ens: EnsembleSpec, spec: SpectrumSpec) -> list[ManyBodyLevel]:
-    """Every configuration as a ManyBodyLevel, sorted by energy coefficient
-    with lexicographic occupation order breaking ties.
-
-    Occupation entries are absolute level indices (starting at the
-    spectrum's n_min).
-    """
-    count = ens.state_count
-    if count > DEFAULT_STATE_CAP:
-        raise ValueError(
-            f"refusing to materialize {count} configurations as objects; "
-            "use state_energy_coefficients for bulk work")
-    w = level_coefficients(spec, ens.N)
-    n0 = spec.n_min
-    if ens.statistics == "boson":
-        combos = itertools.combinations_with_replacement(range(ens.N), ens.M)
-    elif ens.statistics == "fermion":
-        combos = itertools.combinations(range(ens.N), ens.M)
-    else:
-        combos = itertools.product(range(ens.N), repeat=ens.M)
-    levels = [
-        ManyBodyLevel(tuple(n0 + i for i in c), float(sum(w[i] for i in c)))
-        for c in combos
-    ]
-    levels.sort(key=lambda lv: (lv.energy_coefficient, lv.occupation))
-    return levels
-
-
 def _check_beta_L(beta: float, L: float) -> None:
     if not (0 <= beta < math.inf):
         raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
@@ -176,15 +143,24 @@ def inverse_temperature(T: float, L: float) -> float:
     return 1.0 / T
 
 
+def enumeration_log_z_and_u(ens: EnsembleSpec, spec: SpectrumSpec,
+                            beta_points: list[tuple[float, float]]
+                            ) -> tuple[list[float], list[float]]:
+    """log Z and U at every (beta, L) in ``beta_points`` from one enumerated
+    table, reduced at all points in one call."""
+    scales = [L**spec.power_p for _, L in beta_points]
+    log_zs, means = kernels.log_z_and_mean(
+        state_energy_coefficients(ens, spec),
+        np.array([beta / scale for (beta, _), scale in zip(beta_points, scales)]))
+    return log_zs.tolist(), [mean / scale for mean, scale in zip(means.tolist(), scales)]
+
+
 def partition_by_enumeration(ens: EnsembleSpec, spec: SpectrumSpec,
                              beta: float, L: float) -> PartitionEvaluation:
     """Direct Boltzmann sum over the enumerated many-body configurations."""
     _check_beta_L(beta, L)
-    scale = L**spec.power_p
-    ws = state_energy_coefficients(ens, spec)
-    log_z, mean_w = kernels.log_z_and_mean(ws, np.array([beta / scale]))
-    return PartitionEvaluation(log_Z=float(log_z[0]), U=float(mean_w[0]) / scale,
-                               method="enumeration")
+    (log_z,), (u,) = enumeration_log_z_and_u(ens, spec, [(beta, L)])
+    return PartitionEvaluation(log_Z=log_z, U=u, method="enumeration")
 
 
 def _signed_logsumexp(logs: np.ndarray, signs: np.ndarray) -> tuple[float, float, float]:
@@ -286,39 +262,33 @@ def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
     M = ens.M
 
     log_z, u_coeff, loss, failed = _recursion_float(w, M, beta_eff, fermion)
-    if failed or loss > _LOSS_NATS_LIMIT:
+    if failed or loss > _LOSS_NATS_LIMIT or abs(log_z) > _LOG_Z_LIMIT:
         log_z, u_coeff = _recursion_levels(w, M, beta_eff, fermion)
     return PartitionEvaluation(log_Z=log_z, U=u_coeff / scale, method="recursion")
 
 
 def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
-                      points: list[tuple[float, float]], method: str = "auto",
-                      state_cap: int = DEFAULT_STATE_CAP) -> list[float]:
+                      points: list[tuple[float, float]], method: str = "auto") -> list[float]:
     """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``.
 
-    method 'auto' enumerates up to ``state_cap`` configurations (and within
-    the HARD_ENUMERATION_LIMIT memory guard), one table for all points.
-    Beyond: M times the single-particle U (distinguishable), else the
-    recursion per point. Values keep their backend's scalar type.
+    method 'auto' enumerates up to ``DEFAULT_STATE_CAP`` configurations (and
+    within the HARD_ENUMERATION_LIMIT memory guard), one table for all
+    points. Beyond: M times the single-particle U (distinguishable), else
+    the recursion per point.
     """
-    betas = [inverse_temperature(T, L) for T, L in points]
+    beta_points = [(inverse_temperature(T, L), L) for T, L in points]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
-    if method == "enumeration" or (method == "auto" and ens.state_count <= state_cap
+    if method == "enumeration" or (method == "auto" and ens.state_count <= DEFAULT_STATE_CAP
                                    and _table_entries(ens) <= HARD_ENUMERATION_LIMIT):
-        scales = [L**spec.power_p for _, L in points]
-        beta_effs = np.array([beta / scale for beta, scale in zip(betas, scales)])
-        _, means = kernels.log_z_and_mean(state_energy_coefficients(ens, spec), beta_effs)
-        return [mean / scale for mean, scale in zip(means.tolist(), scales)]
+        return enumeration_log_z_and_u(ens, spec, beta_points)[1]
     if method == "auto" and ens.statistics == "distinguishable":
         single = EnsembleSpec("distinguishable", 1, ens.N)
         return [ens.M * u for u in internal_energies(single, spec, points, "enumeration")]
-    return [partition_by_recursion(ens, spec, beta, L).U
-            for beta, (_, L) in zip(betas, points)]
+    return [partition_by_recursion(ens, spec, beta, L).U for beta, L in beta_points]
 
 
 def internal_energy(ens: EnsembleSpec, spec: SpectrumSpec, T: float, L: float,
-                    method: str = "auto",
-                    state_cap: int = DEFAULT_STATE_CAP) -> float:
+                    method: str = "auto") -> float:
     """U(T, L) at one point; see ``internal_energies``."""
-    return internal_energies(ens, spec, [(T, L)], method, state_cap)[0]
+    return internal_energies(ens, spec, [(T, L)], method)[0]

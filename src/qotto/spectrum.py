@@ -53,8 +53,9 @@ class SpectrumSpec:
     def n_min(self) -> int:
         return _FAMILY[self.kind][1]
 
-    def level_shape(self, n: int) -> int:
-        """g(n): n^2 for box/quartic, n for harmonic/relativistic-box."""
+    def level_shape(self, n):
+        """g(n): n^2 for box/quartic, n for harmonic/relativistic-box.
+        Takes an int or a numpy array of level indices."""
         quadratic = _FAMILY[self.kind][2]
         return n * n if quadratic else n
 
@@ -67,9 +68,8 @@ def level_coefficients(spec: SpectrumSpec, N: int) -> np.ndarray:
     """
     if N < 1:
         raise ValueError(f"level count must be >= 1, got {N}")
-    n = np.arange(spec.n_min, spec.n_min + N, dtype=np.float64)
-    g = n * n if _FAMILY[spec.kind][2] else n
-    w = spec.scale_c * g
+    w = spec.scale_c * spec.level_shape(
+        np.arange(spec.n_min, spec.n_min + N, dtype=np.float64))
     w.setflags(write=False)
     return w
 

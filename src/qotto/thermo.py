@@ -15,7 +15,8 @@ U3 = U2 * (L1/L2)^p and U1 = U4 * (L2/L1)^p, hence
 
 the efficiency depending only on the geometry, never on statistics,
 particle number or temperatures. Net work is positive exactly when
-T_h > R^p * T_c.
+T_h > R^p * T_c. The cycle needs nothing but the two thermal corner
+energies U2 and U4, which come from ``manybody.internal_energies``.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import kernels
-from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, enumerate_states,
-                       internal_energies, inverse_temperature)
+from .manybody import EnsembleSpec, internal_energies, inverse_temperature
 from .spectrum import SpectrumSpec, adiabatic_energy_ratio
 
 
@@ -69,29 +66,13 @@ class CycleResult:
     positive_work: bool
 
 
-@dataclass(frozen=True)
-class ThermalOccupation:
-    """Gibbs probabilities over the levels of enumerate_states, same order."""
-
-    probabilities: np.ndarray
-
-
-def thermal_occupation(ens: EnsembleSpec, spec: SpectrumSpec, T: float,
-                       L: float) -> ThermalOccupation:
-    inverse_temperature(T, L)
-    levels = enumerate_states(ens, spec)
-    ws = np.array([lv.energy_coefficient for lv in levels])
-    p = kernels.gibbs_weights(ws, 1.0 / (T * L**spec.power_p))
-    return ThermalOccupation(probabilities=p)
-
-
-def run_cycle_series(cfg: CycleConfig, T_h_values, method: str = "auto",
-                     state_cap: int = DEFAULT_STATE_CAP) -> list[CycleResult]:
+def run_cycle_series(cfg: CycleConfig, T_h_values,
+                     method: str = "auto") -> list[CycleResult]:
     """Cycles of ``cfg`` at every hot-bath temperature in ``T_h_values``
     (not ``cfg.T_h``): U4 once, all corners from one ``internal_energies``."""
     U4, *U2s = internal_energies(
         cfg.ens, cfg.spec, [(cfg.T_c, cfg.L2)] + [(T_h, cfg.L1) for T_h in T_h_values],
-        method, state_cap)
+        method)
     shrink = adiabatic_energy_ratio(cfg.spec, cfg.L1, cfg.L2)
     grow = adiabatic_energy_ratio(cfg.spec, cfg.L2, cfg.L1)
     U1 = U4 * grow
@@ -106,10 +87,9 @@ def run_cycle_series(cfg: CycleConfig, T_h_values, method: str = "auto",
     return results
 
 
-def run_cycle(cfg: CycleConfig, method: str = "auto",
-              state_cap: int = DEFAULT_STATE_CAP) -> CycleResult:
+def run_cycle(cfg: CycleConfig, method: str = "auto") -> CycleResult:
     """Evaluate one full cycle. W <= 0 is flagged, not an error."""
-    return run_cycle_series(cfg, [cfg.T_h], method, state_cap)[0]
+    return run_cycle_series(cfg, [cfg.T_h], method)[0]
 
 
 def positive_work_threshold(cfg: CycleConfig) -> float:

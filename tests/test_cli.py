@@ -1,11 +1,17 @@
 """Command-line behaviour: output, config files, exit codes."""
 
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qotto
 from qotto.cli import main
+
+# child interpreters import the same qotto source tree as this process
+_CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(qotto.__file__)), os.environ.get("PYTHONPATH")))))
 
 
 def kv(capsys):
@@ -188,7 +194,8 @@ def test_cli_import_loads_no_third_party_package_but_numpy():
     probe = ("import sys; before = set(sys.modules); import qotto.cli; "
              "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
              "print(','.join(sorted(new - set(sys.stdlib_module_names))))")
-    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_CHILD_ENV)
     assert proc.returncode == 0
     assert proc.stdout.strip() == "numpy,qotto"
 
@@ -196,6 +203,6 @@ def test_cli_import_loads_no_third_party_package_but_numpy():
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qotto", "cycle", "--levels", "2", "--Th", "8"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 0
     assert "positive_work=true" in proc.stdout

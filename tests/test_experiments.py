@@ -198,13 +198,13 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
 def test_cross_check_builds_one_table_per_row_and_compares_both_values(monkeypatch):
     rec = evaluate_point("box", "fermion", 3, 8, 1.0, 2.0, 5.0, "recursion")
     built = []
-    original = experiments.state_energy_coefficients
+    original = manybody.state_energy_coefficients
 
     def counted(ens, spec):
         built.append(ens)
         return original(ens, spec)
 
-    monkeypatch.setattr(experiments, "state_energy_coefficients", counted)
+    monkeypatch.setattr(manybody, "state_energy_coefficients", counted)
     experiments._cross_check(rec)
     assert built == [EnsembleSpec("fermion", 3, 8)]
 
@@ -220,19 +220,28 @@ def test_cross_check_builds_one_table_per_row_and_compares_both_values(monkeypat
             experiments._cross_check(rec)
 
 
-def _perfbench_check():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "check.py"
-    spec = importlib.util.spec_from_file_location("perfbench_check", path)
+def _perfbench(module_name):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{module_name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{module_name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
+def _points_seed1():
+    """The points workload at seed 1: one make_record per generated point."""
+    return [make_record(SpectrumSpec(p["kind"], scale_c=p["lam"]),
+                        EnsembleSpec(p["statistics"], p["M"], p["N"]),
+                        1.0, p["R"], 1.0, p["Th"])
+            for p in _perfbench("points").generate(1)]
+
+
 @pytest.mark.parametrize("name, sweep", [("fig45", sweep_fig45),
-                                         ("fig67", sweep_fig67)])
+                                         ("fig67", sweep_fig67),
+                                         ("points-seed1", _points_seed1)])
 def test_preset_matches_stored_reference(name, sweep):
     # the behaviour contract: every row within 1e-11 of the recorded output
-    check = _perfbench_check()
+    check = _perfbench("check")
     ref = check.read_reference(name)
     got = records_to_csv(sweep()).encode("utf-8")
     assert len(got.splitlines()) == len(ref.splitlines())

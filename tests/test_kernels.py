@@ -35,16 +35,6 @@ def test_log_z_survives_huge_exponents():
     assert mean == pytest.approx(100.0, rel=1e-12)
 
 
-def test_gibbs_weights_normalized_and_ordered():
-    w = np.array([2.0, 5.0, 8.0, 10.0, 13.0, 18.0])
-    p = kernels.gibbs_weights(w, 1.0)
-    assert p.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (p >= 0).all()
-    assert (np.diff(p) < 0).all()  # colder levels dominate
-    ref = np.exp(-(w - 2.0))
-    np.testing.assert_allclose(p, ref / ref.sum(), rtol=1e-13)
-
-
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (3, 2), (5, 3), (6, 4)])
 def test_multiset_sums_match_itertools(n, m):
     w = np.arange(1, n + 1, dtype=float) ** 2

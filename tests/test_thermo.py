@@ -1,5 +1,6 @@
 """Cycle thermodynamics: heats, work, efficiency, thresholds, ratios."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -7,8 +8,7 @@ import numpy as np
 import pytest
 
 from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
-                   adiabatic_energy_ratio, enumerate_states,
-                   positive_work_threshold, run_cycle, thermal_occupation,
+                   adiabatic_energy_ratio, positive_work_threshold, run_cycle,
                    work_ratio_multiparticle, work_ratio_two_particle)
 from qotto.thermo import run_cycle_series
 
@@ -134,35 +134,21 @@ def test_distinguishable_work_is_additive():
             assert w == pytest.approx(M * single, rel=1e-12)
 
 
-def test_thermal_occupation_single_state():
-    occ = thermal_occupation(EnsembleSpec("fermion", 2, 2), BOX, 3.0, 1.0)
-    assert occ.probabilities.tolist() == [1.0]
-
-
-def test_thermal_occupation_equal_weights_at_high_temperature():
-    occ = thermal_occupation(EnsembleSpec("boson", 2, 2), BOX, 1e14, 1.0)
-    np.testing.assert_allclose(occ.probabilities, [1 / 3] * 3, rtol=1e-10)
-
-
-def test_thermal_occupation_boson_pair_oracle():
-    # weights proportional to e^-2, e^-5, e^-8, e^-10, e^-13, e^-18
-    raw = [math.exp(-w) for w in (2, 5, 8, 10, 13, 18)]
-    expected = [r / sum(raw) for r in raw]
-    occ = thermal_occupation(EnsembleSpec("boson", 2, 3), BOX, 1.0, 1.0)
-    np.testing.assert_allclose(occ.probabilities, expected, rtol=1e-13)
-    assert occ.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
-    assert (occ.probabilities >= 0).all()
-
-
 def test_adiabatic_stroke_freezes_occupations():
-    # recompute U3 from hot occupations against cold-width energies
+    # recompute U3 from hot occupations against cold-width energies, with
+    # Gibbs weights summed directly over itertools configurations
+    combos = {"boson": itertools.combinations_with_replacement,
+              "fermion": itertools.combinations,
+              "distinguishable": lambda g, M: itertools.product(g, repeat=M)}
     for statistics in ("boson", "fermion", "distinguishable"):
         c = cfg(statistics=statistics, M=2, N=4, Th=9.0)
         res = run_cycle(c)
-        occ = thermal_occupation(c.ens, c.spec, c.T_h, c.L1)
-        coeffs = np.array([lv.energy_coefficient
-                           for lv in enumerate_states(c.ens, c.spec)])
-        u3_direct = float((occ.probabilities * coeffs).sum()) / c.L2**c.spec.power_p
+        g = [c.spec.scale_c * c.spec.level_shape(c.spec.n_min + i) for i in range(c.ens.N)]
+        coeffs = [sum(s) for s in combos[statistics](g, c.ens.M)]
+        beta_eff = 1.0 / (c.T_h * c.L1**c.spec.power_p)
+        weights = [math.exp(-beta_eff * (w - min(coeffs))) for w in coeffs]
+        probabilities = [x / sum(weights) for x in weights]
+        u3_direct = sum(p * w for p, w in zip(probabilities, coeffs)) / c.L2**c.spec.power_p
         assert u3_direct == pytest.approx(res.U3, rel=1e-12)
 
 
