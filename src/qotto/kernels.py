@@ -4,8 +4,8 @@ numpy only. ``log_z_and_mean`` is the one Boltzmann reduction: a table of
 energy coefficients at an array of inverse temperatures, reduced in blocks
 of at most 2^16 temperature x state elements. Enumeration, the recursion's
 single-particle sums and whole sweep grids all go through it.
-``multiset_sums`` and ``subset_sums`` build the enumerated boson and fermion
-energy tables.
+``multiset_sums`` and ``subset_sums`` build the boson and fermion tables in
+lexicographic order from running sums, one particle at a time.
 
 Conventions: ``w`` is a float64 array of energy coefficients (energy times
 L^p, so E = w / L^p) and ``beta_eff = beta / L^p``, making every Boltzmann
@@ -15,8 +15,6 @@ underflow the whole sum.
 """
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 
@@ -41,19 +39,23 @@ def log_z_and_mean(w: np.ndarray,
     return log_z, mean
 
 
-def _occupation_index_array(n: int, m: int, count: int, distinct: bool) -> np.ndarray:
-    combos = itertools.combinations(range(n), m) if distinct else \
-        itertools.combinations_with_replacement(range(n), m)
-    flat = np.fromiter(itertools.chain.from_iterable(combos), dtype=np.int64,
-                       count=count * m)
-    return flat.reshape(count, m)
+def _tuple_sums(w: np.ndarray, m: int, distinct: bool) -> np.ndarray:
+    # each prefix keeps only its last level and its sum, added left to right
+    last = np.arange(w.size - m + 1 if distinct else w.size)
+    s = w[last]
+    for k in range(1, m):
+        lo = last + 1 if distinct else last
+        counts = (w.size - m + k + 1 if distinct else w.size) - lo
+        last = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
+        s = np.repeat(s, counts) + w[last]
+    return s
 
 
-def multiset_sums(w: np.ndarray, m: int, count: int) -> np.ndarray:
+def multiset_sums(w: np.ndarray, m: int) -> np.ndarray:
     """Sum of w over every nondecreasing index m-tuple, lexicographic order."""
-    return w[_occupation_index_array(w.size, m, count, False)].sum(axis=1)
+    return _tuple_sums(w, m, False)
 
 
-def subset_sums(w: np.ndarray, m: int, count: int) -> np.ndarray:
+def subset_sums(w: np.ndarray, m: int) -> np.ndarray:
     """Sum of w over every strictly increasing index m-tuple, lexicographic order."""
-    return w[_occupation_index_array(w.size, m, count, True)].sum(axis=1)
+    return _tuple_sums(w, m, True)

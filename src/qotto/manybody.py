@@ -47,7 +47,7 @@ METHODS = ("auto", "enumeration", "recursion")
 # `auto` switches from enumeration to the recursion above this many states.
 DEFAULT_STATE_CAP = 2_000_000
 
-# enumeration refuses outright above this many table entries (memory guard)
+# memory guard: enumeration refuses above this many _table_entries
 HARD_ENUMERATION_LIMIT = 50_000_000
 
 # beyond this cancellation loss, or this |log Z|, the particle recursion hands
@@ -95,9 +95,8 @@ class PartitionEvaluation:
 
 
 def _table_entries(ens: EnsembleSpec) -> int:
-    """Size of the largest table enumeration holds: count x M level indices
-    (and as many gathered energies) for bosons and fermions, count sums for
-    distinguishable particles."""
+    """Memory-guard measure, kept so `auto` routes as before: count x M for bosons
+    and fermions (their builders hold a few count-length arrays), else count."""
     if ens.statistics == "distinguishable":
         return ens.state_count
     return ens.state_count * ens.M
@@ -108,17 +107,16 @@ def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarr
 
     Deterministic (lexicographic) generation order, not sorted by energy.
     """
-    count = ens.state_count
     if _table_entries(ens) > HARD_ENUMERATION_LIMIT:
         raise ValueError(
-            f"enumerating {count} configurations of {ens.M} particles exceeds "
+            f"enumerating {ens.state_count} configurations of {ens.M} particles exceeds "
             f"the limit of {HARD_ENUMERATION_LIMIT} table entries; use the "
             "recursion backend")
     w = level_coefficients(spec, ens.N)
     if ens.statistics == "boson":
-        return kernels.multiset_sums(w, ens.M, count)
+        return kernels.multiset_sums(w, ens.M)
     if ens.statistics == "fermion":
-        return kernels.subset_sums(w, ens.M, count)
+        return kernels.subset_sums(w, ens.M)
     out = w
     for _ in range(ens.M - 1):
         out = np.add.outer(out, w).ravel()

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from qotto import kernels
 
@@ -35,23 +36,47 @@ def test_log_z_survives_huge_exponents():
     assert mean == pytest.approx(100.0, rel=1e-12)
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (3, 2), (5, 3), (6, 4)])
+def left_to_right_sums(w, combos):
+    # Python's sum adds left to right, the order every state energy must keep
+    return [sum(w[i] for i in c) for c in combos]
+
+
+# irrational coefficients and m >= 8 expose any other order of addition, such
+# as numpy's pairwise row sum, in the last bits
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (3, 2), (5, 3), (6, 4),
+                                 (3, 8), (5, 9), (4, 12)])
 def test_multiset_sums_match_itertools(n, m):
-    w = np.arange(1, n + 1, dtype=float) ** 2
-    count = math.comb(n + m - 1, m)
-    got = kernels.multiset_sums(w, m, count)
-    ref = [sum(w[i] for i in c)
-           for c in itertools.combinations_with_replacement(range(n), m)]
+    w = np.sqrt(np.arange(1, n + 1, dtype=float))
+    got = kernels.multiset_sums(w, m)
+    ref = left_to_right_sums(w, itertools.combinations_with_replacement(range(n), m))
     assert got.tolist() == ref
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (5, 3), (6, 6), (8, 4)])
+# (25, 6) is 177 100 states, above 2^16 rows
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (5, 3), (6, 6), (8, 4),
+                                 (10, 8), (12, 9), (14, 12), (25, 6)])
 def test_subset_sums_match_itertools(n, m):
-    w = np.arange(0, n, dtype=float)
-    count = math.comb(n, m)
-    got = kernels.subset_sums(w, m, count)
-    ref = [sum(w[i] for i in c) for c in itertools.combinations(range(n), m)]
+    w = np.log1p(np.arange(0, n, dtype=float))
+    got = kernels.subset_sums(w, m)
+    ref = left_to_right_sums(w, itertools.combinations(range(n), m))
     assert got.tolist() == ref
+
+
+@given(w=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
+       m=st.integers(1, 10), fermion=st.booleans())
+@example(w=[0.5, 1.25, 2.0, 3.5], m=4, fermion=True)
+@example(w=[2.5], m=10, fermion=False)
+@settings(max_examples=60, deadline=None)
+def test_state_sums_match_itertools_for_any_coefficients(w, m, fermion):
+    n = len(w)
+    assume(not fermion or m <= n)
+    if fermion:
+        got = kernels.subset_sums(np.array(w), m)
+        combos = itertools.combinations(range(n), m)
+    else:
+        got = kernels.multiset_sums(np.array(w), m)
+        combos = itertools.combinations_with_replacement(range(n), m)
+    assert got.tolist() == left_to_right_sums(w, combos)
 
 
 def shifted_log_z_mean(w, beta_eff):

@@ -317,8 +317,9 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
 
 
 def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
-    # 16.1M states of 5 bosons, below the 50M limit, but enumeration would
-    # hold 80.5M level indices and as many gathered energies at once
+    # 16.1M states of 5 bosons, below the 50M limit, but 80.5M table entries
+    # (states x particles) by the guard's measure; the builder would hold a
+    # few 16.1M-long arrays while it places the last boson
     def reached(*args):
         pytest.fail("the memory guard let the enumeration kernel run")
 
