@@ -4,7 +4,7 @@ Parameters come from flags and/or a plain-text config file of key=value
 lines ('#' starts a comment); flags override file values. The regime
 parameter may be given directly via --lambda, which fixes L1=1 and Tc=1
 and derives the spectrum scale; it cannot be combined with explicit
---scale/--L1/--Tc.
+--scale/--L1/--Tc. A preset sweep (--figure) takes no other parameter.
 
 Exit codes: 0 ok, 1 validation failure, 2 bad arguments, 3 empty fermionic
 state space, 4 I/O error.
@@ -29,38 +29,39 @@ EXIT_USAGE = 2
 EXIT_EMPTY_STATE_SPACE = 3
 EXIT_IO = 4
 
-# dest -> (converter, default); config-file keys are the dest names
-# ('lambda' is accepted as an alias for 'lam', '-' as '_')
+# dest -> (converter, default, argparse options); the flag is --dest with '_'
+# as '-' (--lambda for 'lam'), config-file keys are the dest names ('lambda'
+# is accepted as an alias for 'lam', '-' as '_')
 _PHYSICS_PARAMS = {
-    "spectrum": (str, "box"),
-    "stats": (str, "boson"),
-    "particles": (int, 1),
-    "levels": (int, 3),
-    "L1": (float, 1.0),
-    "R": (float, 2.0),
-    "Tc": (float, 1.0),
-    "Th": (float, 8.0),
-    "scale": (float, 1.0),
-    "lam": (float, None),
-    "method": (str, "auto"),
+    "spectrum": (str, "box", {"choices": KINDS}),
+    "stats": (str, "boson", {"choices": STATISTICS}),
+    "particles": (int, 1, {"metavar": "M"}),
+    "levels": (int, 3, {"metavar": "N"}),
+    "L1": (float, 1.0, {}),
+    "R": (float, 2.0, {}),
+    "Tc": (float, 1.0, {}),
+    "Th": (float, 8.0, {}),
+    "scale": (float, 1.0, {"help": "spectrum prefactor c in E = c g(n)/L^p"}),
+    "lam": (float, None, {"help": "regime parameter c/(L1^p Tc); implies L1=1, Tc=1"}),
+    "method": (str, "auto", {"choices": METHODS}),
+}
+
+_SWEEP_EXTRA = {
+    "figure": (int, None, {"help": "preset sweep (2,3,4,5,6,7); takes no "
+                                   "physics or grid parameters"}),
+    "th_min": (float, None, {}),
+    "th_max": (float, None, {}),
+    "th_steps": (int, 200, {}),
 }
 
 
-def _add_physics_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value parameter file")
-    parser.add_argument("--spectrum", choices=KINDS)
-    parser.add_argument("--stats", choices=STATISTICS)
-    parser.add_argument("--particles", type=int, metavar="M")
-    parser.add_argument("--levels", type=int, metavar="N")
-    parser.add_argument("--L1", type=float)
-    parser.add_argument("--R", type=float)
-    parser.add_argument("--Tc", type=float)
-    parser.add_argument("--Th", type=float)
-    parser.add_argument("--scale", type=float,
-                        help="spectrum prefactor c in E = c g(n)/L^p")
-    parser.add_argument("--lambda", dest="lam", type=float,
-                        help="regime parameter c/(L1^p Tc); implies L1=1, Tc=1")
-    parser.add_argument("--method", choices=METHODS)
+def _flag(dest: str) -> str:
+    return "--lambda" if dest == "lam" else "--" + dest.replace("_", "-")
+
+
+def _add_flags(parser: argparse.ArgumentParser, table: dict) -> None:
+    for dest, (conv, _, options) in table.items():
+        parser.add_argument(_flag(dest), dest=dest, type=conv, **options)
 
 
 def _load_config(path: str) -> dict[str, str]:
@@ -80,18 +81,19 @@ def _load_config(path: str) -> dict[str, str]:
     return data
 
 
-def _resolve(args: argparse.Namespace, extra: dict | None = None) -> dict:
-    """Flags over config-file values over defaults; --lambda sets L1, Tc, scale."""
-    table = dict(_PHYSICS_PARAMS)
-    if extra:
-        table.update(extra)
+def _resolve(args: argparse.Namespace, extra: dict | None = None) -> tuple[dict, set]:
+    """Flags over config-file values over defaults; --lambda sets L1, Tc, scale.
+
+    Also returns the keys given by flag or in the config file."""
+    table = {**_PHYSICS_PARAMS, **(extra or {})}
     filevals = _load_config(args.config) if args.config else {}
     unknown = set(filevals) - set(table)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(sorted(unknown))}")
+    given = {name for name in table if getattr(args, name) is not None} | set(filevals)
     out = {}
-    for name, (conv, default) in table.items():
-        cli = getattr(args, name, None)
+    for name, (conv, default, _) in table.items():
+        cli = getattr(args, name)
         if cli is not None:
             out[name] = cli
         elif name in filevals:
@@ -100,12 +102,12 @@ def _resolve(args: argparse.Namespace, extra: dict | None = None) -> dict:
             out[name] = default
     if out["lam"] is not None:
         for clash in ("scale", "L1", "Tc"):
-            if getattr(args, clash, None) is not None or clash in filevals:
+            if clash in given:
                 raise ValueError(
                     f"--lambda fixes L1=1 and Tc=1 and derives the scale; "
                     f"it cannot be combined with --{clash}")
         out["scale"], out["L1"], out["Tc"] = out["lam"], 1.0, 1.0
-    return out
+    return out, given
 
 
 def _build_cycle_config(params: dict) -> tuple[CycleConfig, str]:
@@ -121,7 +123,7 @@ def _print_kv(pairs) -> None:
 
 
 def cmd_cycle(args: argparse.Namespace) -> int:
-    cfg, method = _build_cycle_config(_resolve(args))
+    cfg, method = _build_cycle_config(_resolve(args)[0])
     res = run_cycle(cfg, method=method)
     _print_kv([("spectrum", cfg.spec.kind), ("statistics", cfg.ens.statistics),
                ("M", cfg.ens.M), ("N", cfg.ens.N),
@@ -139,7 +141,7 @@ def cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    cfg, method = _build_cycle_config(_resolve(args))
+    cfg, method = _build_cycle_config(_resolve(args)[0])
     rec = make_record(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, cfg.T_h,
                       method)
     per_particle = rec.ratio / cfg.ens.M
@@ -150,20 +152,16 @@ def cmd_ratio(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-_SWEEP_EXTRA = {
-    "figure": (int, None),
-    "th_min": (float, None),
-    "th_max": (float, None),
-    "th_steps": (int, 200),
-}
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
-    params = _resolve(args, _SWEEP_EXTRA)
+    params, given = _resolve(args, _SWEEP_EXTRA)
     if not args.output:
         raise ValueError("--output is required")
     figure = params["figure"]
     if figure is not None:
+        fixed = sorted(map(_flag, given - {"figure"}))
+        if fixed:
+            raise ValueError(f"--figure {figure} is a preset sweep; it takes no "
+                             f"{', '.join(fixed)}")
         presets = {2: sweep_fig2, 3: sweep_fig3,
                    4: sweep_fig45, 5: sweep_fig45,
                    6: sweep_fig67, 7: sweep_fig67}
@@ -202,23 +200,16 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Quantum Otto heat engines with multilevel identical particles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cycle = sub.add_parser("cycle", help="evaluate one Otto cycle")
-    _add_physics_flags(p_cycle)
-    p_cycle.set_defaults(func=cmd_cycle)
-
-    p_ratio = sub.add_parser("ratio", help="work ratio vs a single particle")
-    _add_physics_flags(p_ratio)
-    p_ratio.set_defaults(func=cmd_ratio)
-
-    p_sweep = sub.add_parser("sweep", help="write a parameter sweep as CSV")
-    _add_physics_flags(p_sweep)
-    p_sweep.add_argument("--figure", type=int,
-                         help="preset sweep (2,3,4,5,6,7)")
-    p_sweep.add_argument("--th-min", dest="th_min", type=float)
-    p_sweep.add_argument("--th-max", dest="th_max", type=float)
-    p_sweep.add_argument("--th-steps", dest="th_steps", type=int)
-    p_sweep.add_argument("--output", required=True, help="CSV output path")
-    p_sweep.set_defaults(func=cmd_sweep)
+    for name, func, help_text, table in (
+            ("cycle", cmd_cycle, "evaluate one Otto cycle", _PHYSICS_PARAMS),
+            ("ratio", cmd_ratio, "work ratio vs a single particle", _PHYSICS_PARAMS),
+            ("sweep", cmd_sweep, "write a parameter sweep as CSV",
+             {**_PHYSICS_PARAMS, **_SWEEP_EXTRA})):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", help="key=value parameter file")
+        _add_flags(p, table)
+        p.set_defaults(func=func)
+    sub.choices["sweep"].add_argument("--output", required=True, help="CSV output path")
 
     p_val = sub.add_parser("validate", help="run the built-in check suite")
     p_val.set_defaults(func=cmd_validate)

@@ -44,7 +44,8 @@ from .spectrum import SpectrumSpec, level_coefficients
 STATISTICS = ("boson", "fermion", "distinguishable")
 METHODS = ("auto", "enumeration", "recursion")
 
-# `auto` switches from enumeration to the recursion above this many states.
+# `auto` switches bosons and fermions from enumeration to the recursion above
+# this many states; distinguishable particles never reach the cap
 DEFAULT_STATE_CAP = 2_000_000
 
 # memory guard: enumeration refuses above this many _table_entries
@@ -95,8 +96,8 @@ class PartitionEvaluation:
 
 
 def _table_entries(ens: EnsembleSpec) -> int:
-    """Memory-guard measure, kept so `auto` routes as before: count x M for bosons
-    and fermions (their builders hold a few count-length arrays), else count."""
+    """Memory-guard measure: count x M for bosons and fermions (their builders
+    hold a few count-length arrays, and `auto` routes them by it), else count."""
     if ens.statistics == "distinguishable":
         return ens.state_count
     return ens.state_count * ens.M
@@ -108,10 +109,11 @@ def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarr
     Deterministic (lexicographic) generation order, not sorted by energy.
     """
     if _table_entries(ens) > HARD_ENUMERATION_LIMIT:
+        advice = ('method="auto" (M times the single-particle energy)'
+                  if ens.statistics == "distinguishable" else "the recursion backend")
         raise ValueError(
             f"enumerating {ens.state_count} configurations of {ens.M} particles exceeds "
-            f"the limit of {HARD_ENUMERATION_LIMIT} table entries; use the "
-            "recursion backend")
+            f"the limit of {HARD_ENUMERATION_LIMIT} table entries; use {advice}")
     w = level_coefficients(spec, ens.N)
     if ens.statistics == "boson":
         return kernels.multiset_sums(w, ens.M)
@@ -269,20 +271,22 @@ def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
                       points: list[tuple[float, float]], method: str = "auto") -> list[float]:
     """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``.
 
-    method 'auto' enumerates up to ``DEFAULT_STATE_CAP`` configurations (and
-    within the HARD_ENUMERATION_LIMIT memory guard), one table for all
-    points. Beyond: M times the single-particle U (distinguishable), else
-    the recursion per point.
+    method 'auto' gives distinguishable particles M times the single-particle
+    U from one N-level table, at any M. It enumerates bosons and fermions up to
+    ``DEFAULT_STATE_CAP`` configurations (and within the
+    HARD_ENUMERATION_LIMIT memory guard), one table for all points, and takes
+    the recursion per point beyond. 'enumeration' and 'recursion' force a
+    backend; 'enumeration' builds the full N^M distinguishable table.
     """
     beta_points = [(inverse_temperature(T, L), L) for T, L in points]
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    if method == "auto" and ens.statistics == "distinguishable":
+        single = EnsembleSpec("distinguishable", 1, ens.N)
+        return [ens.M * u for u in enumeration_log_z_and_u(single, spec, beta_points)[1]]
     if method == "enumeration" or (method == "auto" and ens.state_count <= DEFAULT_STATE_CAP
                                    and _table_entries(ens) <= HARD_ENUMERATION_LIMIT):
         return enumeration_log_z_and_u(ens, spec, beta_points)[1]
-    if method == "auto" and ens.statistics == "distinguishable":
-        single = EnsembleSpec("distinguishable", 1, ens.N)
-        return [ens.M * u for u in internal_energies(single, spec, points, "enumeration")]
     return [partition_by_recursion(ens, spec, beta, L).U for beta, L in beta_points]
 
 

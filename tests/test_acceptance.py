@@ -375,7 +375,7 @@ def test_criterion_10_distinguishable_factorization():
         for M in (2, 3, 4):
             w = run_cycle(CycleConfig(
                 spec=spec, ens=EnsembleSpec("distinguishable", M, 5),
-                L1=1.0, R=2.0, T_c=1.0, T_h=3.0 * 2**p)).W
+                L1=1.0, R=2.0, T_c=1.0, T_h=3.0 * 2**p), method="enumeration").W
             worst = max(worst, abs(w - M * single) / abs(M * single))
     ok = worst <= 1e-12
     report("10 distinguishable factorization", ok,

@@ -144,6 +144,13 @@ def test_config_file_rejects_malformed_lines(tmp_path):
     ["sweep", "--output", "x.csv"],
     ["bogus-subcommand"],
     [],
+    # a preset sweep takes no physics or grid key
+    ["sweep", "--figure", "2", "--particles", "5", "--stats", "fermion",
+     "--output", "x.csv"],
+    ["sweep", "--figure", "2", "--method", "recursion", "--output", "x.csv"],
+    ["sweep", "--figure", "2", "--th-min", "1", "--th-max", "3", "--output", "x.csv"],
+    ["sweep", "--figure", "6", "--th-steps", "10", "--output", "x.csv"],
+    ["sweep", "--figure", "4", "--lambda", "1", "--output", "x.csv"],
 ])
 def test_bad_arguments_exit_two(argv):
     assert main(argv) == 2

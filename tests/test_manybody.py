@@ -309,11 +309,37 @@ def test_internal_energies_equal_pointwise_values_on_every_route(monkeypatch):
 
 
 def test_distinguishable_beyond_cap_factorizes(monkeypatch):
-    ens = EnsembleSpec("distinguishable", 3, 4)
-    direct = internal_energy(ens, BOX, 3.0, 1.0, method="enumeration")
-    monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
-    via_cap = internal_energy(ens, BOX, 3.0, 1.0, method="auto")
-    assert via_cap == pytest.approx(direct, rel=1e-13)
+    # at any cap, auto gives M distinguishable particles M times the one-particle
+    # U and never builds their N^M table
+    points = [(3.0, 1.0), (0.7, 1.5)]
+    build = manybody.state_energy_coefficients
+
+    def one_particle_only(ens, spec):
+        if ens.statistics == "distinguishable" and ens.M >= 2:
+            pytest.fail(f"auto enumerated {ens.M} distinguishable particles")
+        return build(ens, spec)
+
+    for ens in (EnsembleSpec("distinguishable", 3, 4), EnsembleSpec("distinguishable", 2, 7)):
+        single = internal_energies(EnsembleSpec("distinguishable", 1, ens.N), BOX, points,
+                                   "enumeration")
+        direct = internal_energies(ens, BOX, points, "enumeration")
+        for cap in (manybody.DEFAULT_STATE_CAP, 1):
+            monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
+            monkeypatch.setattr(manybody, "state_energy_coefficients", one_particle_only)
+            via_auto = internal_energies(ens, BOX, points, "auto")
+            monkeypatch.undo()
+            assert via_auto == [ens.M * u for u in single]
+            assert via_auto == pytest.approx(direct, rel=1e-13)
+
+
+def test_enumeration_guard_advises_auto_for_distinguishable_particles(monkeypatch):
+    def reached(*args):
+        pytest.fail("the memory guard let the enumeration run")
+
+    monkeypatch.setattr(manybody, "level_coefficients", reached)
+    ens = EnsembleSpec("distinguishable", 12, 10)
+    with pytest.raises(ValueError, match=r'table entries; use method="auto" \(M times'):
+        internal_energy(ens, BOX, 2.0, 1.0, method="enumeration")
 
 
 def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
@@ -326,7 +352,7 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     monkeypatch.setattr(kernels, "multiset_sums", reached)
     ens = EnsembleSpec("boson", 5, 70)
     assert ens.state_count == 16_108_764
-    with pytest.raises(ValueError, match="table entries"):
+    with pytest.raises(ValueError, match="table entries; use the recursion backend"):
         internal_energy(ens, BOX, 2.0, 1.0, method="enumeration")
 
 

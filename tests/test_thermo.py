@@ -130,7 +130,7 @@ def test_distinguishable_work_is_additive():
                                N=5, Th=12.0)).W
         for M in (2, 3, 4):
             w = run_cycle(cfg(spec=spec, statistics="distinguishable", M=M,
-                              N=5, Th=12.0)).W
+                              N=5, Th=12.0), method="enumeration").W
             assert w == pytest.approx(M * single, rel=1e-12)
 
 
