@@ -16,8 +16,8 @@ import argparse
 import sys
 
 from .errors import EmptyStateSpaceError
-from .experiments import (SweepGrid, make_record, make_series, sweep_fig2,
-                          sweep_fig3, sweep_fig45, sweep_fig67, write_csv)
+from .experiments import (make_record, make_series, sweep_fig2, sweep_fig3,
+                          sweep_fig45, sweep_fig67, th_range, write_csv)
 from .manybody import METHODS, STATISTICS, EnsembleSpec
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import CycleConfig, positive_work_threshold, run_cycle
@@ -114,7 +114,7 @@ def _build_cycle_config(params: dict) -> tuple[CycleConfig, str]:
     cfg = CycleConfig(
         spec=SpectrumSpec(params["spectrum"], scale_c=params["scale"]),
         ens=EnsembleSpec(params["stats"], params["particles"], params["levels"]),
-        L1=params["L1"], R=params["R"], T_c=params["Tc"], T_h=params["Th"])
+        L1=params["L1"], R=params["R"], T_c=params["Tc"])
     return cfg, params["method"]
 
 
@@ -123,13 +123,14 @@ def _print_kv(pairs) -> None:
 
 
 def cmd_cycle(args: argparse.Namespace) -> int:
-    cfg, method = _build_cycle_config(_resolve(args)[0])
-    res = run_cycle(cfg, method=method)
+    params = _resolve(args)[0]
+    cfg, method = _build_cycle_config(params)
+    res = run_cycle(cfg, params["Th"], method)
     _print_kv([("spectrum", cfg.spec.kind), ("statistics", cfg.ens.statistics),
                ("M", cfg.ens.M), ("N", cfg.ens.N),
                ("scale", f"{cfg.spec.scale_c:.12g}"), ("L1", f"{cfg.L1:.12g}"),
                ("R", f"{cfg.R:.12g}"), ("Tc", f"{cfg.T_c:.12g}"),
-               ("Th", f"{cfg.T_h:.12g}"),
+               ("Th", f"{params['Th']:.12g}"),
                ("lambda", f"{cfg.regime_lambda:.12g}")])
     _print_kv([(k, f"{v:.12g}") for k, v in
                (("U1", res.U1), ("U2", res.U2), ("U3", res.U3), ("U4", res.U4))])
@@ -141,8 +142,9 @@ def cmd_cycle(args: argparse.Namespace) -> int:
 
 
 def cmd_ratio(args: argparse.Namespace) -> int:
-    cfg, method = _build_cycle_config(_resolve(args)[0])
-    rec = make_record(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, cfg.T_h,
+    params = _resolve(args)[0]
+    cfg, method = _build_cycle_config(params)
+    rec = make_record(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, params["Th"],
                       method)
     per_particle = rec.ratio / cfg.ens.M
     _print_kv([("W", f"{rec.W:.12g}"), ("Ws", f"{rec.Ws:.12g}"),
@@ -172,11 +174,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if params["th_min"] is None or params["th_max"] is None:
             raise ValueError("explicit sweeps need --th-min and --th-max "
                              "(or --figure for a preset)")
-        grid = SweepGrid.from_range(params["th_min"], params["th_max"],
-                                    params["th_steps"])
-        cfg, method = _build_cycle_config({**params, "Th": grid.values[0]})
-        records = make_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c,
-                              grid.values, method)
+        grid = th_range(params["th_min"], params["th_max"], params["th_steps"])
+        cfg, method = _build_cycle_config(params)
+        records = make_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, grid, method)
     write_csv(records, args.output)
     print(f"wrote {len(records)} rows to {args.output}")
     return EXIT_OK

@@ -288,9 +288,3 @@ def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
                                    and _table_entries(ens) <= HARD_ENUMERATION_LIMIT):
         return enumeration_log_z_and_u(ens, spec, beta_points)[1]
     return [partition_by_recursion(ens, spec, beta, L).U for beta, L in beta_points]
-
-
-def internal_energy(ens: EnsembleSpec, spec: SpectrumSpec, T: float, L: float,
-                    method: str = "auto") -> float:
-    """U(T, L) at one point; see ``internal_energies``."""
-    return internal_energies(ens, spec, [(T, L)], method)[0]

@@ -17,7 +17,6 @@ dimensionless quantities this package studies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -60,30 +59,27 @@ class SpectrumSpec:
         return n * n if quadratic else n
 
 
-@lru_cache(maxsize=None)
 def level_coefficients(spec: SpectrumSpec, N: int) -> np.ndarray:
-    """First N energy coefficients c*g(n), ascending. Read-only and cached.
+    """First N energy coefficients c*g(n), ascending.
 
     E_n(L) = level_coefficients(spec, N) / L^power_p.
     """
     if N < 1:
         raise ValueError(f"level count must be >= 1, got {N}")
-    w = spec.scale_c * spec.level_shape(
+    return spec.scale_c * spec.level_shape(
         np.arange(spec.n_min, spec.n_min + N, dtype=np.float64))
-    w.setflags(write=False)
-    return w
 
 
 def single_particle_energies(spec: SpectrumSpec, N: int, L: float) -> np.ndarray:
     """Energies of the N lowest levels at trap width L, ascending."""
-    if not (L > 0):
-        raise ValueError(f"trap width must be positive, got {L}")
+    if not (0 < L < np.inf):
+        raise ValueError(f"trap width must be positive and finite, got {L}")
     return level_coefficients(spec, N) / L**spec.power_p
 
 
 def adiabatic_energy_ratio(spec: SpectrumSpec, L_from: float, L_to: float) -> float:
     """Factor (L_from/L_to)^p by which every level energy rescales when the
     width changes from L_from to L_to with occupations frozen."""
-    if not (L_from > 0 and L_to > 0):
-        raise ValueError(f"widths must be positive, got {L_from}, {L_to}")
+    if not (0 < L_from < np.inf and 0 < L_to < np.inf):
+        raise ValueError(f"widths must be positive and finite, got {L_from}, {L_to}")
     return (L_from / L_to) ** spec.power_p

@@ -35,13 +35,12 @@ class CycleConfig:
     L1: float
     R: float
     T_c: float
-    T_h: float
 
     def __post_init__(self):
         if not (1 < self.R < math.inf):
             raise ValueError(f"compression ratio R must exceed 1 and be finite, got {self.R}")
-        inverse_temperature(self.T_h, self.L1)  # each bath at its corner's width
-        inverse_temperature(self.T_c, self.L2)
+        for L in (self.L1, self.L2):  # L1 as given; L2 = R*L1 may still overflow
+            inverse_temperature(self.T_c, L)
 
     @property
     def L2(self) -> float:
@@ -68,8 +67,8 @@ class CycleResult:
 
 def run_cycle_series(cfg: CycleConfig, T_h_values,
                      method: str = "auto") -> list[CycleResult]:
-    """Cycles of ``cfg`` at every hot-bath temperature in ``T_h_values``
-    (not ``cfg.T_h``): U4 once, all corners from one ``internal_energies``."""
+    """Cycles of ``cfg`` at every hot-bath temperature in ``T_h_values``:
+    U4 once, all corners from one ``internal_energies``."""
     U4, *U2s = internal_energies(
         cfg.ens, cfg.spec, [(cfg.T_c, cfg.L2)] + [(T_h, cfg.L1) for T_h in T_h_values],
         method)
@@ -87,9 +86,9 @@ def run_cycle_series(cfg: CycleConfig, T_h_values,
     return results
 
 
-def run_cycle(cfg: CycleConfig, method: str = "auto") -> CycleResult:
-    """Evaluate one full cycle. W <= 0 is flagged, not an error."""
-    return run_cycle_series(cfg, [cfg.T_h], method)[0]
+def run_cycle(cfg: CycleConfig, T_h: float, method: str = "auto") -> CycleResult:
+    """One full cycle with the hot bath at T_h. W <= 0 is flagged, not an error."""
+    return run_cycle_series(cfg, [T_h], method)[0]
 
 
 def positive_work_threshold(cfg: CycleConfig) -> float:

@@ -32,8 +32,8 @@ class CheckResult:
 def _work(spec: SpectrumSpec, ens: EnsembleSpec, T_h: float,
           method: str = "auto") -> float:
     """Net work of the L1=1, R=2, T_c=1 cycle."""
-    return run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0,
-                                 T_h=T_h), method).W
+    return run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0),
+                     T_h, method).W
 
 
 def check_recursion_vs_enumeration() -> CheckResult:
@@ -74,9 +74,8 @@ def check_efficiency_identity() -> CheckResult:
             for M in (1, 2, 3):
                 ens = EnsembleSpec(statistics, M, 5)
                 for R in (2.0, 3.0):
-                    cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=R,
-                                      T_c=1.0, T_h=2.5 * R**p)
-                    res = run_cycle(cfg)
+                    cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=R, T_c=1.0)
+                    res = run_cycle(cfg, 2.5 * R**p)
                     if res.Q_h > 1e-12:
                         worst = max(worst, abs(res.W / res.Q_h - (1.0 - R**-p)))
     return CheckResult("efficiency-identity", worst, 1e-10)
@@ -88,8 +87,7 @@ def check_positive_work_threshold() -> CheckResult:
         spec = SpectrumSpec(kind)
         for statistics in ("boson", "fermion", "distinguishable"):
             ens = EnsembleSpec(statistics, 2, 4)
-            cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0,
-                              T_h=2.0)
+            cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0)
             threshold = positive_work_threshold(cfg)
             lo, hi = 0.5 * threshold, 1.7 * threshold
             for _ in range(60):

@@ -60,8 +60,8 @@ def test_criterion_01_efficiency_identity():
                     ens = EnsembleSpec(statistics, M, N)
                     for R in (2.0, 3.0, 4.0):
                         cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=R,
-                                          T_c=1.0, T_h=2.5 * R**p)
-                        res = run_cycle(cfg)
+                                          T_c=1.0)
+                        res = run_cycle(cfg, 2.5 * R**p)
                         if res.Q_h > 1e-12:
                             worst = max(worst, abs(res.W / res.Q_h - (1.0 - R**-p)))
     elapsed = time.perf_counter() - t0
@@ -113,7 +113,7 @@ def test_criterion_03_positive_work_condition():
                     for _ in range(40):
                         mid = 0.5 * (lo + hi)
                         w = run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0,
-                                                  R=R, T_c=1.0, T_h=mid)).W
+                                                  R=R, T_c=1.0), mid).W
                         if w > 0:
                             hi = mid
                         else:
@@ -139,8 +139,8 @@ def _criterion_04_deviation(lam):
                 z = math.exp(partition_by_enumeration(ens, spec, 1.0 / T, L).log_Z)
                 worst = max(worst,
                             abs(z - harmonic_closed_form_Z(statistics, T, L, lam)))
-            cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0, T_h=Th)
-            works[statistics] = run_cycle(cfg).W
+            cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0)
+            works[statistics] = run_cycle(cfg, Th).W
             worst = max(worst, abs(works[statistics]
                                    - harmonic_closed_form_W(1.0, 2.0, 1.0, Th, lam)))
         worst = max(worst, abs(works["boson"] - works["fermion"]))
@@ -214,8 +214,8 @@ def test_criterion_04_harmonic_closed_forms_high_temperature_as_specified():
             for T, L in ((Th, 1.0), (1.0, R)):
                 z = math.exp(partition_by_enumeration(ens, spec, 1.0 / T, L).log_Z)
                 worst = max(worst, abs(z - _ladder_Z(statistics, N, T, L, lam)))
-            cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=R, T_c=1.0, T_h=Th)
-            works[statistics] = run_cycle(cfg).W
+            cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=R, T_c=1.0)
+            works[statistics] = run_cycle(cfg, Th).W
             worst = max(worst, abs(works[statistics]
                                    - _ladder_W(statistics, N, 1.0, R, 1.0, Th, lam)))
         worst = max(worst, abs(works["boson"] - works["fermion"]
@@ -371,11 +371,11 @@ def test_criterion_10_distinguishable_factorization():
         p = spec.power_p
         single = run_cycle(CycleConfig(
             spec=spec, ens=EnsembleSpec("distinguishable", 1, 5),
-            L1=1.0, R=2.0, T_c=1.0, T_h=3.0 * 2**p)).W
+            L1=1.0, R=2.0, T_c=1.0), 3.0 * 2**p).W
         for M in (2, 3, 4):
             w = run_cycle(CycleConfig(
                 spec=spec, ens=EnsembleSpec("distinguishable", M, 5),
-                L1=1.0, R=2.0, T_c=1.0, T_h=3.0 * 2**p), method="enumeration").W
+                L1=1.0, R=2.0, T_c=1.0), 3.0 * 2**p, method="enumeration").W
             worst = max(worst, abs(w - M * single) / abs(M * single))
     ok = worst <= 1e-12
     report("10 distinguishable factorization", ok,

@@ -1,5 +1,6 @@
 """Sweeps, CSV serialization, and the untruncated harmonic validators."""
 
+import decimal
 import importlib.util
 import math
 import os
@@ -10,14 +11,13 @@ import numpy as np
 import pytest
 
 from qotto import experiments, manybody
-from qotto import (CycleConfig, EnsembleSpec, SpectrumSpec, SweepGrid,
-                   evaluate_point, harmonic_closed_form_W,
-                   harmonic_closed_form_Z, make_record,
+from qotto import (CycleConfig, EnsembleSpec, SpectrumSpec,
+                   harmonic_closed_form_W, harmonic_closed_form_Z, make_record,
                    partition_by_enumeration, partition_by_recursion,
                    records_to_csv, run_cycle, sweep_fig2, sweep_fig3,
                    sweep_fig45, sweep_fig67, work_ratio_multiparticle,
                    write_csv)
-from qotto.experiments import CSV_COLUMNS, evaluate_series
+from qotto.experiments import CSV_COLUMNS, evaluate_series, th_range
 
 
 # ---------------------------------------------------------------------------
@@ -44,6 +44,28 @@ def test_closed_form_rejects_bad_arguments():
         harmonic_closed_form_Z("boson", 0.0, 1.0)
     with pytest.raises(ValueError):
         harmonic_closed_form_W(1.0, 1.0, 1.0, 5.0)
+    for args in ((math.inf, 1.0), (1.0, math.inf), (1.0, 1.0, math.inf)):
+        with pytest.raises(ValueError):
+            harmonic_closed_form_Z("boson", *args)
+    for args in ((1.0, 2.0, 1.0, math.inf), (1.0, 2.0, math.inf, 5.0),
+                 (math.inf, 2.0, 1.0, 5.0), (1.0, math.inf, 1.0, 5.0),
+                 (1.0, 2.0, 1.0, 5.0, math.inf)):
+        with pytest.raises(ValueError):
+            harmonic_closed_form_W(*args)
+
+
+def test_closed_form_z_keeps_full_precision_at_high_temperature():
+    # 1 - q cancelled when formed directly: 3e-11 relative off at T = 1e6,
+    # 4e-5 at 1e12, a division by zero once q rounds to 1. The reference is a
+    # 60-digit decimal evaluation of the same closed form.
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        for T in (0.3, 1.0, 8.0, 1e2, 1e4, 1e6, 1e8, 1e12, 1e16, 1e20):
+            q = (-1 / decimal.Decimal(T)).exp()
+            exact = 1 / ((1 - q) ** 2 * (1 + q))
+            for statistics, ref in (("boson", exact), ("fermion", q * exact)):
+                got = decimal.Decimal(harmonic_closed_form_Z(statistics, T, 1.0))
+                assert abs(got - ref) <= decimal.Decimal(1e-15) * ref
 
 
 def test_closed_form_matches_truncated_ensemble_intermediate_regime():
@@ -57,7 +79,7 @@ def test_closed_form_matches_truncated_ensemble_intermediate_regime():
                 harmonic_closed_form_Z(statistics, T, L, 1.0), abs=1e-8)
         for Th in (5.0, 8.0):
             w = run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0,
-                                      T_c=1.0, T_h=Th)).W
+                                      T_c=1.0), Th).W
             assert w == pytest.approx(
                 harmonic_closed_form_W(1.0, 2.0, 1.0, Th, 1.0), abs=1e-8)
 
@@ -74,7 +96,7 @@ def test_closed_form_matches_truncated_ensemble_high_temperature_regime():
                 harmonic_closed_form_Z(statistics, T, L, 0.05), abs=1e-8)
         for Th in (5.0, 8.0):
             w = run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0,
-                                      T_c=1.0, T_h=Th), method="recursion").W
+                                      T_c=1.0), Th, method="recursion").W
             assert w == pytest.approx(
                 harmonic_closed_form_W(1.0, 2.0, 1.0, Th, 0.05), abs=1e-8)
 
@@ -90,7 +112,7 @@ def test_truncation_error_shrinks_monotonically():
         for N in (25, 50, 100, 200):
             w = run_cycle(CycleConfig(spec=spec,
                                       ens=EnsembleSpec("boson", 2, N),
-                                      L1=1.0, R=2.0, T_c=1.0, T_h=5.0)).W
+                                      L1=1.0, R=2.0, T_c=1.0), 5.0).W
             errors.append(abs(w - harmonic_closed_form_W(1.0, 2.0, 1.0, 5.0, lam)))
         assert all(b <= a + 1e-14 for a, b in zip(errors, errors[1:]))
 
@@ -101,17 +123,17 @@ def test_truncation_error_shrinks_monotonically():
 
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
-        SweepGrid.from_range(5.0, 5.0, 2)
+        th_range(5.0, 5.0, 2)
     with pytest.raises(ValueError):
-        SweepGrid.from_range(5.0, 9.0, 1)
-    with pytest.raises(ValueError):
-        SweepGrid((1.0, 1.0, 2.0))
-    grid = SweepGrid.from_range(4.0, 8.0, 5)
-    assert grid.values == (4.0, 5.0, 6.0, 7.0, 8.0)
+        th_range(5.0, 9.0, 1)
+    # max > min, but 200 points round onto repeated values
+    with pytest.raises(ValueError, match="strictly increasing"):
+        th_range(1.0, 1.000000000000001, 200)
+    assert th_range(4.0, 8.0, 5) == (4.0, 5.0, 6.0, 7.0, 8.0)
 
 
-def test_evaluate_point_is_lambda_convention_record():
-    a = evaluate_point("box", "boson", 2, 3, 0.5, 2.0, 9.0)
+def test_evaluate_series_is_lambda_convention_record():
+    a, = evaluate_series("box", "boson", 2, 3, 0.5, 2.0, [9.0])
     b = make_record(SpectrumSpec("box", scale_c=0.5), EnsembleSpec("boson", 2, 3),
                     1.0, 2.0, 1.0, 9.0)
     assert a == b
@@ -170,8 +192,8 @@ def test_series_rows_equal_per_point_records():
               + evaluate_series("box", "boson", 4, 6, 0.05, 2.0, grid, "recursion"),
               "recursion")]
     for records, method in cases:
-        points = [evaluate_point(r.spectrum, r.statistics, r.M, r.N, r.lam, r.R,
-                                 r.Th, method) for r in records]
+        points = [evaluate_series(r.spectrum, r.statistics, r.M, r.N, r.lam, r.R,
+                                  [r.Th], method)[0] for r in records]
         assert records == points
         assert records_to_csv(records) == records_to_csv(points)
     assert evaluate_series("box", "boson", 2, 3, 1.0, 2.0, np.array(grid)) == \
@@ -196,7 +218,8 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
 
 
 def test_cross_check_builds_one_table_per_row_and_compares_both_values(monkeypatch):
-    rec = evaluate_point("box", "fermion", 3, 8, 1.0, 2.0, 5.0, "recursion")
+    spec, ens = SpectrumSpec("box", scale_c=1.0), EnsembleSpec("fermion", 3, 8)
+    corners = ((1.0 / 5.0, 1.0), (1.0, 2.0))
     built = []
     original = manybody.state_energy_coefficients
 
@@ -205,7 +228,7 @@ def test_cross_check_builds_one_table_per_row_and_compares_both_values(monkeypat
         return original(ens, spec)
 
     monkeypatch.setattr(manybody, "state_energy_coefficients", counted)
-    experiments._cross_check(rec)
+    experiments._cross_check(spec, ens, corners)
     assert built == [EnsembleSpec("fermion", 3, 8)]
 
     # twice each 1e-8 tolerance: absolute in log Z, relative in U (U > 1 here)
@@ -217,7 +240,7 @@ def test_cross_check_builds_one_table_per_row_and_compares_both_values(monkeypat
 
         monkeypatch.setattr(experiments, "partition_by_recursion", shifted)
         with pytest.raises(AssertionError, match="mismatch"):
-            experiments._cross_check(rec)
+            experiments._cross_check(spec, ens, corners)
 
 
 def _perfbench(module_name):

@@ -12,9 +12,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qotto import (KINDS, EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
-                   internal_energy, level_coefficients,
-                   partition_by_enumeration, partition_by_recursion,
-                   state_energy_coefficients)
+                   level_coefficients, partition_by_enumeration,
+                   partition_by_recursion, state_energy_coefficients)
 from qotto import kernels, manybody
 from qotto.manybody import internal_energies
 
@@ -183,7 +182,7 @@ def test_internal_energy_monotone_in_temperature():
                       (EnsembleSpec("fermion", 3, 5), HARM),
                       (EnsembleSpec("distinguishable", 2, 3), BOX)):
         temps = np.linspace(0.05, 12.0, 25)
-        us = [internal_energy(ens, spec, t, 1.0) for t in temps]
+        us = [internal_energies(ens, spec, [(t, 1.0)])[0] for t in temps]
         assert all(b >= a - 1e-12 for a, b in zip(us, us[1:]))
 
 
@@ -191,20 +190,20 @@ def test_internal_energy_bounded_by_spectrum():
     ens = EnsembleSpec("boson", 3, 4)
     ws = state_energy_coefficients(ens, BOX)
     for T in (0.1, 1.0, 100.0):
-        u = internal_energy(ens, BOX, T, 1.0)
+        u = internal_energies(ens, BOX, [(T, 1.0)])[0]
         assert ws.min() - 1e-12 <= u <= ws.max() + 1e-12
 
 
 def test_single_level_internal_energy():
     for T in (0.2, 5.0):
-        assert internal_energy(EnsembleSpec("boson", 1, 1), BOX, T, 1.0) == 1.0
+        assert internal_energies(EnsembleSpec("boson", 1, 1), BOX, [(T, 1.0)])[0] == 1.0
 
 
 def test_two_level_internal_energy_oracle():
     # U = (e^{-1/8} + 4 e^{-1/2}) / (e^{-1/8} + e^{-1/2}) ~ 2.2220
     expected = (math.exp(-0.125) + 4 * math.exp(-0.5)) / (math.exp(-0.125) + math.exp(-0.5))
     assert round(expected, 4) == 2.2220
-    got = internal_energy(EnsembleSpec("boson", 1, 2), BOX, 8.0, 1.0)
+    got = internal_energies(EnsembleSpec("boson", 1, 2), BOX, [(8.0, 1.0)])[0]
     assert got == pytest.approx(expected, rel=1e-14)
     assert got == pytest.approx(2.2220002001377903, rel=1e-14)
 
@@ -218,22 +217,22 @@ def test_harmonic_pair_matches_untruncated_closed_form():
 
     h = 1e-6
     expected_u = -(closed_log_z(1.0 + h) - closed_log_z(1.0 - h)) / (2 * h)
-    got = internal_energy(EnsembleSpec("boson", 2, 200), HARM, 1.0, 1.0)
+    got = internal_energies(EnsembleSpec("boson", 2, 200), HARM, [(1.0, 1.0)])[0]
     assert got == pytest.approx(expected_u, abs=1e-8)
 
 
 def test_internal_energy_methods_and_cap(monkeypatch):
     ens = EnsembleSpec("boson", 3, 6)
-    u_enum = internal_energy(ens, BOX, 2.0, 1.0, method="enumeration")
-    u_rec = internal_energy(ens, BOX, 2.0, 1.0, method="recursion")
+    u_enum = internal_energies(ens, BOX, [(2.0, 1.0)], method="enumeration")[0]
+    u_rec = internal_energies(ens, BOX, [(2.0, 1.0)], method="recursion")[0]
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
-    u_auto_small_cap = internal_energy(ens, BOX, 2.0, 1.0, method="auto")
+    u_auto_small_cap = internal_energies(ens, BOX, [(2.0, 1.0)], method="auto")[0]
     assert u_rec == pytest.approx(u_enum, rel=1e-12)
     assert u_auto_small_cap == u_rec
     with pytest.raises(ValueError):
-        internal_energy(ens, BOX, 2.0, 1.0, method="magic")
+        internal_energies(ens, BOX, [(2.0, 1.0)], method="magic")
     with pytest.raises(ValueError):
-        internal_energy(ens, BOX, 0.0, 1.0)
+        internal_energies(ens, BOX, [(0.0, 1.0)])
 
 
 @pytest.mark.parametrize("method", ["enumeration", "recursion", "auto"])
@@ -245,7 +244,7 @@ def test_internal_energy_rejects_points_that_break_the_boltzmann_sum(method, T, 
     # recursion to fail with "cannot convert float NaN to integer"
     for statistics in ("boson", "fermion"):
         with pytest.raises(ValueError):
-            internal_energy(EnsembleSpec(statistics, 3, 8), BOX, T, L, method=method)
+            internal_energies(EnsembleSpec(statistics, 3, 8), BOX, [(T, L)], method=method)
 
 
 def test_partition_backends_reject_non_finite_beta_and_width():
@@ -259,16 +258,16 @@ def test_partition_backends_reject_non_finite_beta_and_width():
 def test_tiny_accepted_temperature_gives_ground_state_energy():
     for statistics, ground in (("boson", 3.0), ("fermion", 14.0)):
         ens = EnsembleSpec(statistics, 3, 8)
-        assert internal_energy(ens, BOX, 1e-300, 1.0, method="enumeration") == ground
-        assert internal_energy(ens, BOX, 1e-300, 1.0) == ground
+        assert internal_energies(ens, BOX, [(1e-300, 1.0)], method="enumeration")[0] == ground
+        assert internal_energies(ens, BOX, [(1e-300, 1.0)])[0] == ground
     fermions = EnsembleSpec("fermion", 3, 8)
     for T in (1e-300, 1e-4):
-        assert internal_energy(fermions, BOX, T, 1.0, method="recursion") == 14.0
+        assert internal_energies(fermions, BOX, [(T, 1.0)], method="recursion")[0] == 14.0
     # the float particle recursion gave 1.0, 2.718 and 3.00000006 here: its
     # log-domain terms of size beta*E keep no digits in their differences
     bosons = EnsembleSpec("boson", 3, 8)
     for T in (1e-300, 1e-15, 1e-8):
-        assert internal_energy(bosons, BOX, T, 1.0, method="recursion") == 3.0
+        assert internal_energies(bosons, BOX, [(T, 1.0)], method="recursion")[0] == 3.0
 
 
 def test_level_recursion_matches_enumeration():
@@ -305,7 +304,7 @@ def test_internal_energies_equal_pointwise_values_on_every_route(monkeypatch):
     for ens, method, cap in cases:
         monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
         batch = internal_energies(ens, BOX, points, method)
-        assert batch == [internal_energy(ens, BOX, T, L, method) for T, L in points]
+        assert batch == [internal_energies(ens, BOX, [(T, L)], method)[0] for T, L in points]
 
 
 def test_distinguishable_beyond_cap_factorizes(monkeypatch):
@@ -339,7 +338,7 @@ def test_enumeration_guard_advises_auto_for_distinguishable_particles(monkeypatc
     monkeypatch.setattr(manybody, "level_coefficients", reached)
     ens = EnsembleSpec("distinguishable", 12, 10)
     with pytest.raises(ValueError, match=r'table entries; use method="auto" \(M times'):
-        internal_energy(ens, BOX, 2.0, 1.0, method="enumeration")
+        internal_energies(ens, BOX, [(2.0, 1.0)], method="enumeration")
 
 
 def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
@@ -353,7 +352,7 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     ens = EnsembleSpec("boson", 5, 70)
     assert ens.state_count == 16_108_764
     with pytest.raises(ValueError, match="table entries; use the recursion backend"):
-        internal_energy(ens, BOX, 2.0, 1.0, method="enumeration")
+        internal_energies(ens, BOX, [(2.0, 1.0)], method="enumeration")
 
 
 def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
@@ -362,13 +361,13 @@ def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
     # boson on 10 levels is 10 entries and still enumerates. At T=3.3 the
     # two backends differ in the last bits, so the route shows.
     three, one = EnsembleSpec("boson", 3, 4), EnsembleSpec("boson", 1, 10)
-    expected = [internal_energy(three, BOX, 3.3, 1.0, method="recursion"),
-                internal_energy(one, BOX, 3.3, 1.0, method="enumeration")]
-    assert expected[0] != internal_energy(three, BOX, 3.3, 1.0, method="enumeration")
-    assert expected[1] != internal_energy(one, BOX, 3.3, 1.0, method="recursion")
+    expected = [internal_energies(three, BOX, [(3.3, 1.0)], method="recursion")[0],
+                internal_energies(one, BOX, [(3.3, 1.0)], method="enumeration")[0]]
+    assert expected[0] != internal_energies(three, BOX, [(3.3, 1.0)], method="enumeration")[0]
+    assert expected[1] != internal_energies(one, BOX, [(3.3, 1.0)], method="recursion")[0]
     monkeypatch.setattr(manybody, "HARD_ENUMERATION_LIMIT", 10)
-    assert [internal_energy(three, BOX, 3.3, 1.0),
-            internal_energy(one, BOX, 3.3, 1.0)] == expected
+    assert [internal_energies(three, BOX, [(3.3, 1.0)])[0],
+            internal_energies(one, BOX, [(3.3, 1.0)])[0]] == expected
 
 
 @given(statistics=st.sampled_from(["boson", "fermion", "distinguishable"]),

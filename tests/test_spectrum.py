@@ -84,8 +84,11 @@ def test_uniform_scaling_is_exact(kind, L_from, L_to, N):
     lambda: single_particle_energies(SpectrumSpec("box"), 0, 1.0),
     lambda: single_particle_energies(SpectrumSpec("box"), 3, 0.0),
     lambda: single_particle_energies(SpectrumSpec("box"), 3, -2.0),
+    lambda: single_particle_energies(SpectrumSpec("box"), 3, float("inf")),
     lambda: adiabatic_energy_ratio(SpectrumSpec("box"), 0.0, 1.0),
     lambda: adiabatic_energy_ratio(SpectrumSpec("box"), 1.0, -1.0),
+    lambda: adiabatic_energy_ratio(SpectrumSpec("box"), float("inf"), 1.0),
+    lambda: adiabatic_energy_ratio(SpectrumSpec("box"), 1.0, float("inf")),
 ])
 def test_invalid_arguments_raise(bad):
     with pytest.raises(ValueError):

@@ -2,7 +2,6 @@
 
 import itertools
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,13 +15,13 @@ BOX = SpectrumSpec("box")
 HARM = SpectrumSpec("harmonic")
 
 
-def cfg(spec=BOX, statistics="boson", M=1, N=2, L1=1.0, R=2.0, Tc=1.0, Th=8.0):
+def cfg(spec=BOX, statistics="boson", M=1, N=2, L1=1.0, R=2.0, Tc=1.0):
     return CycleConfig(spec=spec, ens=EnsembleSpec(statistics, M, N),
-                       L1=L1, R=R, T_c=Tc, T_h=Th)
+                       L1=L1, R=R, T_c=Tc)
 
 
 def test_single_level_extracts_no_work():
-    res = run_cycle(cfg(N=1, Th=17.0))
+    res = run_cycle(cfg(N=1), 17.0)
     assert res.Q_h == 0.0
     assert res.W == 0.0
     assert not res.positive_work
@@ -32,8 +31,8 @@ def test_threshold_temperature_gives_zero_work():
     for kind in KINDS:
         spec = SpectrumSpec(kind)
         for statistics, M in (("boson", 2), ("fermion", 2), ("distinguishable", 3)):
-            res = run_cycle(cfg(spec=spec, statistics=statistics, M=M, N=4,
-                                Th=2.0**spec.power_p))
+            res = run_cycle(cfg(spec=spec, statistics=statistics, M=M, N=4),
+                            2.0**spec.power_p)
             assert abs(res.W) <= 1e-10
 
 
@@ -45,7 +44,7 @@ def test_two_level_single_particle_cycle_oracle():
     u4 = (0.25 * math.exp(-0.25) + 1.0 * math.exp(-1.0)) / (math.exp(-0.25) + math.exp(-1.0))
     qh = u2 - 4 * u4
     qc = u2 / 4 - u4
-    res = run_cycle(cfg())
+    res = run_cycle(cfg(), 8.0)
     assert res.U2 == pytest.approx(u2, rel=1e-14)
     assert res.U4 == pytest.approx(u4, rel=1e-14)
     assert res.Q_h == pytest.approx(qh, rel=1e-13)
@@ -63,7 +62,7 @@ def test_first_law_holds_exactly_as_computed():
         for statistics in ("boson", "fermion", "distinguishable"):
             for M in (1, 2, 3):
                 res = run_cycle(cfg(spec=SpectrumSpec(kind), statistics=statistics,
-                                    M=M, N=5, Th=9.0))
+                                    M=M, N=5), 9.0)
                 assert res.W == res.Q_h - res.Q_c
 
 
@@ -71,7 +70,7 @@ def test_efficiency_is_pure_geometry():
     for kind in KINDS:
         spec = SpectrumSpec(kind)
         expected = 1.0 - adiabatic_energy_ratio(spec, 1.0, 3.0)
-        etas = {run_cycle(cfg(spec=spec, statistics=s, M=M, N=5, R=3.0, Th=30.0)).eta
+        etas = {run_cycle(cfg(spec=spec, statistics=s, M=M, N=5, R=3.0), 30.0).eta
                 for s in ("boson", "fermion", "distinguishable") for M in (1, 2, 3)}
         assert etas == {expected}
 
@@ -81,8 +80,8 @@ def test_work_over_heat_input_equals_geometric_efficiency():
         spec = SpectrumSpec(kind)
         p = spec.power_p
         for statistics in ("boson", "fermion", "distinguishable"):
-            res = run_cycle(cfg(spec=spec, statistics=statistics, M=2, N=4,
-                                Th=3.0 * 2.0**p))
+            res = run_cycle(cfg(spec=spec, statistics=statistics, M=2, N=4),
+                            3.0 * 2.0**p)
             assert res.Q_h > 1e-12
             assert res.W / res.Q_h == pytest.approx(1.0 - 2.0**-p, abs=1e-10)
 
@@ -96,7 +95,7 @@ def test_work_sign_flips_exactly_at_threshold():
                 for factor, positive in ((0.9, False), (0.999, False),
                                          (1.001, True), (1.1, True)):
                     res = run_cycle(cfg(spec=spec, statistics=statistics, M=M,
-                                        N=6, Th=factor * threshold))
+                                        N=6), factor * threshold)
                     assert res.positive_work == positive
                     assert (res.W > 0) == positive
 
@@ -106,7 +105,7 @@ def test_positive_work_threshold_values():
     assert positive_work_threshold(cfg(spec=SpectrumSpec("relativistic-box"))) == 2.0
     quartic = CycleConfig(spec=SpectrumSpec("quartic"),
                           ens=EnsembleSpec("boson", 1, 3),
-                          L1=1.0, R=8.0, T_c=1.0, T_h=20.0)
+                          L1=1.0, R=8.0, T_c=1.0)
     assert positive_work_threshold(quartic) == pytest.approx(16.0, rel=1e-14)
 
 
@@ -114,10 +113,9 @@ def test_quartic_threshold_agrees_with_sign_scan():
     spec = SpectrumSpec("quartic")
     threshold = 8.0**spec.power_p
     base = CycleConfig(spec=spec, ens=EnsembleSpec("boson", 1, 3),
-                       L1=1.0, R=8.0, T_c=1.0, T_h=20.0)
+                       L1=1.0, R=8.0, T_c=1.0)
     grid = np.linspace(0.8 * threshold, 1.2 * threshold, 81)
-    signs = [run_cycle(CycleConfig(spec=spec, ens=base.ens, L1=1.0, R=8.0,
-                                   T_c=1.0, T_h=t)).W > 0 for t in grid]
+    signs = [run_cycle(base, t).W > 0 for t in grid]
     flips = [i for i in range(1, len(signs)) if signs[i] != signs[i - 1]]
     assert len(flips) == 1
     assert grid[flips[0] - 1] < threshold < grid[flips[0]]
@@ -127,10 +125,10 @@ def test_distinguishable_work_is_additive():
     for kind in KINDS:
         spec = SpectrumSpec(kind)
         single = run_cycle(cfg(spec=spec, statistics="distinguishable", M=1,
-                               N=5, Th=12.0)).W
+                               N=5), 12.0).W
         for M in (2, 3, 4):
             w = run_cycle(cfg(spec=spec, statistics="distinguishable", M=M,
-                              N=5, Th=12.0), method="enumeration").W
+                              N=5), 12.0, method="enumeration").W
             assert w == pytest.approx(M * single, rel=1e-12)
 
 
@@ -141,11 +139,11 @@ def test_adiabatic_stroke_freezes_occupations():
               "fermion": itertools.combinations,
               "distinguishable": lambda g, M: itertools.product(g, repeat=M)}
     for statistics in ("boson", "fermion", "distinguishable"):
-        c = cfg(statistics=statistics, M=2, N=4, Th=9.0)
-        res = run_cycle(c)
+        c, Th = cfg(statistics=statistics, M=2, N=4), 9.0
+        res = run_cycle(c, Th)
         g = [c.spec.scale_c * c.spec.level_shape(c.spec.n_min + i) for i in range(c.ens.N)]
         coeffs = [sum(s) for s in combos[statistics](g, c.ens.M)]
-        beta_eff = 1.0 / (c.T_h * c.L1**c.spec.power_p)
+        beta_eff = 1.0 / (Th * c.L1**c.spec.power_p)
         weights = [math.exp(-beta_eff * (w - min(coeffs))) for w in coeffs]
         probabilities = [x / sum(weights) for x in weights]
         u3_direct = sum(p * w for p, w in zip(probabilities, coeffs)) / c.L2**c.spec.power_p
@@ -224,9 +222,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         cfg(Tc=-1.0)
     with pytest.raises(ValueError):
-        cfg(Th=0.0)
-    for bad in (dict(Tc=1e-320), dict(Th=math.inf), dict(Tc=math.nan),
-                dict(L1=math.inf), dict(R=math.inf)):
+        run_cycle(cfg(), 0.0)
+    with pytest.raises(ValueError):
+        run_cycle(cfg(), math.inf)
+    for bad in (dict(Tc=1e-320), dict(Tc=math.nan), dict(L1=math.inf),
+                dict(R=math.inf)):
         with pytest.raises(ValueError):
             cfg(**bad)
 
@@ -238,7 +238,7 @@ def test_cycle_series_equals_single_cycles():
         base = cfg(statistics=statistics, M=M, N=N)
         grid = [4.5, 6.0, 11.0]
         series = run_cycle_series(base, grid, method)
-        assert series == [run_cycle(replace(base, T_h=Th), method) for Th in grid]
+        assert series == [run_cycle(base, Th, method) for Th in grid]
 
 
 def test_regime_lambda():
