@@ -34,10 +34,9 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .manybody import (EnsembleSpec, enumeration_log_z_and_u,
-                       partition_by_recursion)
+from .manybody import EnsembleSpec, enumeration_log_z_and_u, recursion_rows
 from .spectrum import SpectrumSpec
-from .thermo import CycleConfig, run_cycle_series
+from .thermo import CycleConfig, cycles_from_corners, run_cycle_series
 
 CSV_COLUMNS = ("spectrum", "statistics", "M", "N", "L1", "R", "Tc", "Th",
                "lambda", "U1", "U2", "U3", "U4", "Qh", "Qc", "W", "eta",
@@ -117,10 +116,15 @@ def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
     results = run_cycle_series(cfg, Th_values, method)
     singles = run_cycle_series(replace(cfg, ens=EnsembleSpec(ens.statistics, 1, ens.N)),
                                Th_values, method)
+    return _records(cfg, Th_values, results, singles)
+
+
+def _records(cfg: CycleConfig, Th_values, results, singles) -> list[RatioRecord]:
+    """One record per Th: the cycle result of ``cfg`` against the single particle's."""
     return [RatioRecord(
-        spectrum=spec.kind, statistics=ens.statistics, M=ens.M, N=ens.N, L1=L1,
-        R=R, Tc=Tc, Th=Th, lam=cfg.regime_lambda, U1=res.U1, U2=res.U2,
-        U3=res.U3, U4=res.U4, Qh=res.Q_h, Qc=res.Q_c, W=res.W, eta=res.eta,
+        spectrum=cfg.spec.kind, statistics=cfg.ens.statistics, M=cfg.ens.M, N=cfg.ens.N,
+        L1=cfg.L1, R=cfg.R, Tc=cfg.T_c, Th=Th, lam=cfg.regime_lambda, U1=res.U1,
+        U2=res.U2, U3=res.U3, U4=res.U4, Qh=res.Q_h, Qc=res.Q_c, W=res.W, eta=res.eta,
         Ws=single.W, positive_work=res.positive_work,
         ratio=res.W / single.W if abs(single.W) >= UNDEFINED_RATIO_GUARD else math.nan)
         for Th, res, single in zip(Th_values, results, singles)]
@@ -223,39 +227,47 @@ def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
                 ) -> list[RatioRecord]:
     """Multiparticle ratios at T_h = 5*T_c, R=2, recursion backend.
 
-    Fermion rows are restricted to M <= N. Where the state space is small
-    enough, the recursion is cross-checked against enumeration at both
-    thermal corners.
+    Fermion rows are restricted to M <= N. One pass per corner to a column's
+    largest M gives every M and the single particle; where the state space is
+    small enough, each M is cross-checked against enumeration at both corners.
     """
     L1, R, Tc, Th = 1.0, 2.0, 1.0, 5.0
-    corners = ((1.0 / Th, L1), (1.0 / Tc, R * L1))
-    records, ensembles = [], []
+    corners = ((1.0 / Tc, R * L1), (1.0 / Th, L1))
+    records, held = [], {}
     for lam in (0.05, 1.0):
         spec = SpectrumSpec("box", scale_c=lam)
         for N in n_values:
             for statistics in ("boson", "fermion"):
-                for M in m_values:
-                    if statistics == "fermion" and M > N:
-                        continue
-                    ens = EnsembleSpec(statistics, M, N)
-                    records += make_series(spec, ens, L1, R, Tc, [Th], "recursion")
-                    ensembles.append((spec, ens))
+                ms = [M for M in m_values if statistics == "boson" or M <= N]
+                if not ms:
+                    continue
+                cold, hot = (recursion_rows(EnsembleSpec(statistics, max(ms), N), spec,
+                                            beta, L) for beta, L in corners)
+                for M in ms:
+                    cfg = CycleConfig(spec, EnsembleSpec(statistics, M, N), L1, R, Tc)
+                    # row 1 is the single particle; the corner arithmetic ignores M
+                    single, res = (cycles_from_corners(cfg, cold[k].U, [hot[k].U])
+                                   for k in (0, M - 1))
+                    records += _records(cfg, [Th], res, single)
+                    held.setdefault(cfg.ens, []).extend(
+                        zip((spec, spec), corners, (cold[M - 1], hot[M - 1])))
     # checked after every row: interleaving the enumeration tables with the
     # recursion cost about 4% more CPU time (fig67, 2-vCPU VM)
-    for spec, ens in ensembles:
-        _cross_check(spec, ens, corners)
+    for ens, evaluations in held.items():
+        _cross_check(ens, evaluations)
     return records
 
 
-def _cross_check(spec: SpectrumSpec, ens: EnsembleSpec,
-                 corners: tuple[tuple[float, float], ...]) -> None:
-    """Compare the recursion with enumeration at every (beta, L) in corners."""
+def _cross_check(ens: EnsembleSpec, held) -> None:
+    """Compare the (spectrum, (beta, L), evaluation) triples in ``held``, one
+    spectrum kind, with one c = 1 enumeration table: Z(beta; c) = Z(beta*c; 1)."""
     if ens.state_count > _CROSS_CHECK_CAP:
         return
-    # one enumeration table for all corners
-    log_zs, us = enumeration_log_z_and_u(ens, spec, corners)
-    for (beta, L), log_z, u in zip(corners, log_zs, us):
-        a = partition_by_recursion(ens, spec, beta, L)
+    log_zs, us = enumeration_log_z_and_u(
+        ens, SpectrumSpec(held[0][0].kind),
+        [(beta * spec.scale_c, L) for spec, (beta, L), _ in held])
+    for (spec, (beta, L), a), log_z, u in zip(held, log_zs, us):
+        u *= spec.scale_c
         if abs(a.log_Z - log_z) > _CROSS_CHECK_TOL or \
                 abs(a.U - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
             raise AssertionError(
@@ -273,8 +285,9 @@ def harmonic_closed_form_Z(statistics: str, T: float, L: float,
     a = c / (L * L * T)
     q = math.exp(-a)
     # expm1 gives 1 - q without cancelling when a is small (high T)
-    zb = 1.0 / (math.expm1(-a) ** 2 * (1.0 + q))
-    return q * zb if statistics == "fermion" else zb
+    den = math.expm1(-a) ** 2 * (1.0 + q)
+    zb = 1.0 / den if den else math.inf
+    return _finite(q * zb if statistics == "fermion" else zb, "Z")
 
 
 def harmonic_closed_form_W(L1: float, R: float, T_c: float, T_h: float,
@@ -287,6 +300,15 @@ def harmonic_closed_form_W(L1: float, R: float, T_c: float, T_h: float,
         raise ValueError("parameters must be positive and finite with R > 1")
     a_h = c / (L1 * L1 * T_h)
     a_c = c / (R * R * L1 * L1 * T_c)
-    bracket = (3.0 * (1.0 / math.tanh(a_h) - 1.0 / math.tanh(a_c))
-               + (1.0 / math.sinh(a_h) - 1.0 / math.sinh(a_c)))
-    return (1.0 - 1.0 / R**2) * (c / (2.0 * L1 * L1)) * bracket
+    try:
+        bracket = (3.0 * (1.0 / math.tanh(a_h) - 1.0 / math.tanh(a_c))
+                   + (1.0 / math.sinh(a_h) - 1.0 / math.sinh(a_c)))
+    except ZeroDivisionError:  # a_h or a_c underflowed to 0
+        bracket = math.inf
+    return _finite((1.0 - 1.0 / R**2) * (c / (2.0 * L1 * L1)) * bracket, "W")
+
+
+def _finite(value: float, name: str) -> float:
+    if not math.isfinite(value):
+        raise OverflowError(f"closed-form {name} leaves the float range at these arguments")
+    return value

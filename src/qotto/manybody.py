@@ -8,14 +8,14 @@ Two independent routes to the partition function and internal energy:
   particles) and ``enumeration_log_z_and_u`` reduces that one table at any
   number of (beta, L) points.
 
-* ``partition_by_recursion`` uses the exact recursion for noninteracting
+* ``recursion_rows`` uses the exact recursion for noninteracting
   identical particles,
 
       Z_M(beta) = (1/M) sum_{m=1..M} (+-1)^{m+1} Z_1(m*beta) Z_{M-m}(beta),
 
   upper sign for bosons, lower for fermions, Z_0 = 1, with Z_1 built from
-  the same N-level truncation. The internal energy comes from the
-  analytically differentiated recursion, never finite differences.
+  the same N-level truncation; one pass to M gives every k <= M. U comes
+  from the analytically differentiated recursion, never finite differences.
 
 The two routes share nothing but Z_1's level coefficients, so they serve as
 mutual oracles.
@@ -24,7 +24,7 @@ The float recursion can lose digits in two ways: the fermionic sum
 alternates signs and cancels catastrophically at large beta, and at any
 statistics a large |log Z| leaves its log-domain terms with few digits in
 their differences. The float path tracks both and, past either limit,
-recomputes Z_M and U_M by the level-by-level expansion of
+recomputes Z_k and U_k by the level-by-level expansion of
 prod_n (1 +- x exp(-beta*e_n))^(+-1): each particle-number row relative to
 its own ground state, so every term is positive and nothing cancels. That
 keeps the backend independent of enumeration at any beta.
@@ -175,19 +175,18 @@ def _signed_logsumexp(logs: np.ndarray, signs: np.ndarray) -> tuple[float, float
 
 
 def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
-    """One float64 pass of the recursion.
-
-    Returns (log_Z_M, U_M_coeff, loss_nats, failed). U is in coefficient
-    units; loss_nats is the worst cancellation any signed sum suffered.
-    """
+    """One float64 pass of the recursion: arrays of log Z_k, U_k (coefficient
+    units) and a bad flag for k = 1..M. Row k is bad once a row <= k failed or
+    the worst cancellation loss so far passed _LOSS_NATS_LIMIT, and wherever
+    |log Z_k| > _LOG_Z_LIMIT."""
     lz1 = np.zeros(M + 1)
     u1 = np.zeros(M + 1)
     lz1[1:], u1[1:] = kernels.log_z_and_mean(w, beta_eff * np.arange(1, M + 1))
 
     lz = np.zeros(M + 1)   # log Z_k (sums that survive are positive)
     uu = np.zeros(M + 1)   # U_k in coefficient units
+    bad = np.ones(M + 1, dtype=bool)
     loss = 0.0
-    failed = False
     for k in range(1, M + 1):
         ms = np.arange(1, k + 1)
         signs = np.ones(k) if not fermion else np.where(ms % 2 == 1, 1.0, -1.0)
@@ -195,7 +194,6 @@ def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
         lsum, ssign, lloss = _signed_logsumexp(logs, signs)
         loss = max(loss, lloss)
         if ssign <= 0.0:
-            failed = True
             break
         lz[k] = lsum - math.log(k)
         # energy numerator: same terms weighted by (m*u1[m] + U_{k-m}) >= 0,
@@ -209,12 +207,13 @@ def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
         else:
             loss = max(loss, nloss)
             uu[k] = nssign * math.exp(nlsum - lsum)
-    return lz[M], uu[M], loss, failed
+        bad[k] = loss > _LOSS_NATS_LIMIT or abs(lz[k]) > _LOG_Z_LIMIT
+    return lz[1:], uu[1:], bad[1:]
 
 
 def _recursion_levels(w: np.ndarray, M: int, beta_eff: float,
-                      fermion: bool) -> tuple[float, float]:
-    """Sign-free recursion over levels: log Z_M and U_M in coefficient units.
+                      fermion: bool) -> list[tuple[float, float]]:
+    """Sign-free recursion over levels: log Z_k, U_k in coefficient units, k = 1..M.
 
     Adding level n to the first n levels gives, for k = 1..M,
 
@@ -229,6 +228,8 @@ def _recursion_levels(w: np.ndarray, M: int, beta_eff: float,
     N = w.size
     z = np.ones(N + 1)    # Z_{k-1} over the first n levels, n = 0..N
     d = np.zeros(N + 1)   # its excitation-energy numerator
+    ground = w[:M].tolist() if fermion else [w[0].item()] * M
+    rows = []
     for k in range(1, M + 1):
         lo = k - 1 if fermion else 0   # row k's reference level
         # Z_{k-1} without level n (fermions) or with it (bosons), n = lo..N-1
@@ -239,17 +240,17 @@ def _recursion_levels(w: np.ndarray, M: int, beta_eff: float,
         head = np.zeros(lo + 1)
         d = np.concatenate((head, np.cumsum(x * d[prev] + e * t)))
         z = np.concatenate((head, np.cumsum(t)))
-    ground = list(w[:M]) if fermion else [w[0]] * M
-    return (-beta_eff * math.fsum(ground) + math.log(z[N]),
-            math.fsum(ground + [d[N] / z[N]]))
+        rows.append((-beta_eff * math.fsum(ground[:k]) + math.log(z[N]),
+                     math.fsum(ground[:k] + [d[N] / z[N]])))
+    return rows
 
 
-def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
-                           beta: float, L: float) -> PartitionEvaluation:
-    """Recursion-backend partition function and internal energy.
+def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec,
+                   beta: float, L: float) -> list[PartitionEvaluation]:
+    """Recursion-backend log Z and U of k = 1..M particles from one pass; rows
+    the float recursion cannot hold come from the level recursion ("levels").
 
-    Only defined for bosons and fermions; distinguishable particles
-    factorize as Z_1^M and need no recursion.
+    Bosons and fermions only: distinguishable particles factorize as Z_1^M.
     """
     if ens.statistics == "distinguishable":
         raise ValueError("recursion backend supports boson/fermion statistics only; "
@@ -259,12 +260,19 @@ def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
     beta_eff = beta / scale
     w = level_coefficients(spec, ens.N)
     fermion = ens.statistics == "fermion"
-    M = ens.M
+    log_zs, us, bad = _recursion_float(w, ens.M, beta_eff, fermion)
+    rows = [(log_z, u, "recursion") for log_z, u in zip(log_zs, us)]
+    if bad.any():
+        levels = _recursion_levels(w, ens.M, beta_eff, fermion)
+        rows = [(*levels[k], "levels") if bad[k] else row for k, row in enumerate(rows)]
+    return [PartitionEvaluation(log_Z=log_z, U=u / scale, method=method)
+            for log_z, u, method in rows]
 
-    log_z, u_coeff, loss, failed = _recursion_float(w, M, beta_eff, fermion)
-    if failed or loss > _LOSS_NATS_LIMIT or abs(log_z) > _LOG_Z_LIMIT:
-        log_z, u_coeff = _recursion_levels(w, M, beta_eff, fermion)
-    return PartitionEvaluation(log_Z=log_z, U=u_coeff / scale, method="recursion")
+
+def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
+                           beta: float, L: float) -> PartitionEvaluation:
+    """Recursion-backend partition function and internal energy of ens."""
+    return recursion_rows(ens, spec, beta, L)[-1]
 
 
 def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,

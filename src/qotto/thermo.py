@@ -72,6 +72,11 @@ def run_cycle_series(cfg: CycleConfig, T_h_values,
     U4, *U2s = internal_energies(
         cfg.ens, cfg.spec, [(cfg.T_c, cfg.L2)] + [(T_h, cfg.L1) for T_h in T_h_values],
         method)
+    return cycles_from_corners(cfg, U4, U2s)
+
+
+def cycles_from_corners(cfg: CycleConfig, U4: float, U2s) -> list[CycleResult]:
+    """Cycles of ``cfg`` from the cold corner U4 and each hot corner in U2s."""
     shrink = adiabatic_energy_ratio(cfg.spec, cfg.L1, cfg.L2)
     grow = adiabatic_energy_ratio(cfg.spec, cfg.L2, cfg.L1)
     U1 = U4 * grow

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .experiments import harmonic_closed_form_W, harmonic_closed_form_Z
 from .manybody import (EnsembleSpec, partition_by_enumeration,
-                       partition_by_recursion)
+                       partition_by_recursion, recursion_rows)
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import CycleConfig, positive_work_threshold, run_cycle
 
@@ -147,6 +147,19 @@ def check_fermion_full_shell_identity() -> CheckResult:
     return CheckResult("fermion-full-shell-identity", worst, 1e-10)
 
 
+def check_low_temperature_ground_energies() -> CheckResult:
+    # deep in the ground state every row of one recursion pass holds the
+    # exact ground energy: k box bosons in level 1, k fermions in levels 1..k
+    worst = 0.0
+    for statistics, grounds in (("boson", [1, 2, 3]),
+                                ("fermion", [1, 5, 14, 30, 55, 91, 140, 204])):
+        ens = EnsembleSpec(statistics, len(grounds), 8)
+        for T in (1e-8, 1e-15, 1e-300):
+            rows = recursion_rows(ens, SpectrumSpec("box"), 1.0 / T, 1.0)
+            worst = max(worst, *(abs(row.U - u) for row, u in zip(rows, grounds)))
+    return CheckResult("low-temperature-ground-energies", worst, 0.0)
+
+
 ALL_CHECKS = (
     check_recursion_vs_enumeration,
     check_state_counts,
@@ -155,6 +168,7 @@ ALL_CHECKS = (
     check_harmonic_closed_forms,
     check_distinguishable_factorization,
     check_fermion_full_shell_identity,
+    check_low_temperature_ground_energies,
 )
 
 

@@ -52,6 +52,13 @@ def test_closed_form_rejects_bad_arguments():
                  (1.0, 2.0, 1.0, 5.0, math.inf)):
         with pytest.raises(ValueError):
             harmonic_closed_form_W(*args)
+    # true values beyond the float range, which came out as inf,
+    # ZeroDivisionError and inf
+    for call in (lambda: harmonic_closed_form_Z("boson", 1e155, 1.0),
+                 lambda: harmonic_closed_form_Z("boson", 1e170, 1.0),
+                 lambda: harmonic_closed_form_W(1.0, 2.0, 1.0, 1e300, c=1e-10)):
+        with pytest.raises(OverflowError):
+            call()
 
 
 def test_closed_form_z_keeps_full_precision_at_high_temperature():
@@ -217,9 +224,12 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
     assert len(set(built)) == 56
 
 
-def test_cross_check_builds_one_table_per_row_and_compares_both_values(monkeypatch):
-    spec, ens = SpectrumSpec("box", scale_c=1.0), EnsembleSpec("fermion", 3, 8)
+def test_cross_check_builds_one_table_per_ensemble_and_compares_both_values(monkeypatch):
+    ens = EnsembleSpec("fermion", 3, 8)
     corners = ((1.0 / 5.0, 1.0), (1.0, 2.0))
+    held = [(spec, corner, partition_by_recursion(ens, spec, *corner))
+            for spec in (SpectrumSpec("box", scale_c=0.05), SpectrumSpec("box", scale_c=1.0))
+            for corner in corners]
     built = []
     original = manybody.state_energy_coefficients
 
@@ -228,19 +238,17 @@ def test_cross_check_builds_one_table_per_row_and_compares_both_values(monkeypat
         return original(ens, spec)
 
     monkeypatch.setattr(manybody, "state_energy_coefficients", counted)
-    experiments._cross_check(spec, ens, corners)
+    experiments._cross_check(ens, held)
+    # one table serves both lambda and both corners
     assert built == [EnsembleSpec("fermion", 3, 8)]
 
-    # twice each 1e-8 tolerance: absolute in log Z, relative in U (U > 1 here)
-    exact = experiments.partition_by_recursion
-    for field, shift in (("log_Z", lambda v: v + 2e-8), ("U", lambda v: v * (1.0 + 2e-8))):
-        def shifted(*args, field=field, shift=shift):
-            res = exact(*args)
-            return replace(res, **{field: shift(getattr(res, field))})
-
-        monkeypatch.setattr(experiments, "partition_by_recursion", shifted)
-        with pytest.raises(AssertionError, match="mismatch"):
-            experiments._cross_check(spec, ens, corners)
+    # twice each 1e-8 tolerance: absolute in log Z, relative in U (U > 0.5
+    # here, so 2e-8 of U is above the absolute floor), at either lambda
+    for i, (spec, corner, a) in enumerate(held):
+        for field, shift in (("log_Z", lambda v: v + 2e-8), ("U", lambda v: v * (1.0 + 2e-8))):
+            shifted = (spec, corner, replace(a, **{field: shift(getattr(a, field))}))
+            with pytest.raises(AssertionError, match="mismatch"):
+                experiments._cross_check(ens, held[:i] + [shifted] + held[i + 1:])
 
 
 def _perfbench(module_name):

@@ -15,7 +15,7 @@ from qotto import (KINDS, EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
                    level_coefficients, partition_by_enumeration,
                    partition_by_recursion, state_energy_coefficients)
 from qotto import kernels, manybody
-from qotto.manybody import internal_energies
+from qotto.manybody import internal_energies, recursion_rows
 
 BOX = SpectrumSpec("box")
 HARM = SpectrumSpec("harmonic")
@@ -153,6 +153,32 @@ def test_recursion_survives_catastrophic_fermion_cancellation():
     assert abs(a.U - b.U) <= 1e-9 * max(1.0, abs(b.U))
 
 
+def test_recursion_rows_equal_one_pass_per_particle_number():
+    # row k of one pass to M is, bit for bit, the pass that stops at k, on the
+    # float path and where the level recursion takes over alike
+    mixed = set()
+    for statistics, spec, N in itertools.product(("boson", "fermion"), (BOX, HARM),
+                                                 (3, 8, 25, 150)):
+        M = min(N, 8)
+        for beta in (0.0, 1e-3, 0.2, 1.0, 10.0, 1e3, 1e8):
+            rows = recursion_rows(EnsembleSpec(statistics, M, N), spec, beta, 1.3)
+            assert len(rows) == M
+            for k, row in enumerate(rows, 1):
+                alone = partition_by_recursion(EnsembleSpec(statistics, k, N), spec, beta, 1.3)
+                assert (row.log_Z, row.U, row.method) == (alone.log_Z, alone.U, alone.method)
+                assert type(row.U) is type(alone.U)
+            mixed.add(tuple(row.method for row in rows))
+    # fermions box N=8 at beta=1: rows 1-3 stay on the float path, 4-8 hand over
+    assert ("recursion",) * 3 + ("levels",) * 5 in mixed
+    with pytest.raises(ValueError):
+        recursion_rows(EnsembleSpec("distinguishable", 2, 3), BOX, 1.0, 1.0)
+
+
+def test_method_names_the_hand_over_to_the_level_recursion():
+    assert partition_by_recursion(EnsembleSpec("fermion", 3, 8), BOX, 1e4, 1.0).method == "levels"
+    assert partition_by_recursion(EnsembleSpec("boson", 1, 8), BOX, 1.0, 1.0).method == "recursion"
+
+
 @given(statistics=st.sampled_from(["boson", "fermion"]),
        M=st.integers(1, 3), N=st.integers(1, 6),
        beta=st.floats(0.0, 5.0), kind=st.sampled_from(["box", "harmonic"]))
@@ -288,7 +314,7 @@ def test_level_recursion_matches_enumeration():
         log_zs, means = kernels.log_z_and_mean(state_energy_coefficients(ens, spec), betas)
         w = level_coefficients(spec, N)
         for beta, log_z, u in zip(betas, log_zs, means):
-            got = manybody._recursion_levels(w, M, beta, statistics == "fermion")
+            got = manybody._recursion_levels(w, M, beta, statistics == "fermion")[-1]
             assert abs(got[0] - log_z) <= 1e-13 * max(1.0, abs(log_z))
             assert abs(got[1] - u) <= 1e-13 * max(1.0, abs(u))
             cases += 1
