@@ -18,7 +18,7 @@ import sys
 from .errors import EmptyStateSpaceError
 from .experiments import (make_record, make_series, sweep_fig2, sweep_fig3,
                           sweep_fig45, sweep_fig67, th_range, write_csv)
-from .manybody import METHODS, STATISTICS, EnsembleSpec
+from .manybody import STATISTICS, EnsembleSpec
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import CycleConfig, positive_work_threshold, run_cycle
 from .validate import run_all
@@ -43,7 +43,6 @@ _PHYSICS_PARAMS = {
     "Th": (float, 8.0, {}),
     "scale": (float, 1.0, {"help": "spectrum prefactor c in E = c g(n)/L^p"}),
     "lam": (float, None, {"help": "regime parameter c/(L1^p Tc); implies L1=1, Tc=1"}),
-    "method": (str, "auto", {"choices": METHODS}),
 }
 
 _SWEEP_EXTRA = {
@@ -110,12 +109,11 @@ def _resolve(args: argparse.Namespace, extra: dict | None = None) -> tuple[dict,
     return out, given
 
 
-def _build_cycle_config(params: dict) -> tuple[CycleConfig, str]:
-    cfg = CycleConfig(
+def _build_cycle_config(params: dict) -> CycleConfig:
+    return CycleConfig(
         spec=SpectrumSpec(params["spectrum"], scale_c=params["scale"]),
         ens=EnsembleSpec(params["stats"], params["particles"], params["levels"]),
         L1=params["L1"], R=params["R"], T_c=params["Tc"])
-    return cfg, params["method"]
 
 
 def _print_kv(pairs) -> None:
@@ -124,8 +122,8 @@ def _print_kv(pairs) -> None:
 
 def cmd_cycle(args: argparse.Namespace) -> int:
     params = _resolve(args)[0]
-    cfg, method = _build_cycle_config(params)
-    res = run_cycle(cfg, params["Th"], method)
+    cfg = _build_cycle_config(params)
+    res = run_cycle(cfg, params["Th"])
     _print_kv([("spectrum", cfg.spec.kind), ("statistics", cfg.ens.statistics),
                ("M", cfg.ens.M), ("N", cfg.ens.N),
                ("scale", f"{cfg.spec.scale_c:.12g}"), ("L1", f"{cfg.L1:.12g}"),
@@ -143,9 +141,8 @@ def cmd_cycle(args: argparse.Namespace) -> int:
 
 def cmd_ratio(args: argparse.Namespace) -> int:
     params = _resolve(args)[0]
-    cfg, method = _build_cycle_config(params)
-    rec = make_record(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, params["Th"],
-                      method)
+    cfg = _build_cycle_config(params)
+    rec = make_record(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, params["Th"])
     per_particle = rec.ratio / cfg.ens.M
     _print_kv([("W", f"{rec.W:.12g}"), ("Ws", f"{rec.Ws:.12g}"),
                ("ratio", f"{rec.ratio:.12g}"),
@@ -175,8 +172,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise ValueError("explicit sweeps need --th-min and --th-max "
                              "(or --figure for a preset)")
         grid = th_range(params["th_min"], params["th_max"], params["th_steps"])
-        cfg, method = _build_cycle_config(params)
-        records = make_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, grid, method)
+        cfg = _build_cycle_config(params)
+        records = make_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, grid)
     write_csv(records, args.output)
     print(f"wrote {len(records)} rows to {args.output}")
     return EXIT_OK

@@ -13,7 +13,9 @@ Sweep presets:
     fig45   high (lam=0.05) and intermediate (lam=1) regimes, R=2,
             several truncations N, T_h swept
     fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
-            recursion backend with enumeration cross-checks
+            by ``recursion_rows`` with ``enumeration_log_z_and_u`` cross-checks
+
+The other presets take U from ``internal_energies``, which picks the backend.
 
 For the harmonic spectrum with infinitely many levels, the two-particle
 partition functions close to
@@ -97,9 +99,12 @@ def write_csv(records: list[RatioRecord], path: str) -> None:
     text = records_to_csv(records)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    umask = os.umask(0o077)  # os.umask is the only way to read it
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+        os.chmod(tmp, 0o666 & ~umask)  # what open() gives; mkstemp gives 0o600
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -108,14 +113,14 @@ def write_csv(records: list[RatioRecord], path: str) -> None:
 
 
 def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
-                Tc: float, Th_values, method: str = "auto") -> list[RatioRecord]:
+                Tc: float, Th_values) -> list[RatioRecord]:
     """M- and single-particle cycles over a Th series, each ensemble built once."""
     if len(Th_values) == 0:
         return []
     cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc)
-    results = run_cycle_series(cfg, Th_values, method)
+    results = run_cycle_series(cfg, Th_values)
     singles = run_cycle_series(replace(cfg, ens=EnsembleSpec(ens.statistics, 1, ens.N)),
-                               Th_values, method)
+                               Th_values)
     return _records(cfg, Th_values, results, singles)
 
 
@@ -131,37 +136,34 @@ def _records(cfg: CycleConfig, Th_values, results, singles) -> list[RatioRecord]
 
 
 def make_record(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
-                Tc: float, Th: float, method: str = "auto") -> RatioRecord:
+                Tc: float, Th: float) -> RatioRecord:
     """Evaluate the M-particle and single-particle cycles at one point."""
-    return make_series(spec, ens, L1, R, Tc, [Th], method)[0]
+    return make_series(spec, ens, L1, R, Tc, [Th])[0]
 
 
 def work_ratio_multiparticle(spec: SpectrumSpec, N: int, statistics: str,
                              M: int, L1: float, R: float, T_c: float,
-                             T_h: float, method: str = "auto") -> float:
+                             T_h: float) -> float:
     """W_M / (M * W_s): M-particle work per particle relative to a single
     particle under the same conditions; the record's ratio over M."""
-    return float(make_record(spec, EnsembleSpec(statistics, M, N), L1, R, T_c,
-                             T_h, method).ratio) / M
+    return float(make_record(spec, EnsembleSpec(statistics, M, N), L1, R, T_c, T_h).ratio) / M
 
 
 def work_ratio_two_particle(spec: SpectrumSpec, N: int, statistics: str,
-                            L1: float, R: float, T_c: float, T_h: float,
-                            method: str = "auto") -> float:
+                            L1: float, R: float, T_c: float, T_h: float) -> float:
     """W of two identical particles over W of a single particle under the same
     L1, R, baths and truncation N; NaN when |W_s| is below the guard."""
     if statistics not in ("boson", "fermion"):
         raise ValueError("two-particle ratio is defined for boson/fermion "
                          f"statistics, got {statistics!r}")
-    return work_ratio_multiparticle(spec, N, statistics, 2, L1, R, T_c, T_h,
-                                    method) * 2.0
+    return work_ratio_multiparticle(spec, N, statistics, 2, L1, R, T_c, T_h) * 2.0
 
 
 def evaluate_series(kind: str, statistics: str, M: int, N: int, lam: float,
-                    R: float, Th_values, method: str = "auto") -> list[RatioRecord]:
+                    R: float, Th_values) -> list[RatioRecord]:
     """One sweep series under the L1=1, Tc=1, scale_c=lam convention."""
     return make_series(SpectrumSpec(kind, scale_c=lam), EnsembleSpec(statistics, M, N),
-                       1.0, R, 1.0, Th_values, method)
+                       1.0, R, 1.0, Th_values)
 
 
 def default_th_grid(R: float, power_p: float, steps: int = 200,

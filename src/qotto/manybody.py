@@ -18,7 +18,8 @@ Two independent routes to the partition function and internal energy:
   from the analytically differentiated recursion, never finite differences.
 
 The two routes share nothing but Z_1's level coefficients, so they serve as
-mutual oracles.
+mutual oracles. ``internal_energies`` is the one place that chooses between
+them; a caller that wants one route calls its functions by name.
 
 The float recursion can lose digits in two ways: the fermionic sum
 alternates signs and cancels catastrophically at large beta, and at any
@@ -33,6 +34,7 @@ keeps the backend independent of enumeration at any beta.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,10 +44,9 @@ from .errors import EmptyStateSpaceError
 from .spectrum import SpectrumSpec, level_coefficients
 
 STATISTICS = ("boson", "fermion", "distinguishable")
-METHODS = ("auto", "enumeration", "recursion")
 
-# `auto` switches bosons and fermions from enumeration to the recursion above
-# this many states; distinguishable particles never reach the cap
+# `internal_energies` switches bosons and fermions from enumeration to the
+# recursion above this many states; distinguishable particles never reach it
 DEFAULT_STATE_CAP = 2_000_000
 
 # memory guard: enumeration refuses above this many _table_entries
@@ -70,10 +71,9 @@ class EnsembleSpec:
         if self.statistics not in STATISTICS:
             raise ValueError(
                 f"unknown statistics {self.statistics!r}; expected one of {STATISTICS}")
-        if self.M < 1:
-            raise ValueError(f"particle count must be >= 1, got {self.M}")
-        if self.N < 1:
-            raise ValueError(f"level count must be >= 1, got {self.N}")
+        for name, n in (("particle", self.M), ("level", self.N)):
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"{name} count must be an integer >= 1, got {n!r}")
         if self.statistics == "fermion" and self.M > self.N:
             raise EmptyStateSpaceError(
                 f"{self.M} fermions do not fit on {self.N} levels")
@@ -97,7 +97,7 @@ class PartitionEvaluation:
 
 def _table_entries(ens: EnsembleSpec) -> int:
     """Memory-guard measure: count x M for bosons and fermions (their builders
-    hold a few count-length arrays, and `auto` routes them by it), else count."""
+    hold a few count-length arrays; internal_energies routes by it), else count."""
     if ens.statistics == "distinguishable":
         return ens.state_count
     return ens.state_count * ens.M
@@ -109,7 +109,7 @@ def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarr
     Deterministic (lexicographic) generation order, not sorted by energy.
     """
     if _table_entries(ens) > HARD_ENUMERATION_LIMIT:
-        advice = ('method="auto" (M times the single-particle energy)'
+        advice = ("internal_energies (M times the single-particle energy)"
                   if ens.statistics == "distinguishable" else "the recursion backend")
         raise ValueError(
             f"enumerating {ens.state_count} configurations of {ens.M} particles exceeds "
@@ -276,23 +276,19 @@ def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
 
 
 def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
-                      points: list[tuple[float, float]], method: str = "auto") -> list[float]:
+                      points: list[tuple[float, float]]) -> list[float]:
     """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``.
 
-    method 'auto' gives distinguishable particles M times the single-particle
-    U from one N-level table, at any M. It enumerates bosons and fermions up to
-    ``DEFAULT_STATE_CAP`` configurations (and within the
-    HARD_ENUMERATION_LIMIT memory guard), one table for all points, and takes
-    the recursion per point beyond. 'enumeration' and 'recursion' force a
-    backend; 'enumeration' builds the full N^M distinguishable table.
+    The one backend dispatcher: distinguishable particles get M times the
+    single-particle U from one N-level table, at any M. Bosons and fermions
+    are enumerated up to ``DEFAULT_STATE_CAP`` configurations (and within the
+    HARD_ENUMERATION_LIMIT memory guard), one table for all points, and take
+    the recursion per point beyond.
     """
     beta_points = [(inverse_temperature(T, L), L) for T, L in points]
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}")
-    if method == "auto" and ens.statistics == "distinguishable":
+    if ens.statistics == "distinguishable":
         single = EnsembleSpec("distinguishable", 1, ens.N)
         return [ens.M * u for u in enumeration_log_z_and_u(single, spec, beta_points)[1]]
-    if method == "enumeration" or (method == "auto" and ens.state_count <= DEFAULT_STATE_CAP
-                                   and _table_entries(ens) <= HARD_ENUMERATION_LIMIT):
+    if ens.state_count <= DEFAULT_STATE_CAP and _table_entries(ens) <= HARD_ENUMERATION_LIMIT:
         return enumeration_log_z_and_u(ens, spec, beta_points)[1]
     return [partition_by_recursion(ens, spec, beta, L).U for beta, L in beta_points]

@@ -16,7 +16,8 @@ U3 = U2 * (L1/L2)^p and U1 = U4 * (L2/L1)^p, hence
 the efficiency depending only on the geometry, never on statistics,
 particle number or temperatures. Net work is positive exactly when
 T_h > R^p * T_c. The cycle needs nothing but the two thermal corner
-energies U2 and U4, which come from ``manybody.internal_energies``.
+energies U2 and U4: ``run_cycle`` takes them from ``internal_energies``,
+``cycles_from_corners`` from a backend called by name.
 """
 
 from __future__ import annotations
@@ -65,13 +66,11 @@ class CycleResult:
     positive_work: bool
 
 
-def run_cycle_series(cfg: CycleConfig, T_h_values,
-                     method: str = "auto") -> list[CycleResult]:
+def run_cycle_series(cfg: CycleConfig, T_h_values) -> list[CycleResult]:
     """Cycles of ``cfg`` at every hot-bath temperature in ``T_h_values``:
     U4 once, all corners from one ``internal_energies``."""
     U4, *U2s = internal_energies(
-        cfg.ens, cfg.spec, [(cfg.T_c, cfg.L2)] + [(T_h, cfg.L1) for T_h in T_h_values],
-        method)
+        cfg.ens, cfg.spec, [(cfg.T_c, cfg.L2)] + [(T_h, cfg.L1) for T_h in T_h_values])
     return cycles_from_corners(cfg, U4, U2s)
 
 
@@ -91,9 +90,9 @@ def cycles_from_corners(cfg: CycleConfig, U4: float, U2s) -> list[CycleResult]:
     return results
 
 
-def run_cycle(cfg: CycleConfig, T_h: float, method: str = "auto") -> CycleResult:
+def run_cycle(cfg: CycleConfig, T_h: float) -> CycleResult:
     """One full cycle with the hot bath at T_h. W <= 0 is flagged, not an error."""
-    return run_cycle_series(cfg, [T_h], method)[0]
+    return run_cycle_series(cfg, [T_h])[0]
 
 
 def positive_work_threshold(cfg: CycleConfig) -> float:

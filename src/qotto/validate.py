@@ -12,10 +12,12 @@ import math
 from dataclasses import dataclass
 
 from .experiments import harmonic_closed_form_W, harmonic_closed_form_Z
-from .manybody import (EnsembleSpec, partition_by_enumeration,
-                       partition_by_recursion, recursion_rows)
+from .manybody import (EnsembleSpec, enumeration_log_z_and_u,
+                       partition_by_enumeration, partition_by_recursion,
+                       recursion_rows)
 from .spectrum import KINDS, SpectrumSpec
-from .thermo import CycleConfig, positive_work_threshold, run_cycle
+from .thermo import (CycleConfig, cycles_from_corners, positive_work_threshold,
+                     run_cycle)
 
 
 @dataclass(frozen=True)
@@ -29,11 +31,9 @@ class CheckResult:
         return self.deviation <= self.tolerance
 
 
-def _work(spec: SpectrumSpec, ens: EnsembleSpec, T_h: float,
-          method: str = "auto") -> float:
-    """Net work of the L1=1, R=2, T_c=1 cycle."""
-    return run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0),
-                     T_h, method).W
+def _engine(spec: SpectrumSpec, ens: EnsembleSpec) -> CycleConfig:
+    """The L1=1, R=2, T_c=1 cycle."""
+    return CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0)
 
 
 def check_recursion_vs_enumeration() -> CheckResult:
@@ -86,13 +86,12 @@ def check_positive_work_threshold() -> CheckResult:
     for kind in KINDS:
         spec = SpectrumSpec(kind)
         for statistics in ("boson", "fermion", "distinguishable"):
-            ens = EnsembleSpec(statistics, 2, 4)
-            cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0)
+            cfg = _engine(spec, EnsembleSpec(statistics, 2, 4))
             threshold = positive_work_threshold(cfg)
             lo, hi = 0.5 * threshold, 1.7 * threshold
             for _ in range(60):
                 mid = 0.5 * (lo + hi)
-                if _work(spec, ens, mid) > 0:
+                if run_cycle(cfg, mid).W > 0:
                     hi = mid
                 else:
                     lo = mid
@@ -109,11 +108,13 @@ def check_harmonic_closed_forms() -> CheckResult:
             works = {}
             for statistics in ("boson", "fermion"):
                 ens = EnsembleSpec(statistics, 2, N)
-                for T, L in ((Th, 1.0), (1.0, 2.0)):
-                    z = partition_by_recursion(ens, spec, 1.0 / T, L)
+                hot, cold = (partition_by_recursion(ens, spec, 1.0 / T, L)
+                             for T, L in ((Th, 1.0), (1.0, 2.0)))
+                for z, T, L in ((hot, Th, 1.0), (cold, 1.0, 2.0)):
                     closed = harmonic_closed_form_Z(statistics, T, L, lam)
                     worst = max(worst, abs(math.exp(z.log_Z) - closed))
-                works[statistics] = _work(spec, ens, Th, method="recursion")
+                works[statistics] = cycles_from_corners(
+                    _engine(spec, ens), cold.U, [hot.U])[0].W
                 worst = max(worst, abs(
                     works[statistics] - harmonic_closed_form_W(1.0, 2.0, 1.0, Th, lam)))
             worst = max(worst, abs(works["boson"] - works["fermion"]))
@@ -124,11 +125,12 @@ def check_distinguishable_factorization() -> CheckResult:
     worst = 0.0
     for kind in KINDS:
         spec = SpectrumSpec(kind)
-        p = spec.power_p
-        single = _work(spec, EnsembleSpec("distinguishable", 1, 5), 3.0 * 2**p)
-        for M in (2, 3, 4):
-            w = _work(spec, EnsembleSpec("distinguishable", M, 5), 3.0 * 2**p,
-                      method="enumeration")
+        T_h = 3.0 * 2**spec.power_p
+        single = run_cycle(_engine(spec, EnsembleSpec("distinguishable", 1, 5)), T_h).W
+        for M in (2, 3, 4):  # run_cycle's M * U_1 against the full N^M table
+            cfg = _engine(spec, EnsembleSpec("distinguishable", M, 5))
+            U4, U2 = enumeration_log_z_and_u(cfg.ens, spec, [(1.0, 2.0), (1.0 / T_h, 1.0)])[1]
+            w = cycles_from_corners(cfg, U4, [U2])[0].W
             worst = max(worst, abs(w - M * single) / abs(M * single))
     return CheckResult("distinguishable-factorization", worst, 1e-12)
 
@@ -141,8 +143,8 @@ def check_fermion_full_shell_identity() -> CheckResult:
         for lam, Th in ((0.05, 5.0), (1.0, 8.0), (5.0, 4.5), (1.0, 5.0),
                         (0.5, 6.0)):
             spec = SpectrumSpec("harmonic", scale_c=lam)
-            ws = _work(spec, EnsembleSpec("fermion", 1, M + 1), Th)
-            wf = _work(spec, EnsembleSpec("fermion", M, M + 1), Th)
+            ws = run_cycle(_engine(spec, EnsembleSpec("fermion", 1, M + 1)), Th).W
+            wf = run_cycle(_engine(spec, EnsembleSpec("fermion", M, M + 1)), Th).W
             worst = max(worst, abs(wf / ws - 1.0))
     return CheckResult("fermion-full-shell-identity", worst, 1e-10)
 

@@ -40,6 +40,7 @@ from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
                    run_cycle, sweep_fig3, work_ratio_multiparticle,
                    work_ratio_two_particle)
 from qotto.cli import main
+from qotto.thermo import cycles_from_corners
 
 
 def report(tag, ok, detail):
@@ -373,9 +374,12 @@ def test_criterion_10_distinguishable_factorization():
             spec=spec, ens=EnsembleSpec("distinguishable", 1, 5),
             L1=1.0, R=2.0, T_c=1.0), 3.0 * 2**p).W
         for M in (2, 3, 4):
-            w = run_cycle(CycleConfig(
-                spec=spec, ens=EnsembleSpec("distinguishable", M, 5),
-                L1=1.0, R=2.0, T_c=1.0), 3.0 * 2**p, method="enumeration").W
+            # the enumerated N^M table at both corners, not the factorization
+            cfg = CycleConfig(spec=spec, ens=EnsembleSpec("distinguishable", M, 5),
+                              L1=1.0, R=2.0, T_c=1.0)
+            U4, U2 = (partition_by_enumeration(cfg.ens, spec, 1.0 / T, L).U
+                      for T, L in ((cfg.T_c, cfg.L2), (3.0 * 2**p, cfg.L1)))
+            w = cycles_from_corners(cfg, U4, [U2])[0].W
             worst = max(worst, abs(w - M * single) / abs(M * single))
     ok = worst <= 1e-12
     report("10 distinguishable factorization", ok,

@@ -117,6 +117,14 @@ def test_config_file_rejects_unknown_keys(tmp_path):
     assert main(["cycle", "--config", str(config)]) == 2
 
 
+def test_config_file_rejects_the_removed_method_key(tmp_path, capsys):
+    # internal_energies picks the backend; no option selects one
+    config = tmp_path / "run.cfg"
+    config.write_text("method = enumeration\n")
+    assert main(["cycle", "--config", str(config)]) == 2
+    assert "unknown config keys: method" in capsys.readouterr().err
+
+
 def test_config_file_rejects_malformed_lines(tmp_path):
     config = tmp_path / "run.cfg"
     config.write_text("just some words\n")

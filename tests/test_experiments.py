@@ -101,9 +101,10 @@ def test_closed_form_matches_truncated_ensemble_high_temperature_regime():
             z = math.exp(partition_by_recursion(ens, spec, 1.0 / T, L).log_Z)
             assert z == pytest.approx(
                 harmonic_closed_form_Z(statistics, T, L, 0.05), abs=1e-8)
+        assert ens.state_count > manybody.DEFAULT_STATE_CAP  # run_cycle takes the recursion
         for Th in (5.0, 8.0):
             w = run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0,
-                                      T_c=1.0), Th, method="recursion").W
+                                      T_c=1.0), Th).W
             assert w == pytest.approx(
                 harmonic_closed_form_W(1.0, 2.0, 1.0, Th, 0.05), abs=1e-8)
 
@@ -188,19 +189,38 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == [blocker]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_write_csv_gives_the_mode_open_would(tmp_path, umask, mode):
+    # mkstemp made every file 0o600 and os.replace kept it, also when the
+    # file replaced an existing 0o644 one
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    existing.chmod(0o644)
+    old = os.umask(umask)
+    try:
+        for path in (fresh, existing):
+            write_csv(sweep_fig2(steps=2), str(path))
+            assert path.stat().st_mode & 0o777 == mode
+    finally:
+        os.umask(old)
+
+
 def test_sweep_is_deterministic():
     assert sweep_fig2(steps=10) == sweep_fig2(steps=10)
 
 
-def test_series_rows_equal_per_point_records():
+def test_series_rows_equal_per_point_records(monkeypatch):
     grid = (4.5, 5.0, 7.25, 12.0)
-    cases = [(sweep_fig2(steps=10), "auto"),
-             (evaluate_series("box", "fermion", 3, 8, 1.0, 2.0, grid, "recursion")
-              + evaluate_series("box", "boson", 4, 6, 0.05, 2.0, grid, "recursion"),
-              "recursion")]
-    for records, method in cases:
+    # cap 1 sends both series to the recursion
+    cases = [(manybody.DEFAULT_STATE_CAP, lambda: sweep_fig2(steps=10)),
+             (1, lambda: evaluate_series("box", "fermion", 3, 8, 1.0, 2.0, grid)
+              + evaluate_series("box", "boson", 4, 6, 0.05, 2.0, grid))]
+    for cap, series in cases:
+        monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
+        records = series()
         points = [evaluate_series(r.spectrum, r.statistics, r.M, r.N, r.lam, r.R,
-                                  [r.Th], method)[0] for r in records]
+                                  [r.Th])[0] for r in records]
         assert records == points
         assert records_to_csv(records) == records_to_csv(points)
     assert evaluate_series("box", "boson", 2, 3, 1.0, 2.0, np.array(grid)) == \

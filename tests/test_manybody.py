@@ -138,6 +138,18 @@ def test_recursion_fermion_pair_matches_enumeration():
     assert abs(a.U - b.U) <= 1e-12 * max(1.0, abs(b.U))
 
 
+def test_ensemble_spec_rejects_invalid_arguments():
+    for args in (("anyon", 2, 3), ("boson", 0, 3), ("boson", 2, 0),
+                 # a bool ran as M=1 and printed M as True; a float reached
+                 # math.comb and raised TypeError
+                 ("boson", True, 3), ("boson", 2, False), ("boson", 2.0, 3),
+                 ("fermion", 2, 3.0), ("boson", 2.5, 3), ("boson", "2", 3)):
+        with pytest.raises(ValueError):
+            EnsembleSpec(*args)
+    ens = EnsembleSpec("boson", np.int64(2), np.int32(3))
+    assert ens.state_count == 6
+
+
 def test_recursion_rejects_distinguishable():
     with pytest.raises(ValueError):
         partition_by_recursion(EnsembleSpec("distinguishable", 2, 3), BOX, 1.0, 1.0)
@@ -249,28 +261,32 @@ def test_harmonic_pair_matches_untruncated_closed_form():
 
 def test_internal_energy_methods_and_cap(monkeypatch):
     ens = EnsembleSpec("boson", 3, 6)
-    u_enum = internal_energies(ens, BOX, [(2.0, 1.0)], method="enumeration")[0]
-    u_rec = internal_energies(ens, BOX, [(2.0, 1.0)], method="recursion")[0]
+    u_enum = partition_by_enumeration(ens, BOX, 1.0 / 2.0, 1.0).U
+    u_rec = partition_by_recursion(ens, BOX, 1.0 / 2.0, 1.0).U
+    assert internal_energies(ens, BOX, [(2.0, 1.0)])[0] == u_enum
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
-    u_auto_small_cap = internal_energies(ens, BOX, [(2.0, 1.0)], method="auto")[0]
+    u_auto_small_cap = internal_energies(ens, BOX, [(2.0, 1.0)])[0]
     assert u_rec == pytest.approx(u_enum, rel=1e-12)
     assert u_auto_small_cap == u_rec
-    with pytest.raises(ValueError):
-        internal_energies(ens, BOX, [(2.0, 1.0)], method="magic")
     with pytest.raises(ValueError):
         internal_energies(ens, BOX, [(0.0, 1.0)])
 
 
-@pytest.mark.parametrize("method", ["enumeration", "recursion", "auto"])
+# the state cap picks the route: an unbounded cap always enumerates, cap 1
+# always takes the recursion, the default enumerates these small ensembles
+@pytest.mark.parametrize("cap", [pytest.param(math.inf, id="enumeration"),
+                                 pytest.param(1, id="recursion"),
+                                 pytest.param(manybody.DEFAULT_STATE_CAP, id="auto")])
 @pytest.mark.parametrize("T, L", [(1e-320, 1.0), (5e-309, 1.0), (math.inf, 1.0),
                                   (math.nan, 1.0), (-1.0, 1.0), (1.0, math.inf),
                                   (1.0, math.nan), (1.0, 0.0)])
-def test_internal_energy_rejects_points_that_break_the_boltzmann_sum(method, T, L):
+def test_internal_energy_rejects_points_that_break_the_boltzmann_sum(monkeypatch, cap, T, L):
     # 1/T overflows below ~5.6e-309: enumeration used to return NaN and the
     # recursion to fail with "cannot convert float NaN to integer"
+    monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
     for statistics in ("boson", "fermion"):
         with pytest.raises(ValueError):
-            internal_energies(EnsembleSpec(statistics, 3, 8), BOX, [(T, L)], method=method)
+            internal_energies(EnsembleSpec(statistics, 3, 8), BOX, [(T, L)])
 
 
 def test_partition_backends_reject_non_finite_beta_and_width():
@@ -284,16 +300,16 @@ def test_partition_backends_reject_non_finite_beta_and_width():
 def test_tiny_accepted_temperature_gives_ground_state_energy():
     for statistics, ground in (("boson", 3.0), ("fermion", 14.0)):
         ens = EnsembleSpec(statistics, 3, 8)
-        assert internal_energies(ens, BOX, [(1e-300, 1.0)], method="enumeration")[0] == ground
+        assert partition_by_enumeration(ens, BOX, 1.0 / 1e-300, 1.0).U == ground
         assert internal_energies(ens, BOX, [(1e-300, 1.0)])[0] == ground
     fermions = EnsembleSpec("fermion", 3, 8)
     for T in (1e-300, 1e-4):
-        assert internal_energies(fermions, BOX, [(T, 1.0)], method="recursion")[0] == 14.0
+        assert partition_by_recursion(fermions, BOX, 1.0 / T, 1.0).U == 14.0
     # the float particle recursion gave 1.0, 2.718 and 3.00000006 here: its
     # log-domain terms of size beta*E keep no digits in their differences
     bosons = EnsembleSpec("boson", 3, 8)
     for T in (1e-300, 1e-15, 1e-8):
-        assert internal_energies(bosons, BOX, [(T, 1.0)], method="recursion")[0] == 3.0
+        assert partition_by_recursion(bosons, BOX, 1.0 / T, 1.0).U == 3.0
 
 
 def test_level_recursion_matches_enumeration():
@@ -323,20 +339,22 @@ def test_level_recursion_matches_enumeration():
 
 def test_internal_energies_equal_pointwise_values_on_every_route(monkeypatch):
     points = [(0.3, 2.0), (1.0, 1.0), (2.5, 1.0), (7.0, 1.5)]
-    cases = [(EnsembleSpec("boson", 3, 6), "enumeration", 2_000_000),
-             (EnsembleSpec("fermion", 3, 6), "recursion", 2_000_000),
-             (EnsembleSpec("fermion", 3, 6), "auto", 1),
-             (EnsembleSpec("distinguishable", 3, 4), "auto", 1)]
-    for ens, method, cap in cases:
+    # the default cap enumerates these ensembles, cap 1 takes the recursion
+    cases = [(EnsembleSpec("boson", 3, 6), 2_000_000),
+             (EnsembleSpec("fermion", 3, 6), 2_000_000),
+             (EnsembleSpec("fermion", 3, 6), 1),
+             (EnsembleSpec("distinguishable", 3, 4), 1)]
+    for ens, cap in cases:
         monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
-        batch = internal_energies(ens, BOX, points, method)
-        assert batch == [internal_energies(ens, BOX, [(T, L)], method)[0] for T, L in points]
+        batch = internal_energies(ens, BOX, points)
+        assert batch == [internal_energies(ens, BOX, [(T, L)])[0] for T, L in points]
 
 
 def test_distinguishable_beyond_cap_factorizes(monkeypatch):
     # at any cap, auto gives M distinguishable particles M times the one-particle
     # U and never builds their N^M table
     points = [(3.0, 1.0), (0.7, 1.5)]
+    beta_points = [(1.0 / T, L) for T, L in points]
     build = manybody.state_energy_coefficients
 
     def one_particle_only(ens, spec):
@@ -345,13 +363,13 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
         return build(ens, spec)
 
     for ens in (EnsembleSpec("distinguishable", 3, 4), EnsembleSpec("distinguishable", 2, 7)):
-        single = internal_energies(EnsembleSpec("distinguishable", 1, ens.N), BOX, points,
-                                   "enumeration")
-        direct = internal_energies(ens, BOX, points, "enumeration")
+        single = manybody.enumeration_log_z_and_u(
+            EnsembleSpec("distinguishable", 1, ens.N), BOX, beta_points)[1]
+        direct = manybody.enumeration_log_z_and_u(ens, BOX, beta_points)[1]
         for cap in (manybody.DEFAULT_STATE_CAP, 1):
             monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
             monkeypatch.setattr(manybody, "state_energy_coefficients", one_particle_only)
-            via_auto = internal_energies(ens, BOX, points, "auto")
+            via_auto = internal_energies(ens, BOX, points)
             monkeypatch.undo()
             assert via_auto == [ens.M * u for u in single]
             assert via_auto == pytest.approx(direct, rel=1e-13)
@@ -363,8 +381,8 @@ def test_enumeration_guard_advises_auto_for_distinguishable_particles(monkeypatc
 
     monkeypatch.setattr(manybody, "level_coefficients", reached)
     ens = EnsembleSpec("distinguishable", 12, 10)
-    with pytest.raises(ValueError, match=r'table entries; use method="auto" \(M times'):
-        internal_energies(ens, BOX, [(2.0, 1.0)], method="enumeration")
+    with pytest.raises(ValueError, match=r"table entries; use internal_energies \(M times"):
+        partition_by_enumeration(ens, BOX, 1.0 / 2.0, 1.0)
 
 
 def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
@@ -378,7 +396,7 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     ens = EnsembleSpec("boson", 5, 70)
     assert ens.state_count == 16_108_764
     with pytest.raises(ValueError, match="table entries; use the recursion backend"):
-        internal_energies(ens, BOX, [(2.0, 1.0)], method="enumeration")
+        partition_by_enumeration(ens, BOX, 1.0 / 2.0, 1.0)
 
 
 def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
@@ -387,10 +405,11 @@ def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
     # boson on 10 levels is 10 entries and still enumerates. At T=3.3 the
     # two backends differ in the last bits, so the route shows.
     three, one = EnsembleSpec("boson", 3, 4), EnsembleSpec("boson", 1, 10)
-    expected = [internal_energies(three, BOX, [(3.3, 1.0)], method="recursion")[0],
-                internal_energies(one, BOX, [(3.3, 1.0)], method="enumeration")[0]]
-    assert expected[0] != internal_energies(three, BOX, [(3.3, 1.0)], method="enumeration")[0]
-    assert expected[1] != internal_energies(one, BOX, [(3.3, 1.0)], method="recursion")[0]
+    beta = 1.0 / 3.3
+    expected = [partition_by_recursion(three, BOX, beta, 1.0).U,
+                partition_by_enumeration(one, BOX, beta, 1.0).U]
+    assert expected[0] != partition_by_enumeration(three, BOX, beta, 1.0).U
+    assert expected[1] != partition_by_recursion(one, BOX, beta, 1.0).U
     monkeypatch.setattr(manybody, "HARD_ENUMERATION_LIMIT", 10)
     assert [internal_energies(three, BOX, [(3.3, 1.0)])[0],
             internal_energies(one, BOX, [(3.3, 1.0)])[0]] == expected

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
-                   adiabatic_energy_ratio, positive_work_threshold, run_cycle,
-                   work_ratio_multiparticle, work_ratio_two_particle)
-from qotto.thermo import run_cycle_series
+                   adiabatic_energy_ratio, partition_by_enumeration,
+                   positive_work_threshold, run_cycle, work_ratio_multiparticle,
+                   work_ratio_two_particle)
+from qotto import manybody
+from qotto.thermo import cycles_from_corners, run_cycle_series
 
 BOX = SpectrumSpec("box")
 HARM = SpectrumSpec("harmonic")
@@ -127,8 +129,11 @@ def test_distinguishable_work_is_additive():
         single = run_cycle(cfg(spec=spec, statistics="distinguishable", M=1,
                                N=5), 12.0).W
         for M in (2, 3, 4):
-            w = run_cycle(cfg(spec=spec, statistics="distinguishable", M=M,
-                              N=5), 12.0, method="enumeration").W
+            # the enumerated N^M table at both corners, not the factorization
+            c = cfg(spec=spec, statistics="distinguishable", M=M, N=5)
+            U4, U2 = (partition_by_enumeration(c.ens, spec, 1.0 / T, L).U
+                      for T, L in ((c.T_c, c.L2), (12.0, c.L1)))
+            w = cycles_from_corners(c, U4, [U2])[0].W
             assert w == pytest.approx(M * single, rel=1e-12)
 
 
@@ -186,15 +191,16 @@ def test_multiparticle_ratio_is_one_for_single_particle():
                                         1.0, 2.0, 1.0, 8.0) == 1.0
 
 
-def test_ratios_are_python_floats_on_every_route():
-    # the recursion used to hand back numpy.float64, enumeration float
-    for method in ("auto", "recursion"):
+def test_ratios_are_python_floats_on_every_route(monkeypatch):
+    # the recursion used to hand back numpy.float64, enumeration float;
+    # cap 1 sends these ensembles to the recursion
+    for cap in (manybody.DEFAULT_STATE_CAP, 1):
+        monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
         for statistics in ("boson", "fermion"):
-            r = work_ratio_multiparticle(BOX, 8, statistics, 3, 1.0, 2.0, 1.0,
-                                         5.0, method=method)
+            r = work_ratio_multiparticle(BOX, 8, statistics, 3, 1.0, 2.0, 1.0, 5.0)
             assert type(r) is float
             assert type(work_ratio_two_particle(BOX, 8, statistics, 1.0, 2.0,
-                                                1.0, 5.0, method=method)) is float
+                                                1.0, 5.0)) is float
 
 
 def test_multiparticle_full_shell_fermions():
@@ -231,14 +237,16 @@ def test_config_validation():
             cfg(**bad)
 
 
-def test_cycle_series_equals_single_cycles():
-    for statistics, M, N, method in (("boson", 2, 5, "auto"),
-                                     ("fermion", 3, 6, "recursion"),
-                                     ("distinguishable", 2, 4, "auto")):
+def test_cycle_series_equals_single_cycles(monkeypatch):
+    # cap 1 sends the fermions to the recursion
+    for statistics, M, N, cap in (("boson", 2, 5, manybody.DEFAULT_STATE_CAP),
+                                  ("fermion", 3, 6, 1),
+                                  ("distinguishable", 2, 4, manybody.DEFAULT_STATE_CAP)):
+        monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
         base = cfg(statistics=statistics, M=M, N=N)
         grid = [4.5, 6.0, 11.0]
-        series = run_cycle_series(base, grid, method)
-        assert series == [run_cycle(base, Th, method) for Th in grid]
+        series = run_cycle_series(base, grid)
+        assert series == [run_cycle(base, Th) for Th in grid]
 
 
 def test_regime_lambda():
