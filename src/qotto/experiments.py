@@ -13,7 +13,7 @@ Sweep presets:
     fig45   high (lam=0.05) and intermediate (lam=1) regimes, R=2,
             several truncations N, T_h swept
     fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
-            by ``recursion_rows`` with ``enumeration_log_z_and_u`` cross-checks
+            by ``recursion_rows``, checked on each ensemble's distinct enumerated energies
 
 The other presets take U from ``internal_energies``, which picks the backend.
 
@@ -36,7 +36,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .manybody import EnsembleSpec, enumeration_log_z_and_u, recursion_rows
+from . import kernels, manybody
+from .manybody import EnsembleSpec, recursion_rows
 from .spectrum import SpectrumSpec
 from .thermo import CycleConfig, cycles_from_corners, run_cycle_series
 
@@ -262,14 +263,14 @@ def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
 
 def _cross_check(ens: EnsembleSpec, held) -> None:
     """Compare the (spectrum, (beta, L), evaluation) triples in ``held``, one
-    spectrum kind, with one c = 1 enumeration table: Z(beta; c) = Z(beta*c; 1)."""
+    spectrum kind, with one c = 1 table's distinct energies: Z(beta; c) = Z(beta*c; 1)."""
     if ens.state_count > _CROSS_CHECK_CAP:
         return
-    log_zs, us = enumeration_log_z_and_u(
-        ens, SpectrumSpec(held[0][0].kind),
-        [(beta * spec.scale_c, L) for spec, (beta, L), _ in held])
-    for (spec, (beta, L), a), log_z, u in zip(held, log_zs, us):
-        u *= spec.scale_c
+    levels, counts = np.unique(manybody.state_energy_coefficients(
+        ens, SpectrumSpec(held[0][0].kind)), return_counts=True)
+    scales = np.array([spec.scale_c / L**spec.power_p for spec, (_, L), _ in held])
+    log_zs, us = kernels.log_z_and_mean(levels, scales * [b for _, (b, _), _ in held], counts)
+    for (spec, (beta, L), a), log_z, u in zip(held, log_zs, us * scales):
         if abs(a.log_Z - log_z) > _CROSS_CHECK_TOL or \
                 abs(a.U - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
             raise AssertionError(

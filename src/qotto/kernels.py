@@ -1,8 +1,8 @@
 """Hot numerical kernels: the Boltzmann reduction and the state-energy tables.
 
-numpy only. ``log_z_and_mean`` is the one Boltzmann reduction: a table of
-energy coefficients at an array of inverse temperatures, reduced in blocks
-of at most 2^16 temperature x state elements. Enumeration, the recursion's
+numpy only. ``log_z_and_mean`` is the one Boltzmann reduction: energy coefficients,
+with optional multiplicities, at an array of inverse temperatures, in blocks of
+at most 2^16 temperature x state elements. Enumeration, the recursion's
 single-particle sums and whole sweep grids all go through it.
 ``multiset_sums`` and ``subset_sums`` build the boson and fermion tables in
 lexicographic order from running sums, one particle at a time.
@@ -22,9 +22,9 @@ import numpy as np
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def log_z_and_mean(w: np.ndarray,
-                   beta_effs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """log Z and the Boltzmann mean of w at each inverse temperature."""
+def log_z_and_mean(w: np.ndarray, beta_effs: np.ndarray,
+                   counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """log Z and the Boltzmann mean of w at each beta_eff; counts[i] states share w[i]."""
     w0 = w.min()
     d = w - w0
     rows = max(1, _BLOCK_ELEMENTS // d.size)
@@ -33,6 +33,8 @@ def log_z_and_mean(w: np.ndarray,
     for i in range(0, beta_effs.size, rows):
         b = beta_effs[i:i + rows]
         x = np.exp(-b[:, None] * d)
+        if counts is not None:
+            x *= counts  # a multiply rounds once; a log-count offset would not
         s = x.sum(axis=1)
         log_z[i:i + rows] = -b * w0 + np.log(s)
         mean[i:i + rows] = w0 + (d * x).sum(axis=1) / s

@@ -34,14 +34,13 @@ keeps the backend independent of enumeration at any beta.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
 from .errors import EmptyStateSpaceError
-from .spectrum import SpectrumSpec, level_coefficients
+from .spectrum import SpectrumSpec, check_count, level_coefficients
 
 STATISTICS = ("boson", "fermion", "distinguishable")
 
@@ -71,9 +70,8 @@ class EnsembleSpec:
         if self.statistics not in STATISTICS:
             raise ValueError(
                 f"unknown statistics {self.statistics!r}; expected one of {STATISTICS}")
-        for name, n in (("particle", self.M), ("level", self.N)):
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-                raise ValueError(f"{name} count must be an integer >= 1, got {n!r}")
+        check_count("particle", self.M)
+        check_count("level", self.N)
         if self.statistics == "fermion" and self.M > self.N:
             raise EmptyStateSpaceError(
                 f"{self.M} fermions do not fit on {self.N} levels")

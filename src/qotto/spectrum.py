@@ -16,6 +16,7 @@ dimensionless quantities this package studies.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,13 +60,17 @@ class SpectrumSpec:
         return n * n if quadratic else n
 
 
+def check_count(name: str, n) -> None:
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+        raise ValueError(f"{name} count must be an integer >= 1, got {n!r}")
+
+
 def level_coefficients(spec: SpectrumSpec, N: int) -> np.ndarray:
     """First N energy coefficients c*g(n), ascending.
 
     E_n(L) = level_coefficients(spec, N) / L^power_p.
     """
-    if N < 1:
-        raise ValueError(f"level count must be >= 1, got {N}")
+    check_count("level", N)
     return spec.scale_c * spec.level_shape(
         np.arange(spec.n_min, spec.n_min + N, dtype=np.float64))
 

@@ -271,6 +271,33 @@ def test_cross_check_builds_one_table_per_ensemble_and_compares_both_values(monk
                 experiments._cross_check(ens, held[:i] + [shifted] + held[i + 1:])
 
 
+def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch):
+    original = experiments.recursion_rows
+
+    def skewed(ens, spec, beta, L):
+        rows = original(ens, spec, beta, L)
+        rows[-1] = replace(rows[-1], U=rows[-1].U * (1.0 + 2e-8))
+        return rows
+
+    monkeypatch.setattr(experiments, "recursion_rows", skewed)
+    with pytest.raises(AssertionError, match="mismatch"):
+        sweep_fig67(m_values=(2, 3), n_values=(4, 10))
+
+
+def test_fig67_cross_checks_every_ensemble_under_the_cap(monkeypatch):
+    built = []
+    original = manybody.state_energy_coefficients
+
+    def counted(ens, spec):
+        built.append(ens)
+        return original(ens, spec)
+
+    monkeypatch.setattr(manybody, "state_energy_coefficients", counted)
+    sweep_fig67()
+    # one table per checked ensemble, shared by both lambda and both corners
+    assert len(built) == len(set(built)) == 52
+
+
 def _perfbench(module_name):
     path = Path(__file__).resolve().parents[1] / "perfbench" / f"{module_name}.py"
     spec = importlib.util.spec_from_file_location(f"perfbench_{module_name}", path)

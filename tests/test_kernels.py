@@ -9,6 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qotto import kernels
+from qotto.manybody import EnsembleSpec, state_energy_coefficients
+from qotto.spectrum import KINDS, SpectrumSpec
 
 
 def brute_log_z_mean(w, beta_eff):
@@ -99,3 +101,19 @@ def test_batched_log_z_and_mean_equals_one_temperature_calls_bit_for_bit():
         assert mean.tolist() == [float(one[1][0]) for one in singles]
         ref = [shifted_log_z_mean(w, float(b)) for b in betas]
         assert list(zip(lz.tolist(), mean.tolist())) == ref
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("statistics", ["boson", "fermion"])
+def test_multiplicities_reduce_distinct_energies_like_the_full_table(kind, statistics):
+    # every level shape is an integer, so a table has far fewer distinct energies
+    ens = EnsembleSpec(statistics, 4, 12)
+    table = state_energy_coefficients(ens, SpectrumSpec(kind))
+    levels, counts = np.unique(table, return_counts=True)
+    assert levels.size < table.size
+    betas = np.array([0.0, 0.01, 1.0, 200.0, 1e8])
+    lz, mean = kernels.log_z_and_mean(levels, betas, counts)
+    lz_ref, mean_ref = kernels.log_z_and_mean(table, betas)
+    np.testing.assert_allclose(lz, lz_ref, rtol=1e-13, atol=0.0)
+    np.testing.assert_allclose(mean, mean_ref, rtol=1e-13, atol=0.0)
+    assert lz[0] == math.log(ens.state_count)

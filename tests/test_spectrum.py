@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qotto import KINDS, SpectrumSpec, adiabatic_energy_ratio, single_particle_energies
+from qotto import (KINDS, SpectrumSpec, adiabatic_energy_ratio, level_coefficients,
+                   single_particle_energies)
 
 # kind -> (power_p, n_min, first three g values)
 EXPECTED_BINDINGS = {
@@ -93,3 +94,16 @@ def test_uniform_scaling_is_exact(kind, L_from, L_to, N):
 def test_invalid_arguments_raise(bad):
     with pytest.raises(ValueError):
         bad()
+
+
+@pytest.mark.parametrize("N", [2.5, True, 0])
+def test_level_count_must_be_an_integer_of_at_least_one(N):
+    # 2.5 gave the three levels [1, 4, 9] and True gave one level
+    with pytest.raises(ValueError, match="level count must be an integer >= 1"):
+        level_coefficients(SpectrumSpec("box"), N)
+    with pytest.raises(ValueError, match="level count must be an integer >= 1"):
+        single_particle_energies(SpectrumSpec("box"), N, 1.0)
+
+
+def test_level_count_accepts_numpy_integers():
+    assert level_coefficients(SpectrumSpec("box"), np.int64(3)).tolist() == [1.0, 4.0, 9.0]
