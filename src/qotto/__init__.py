@@ -14,7 +14,7 @@ from .experiments import (RatioRecord, harmonic_closed_form_W,
                           sweep_fig67, work_ratio_multiparticle,
                           work_ratio_two_particle, write_csv)
 from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, PartitionEvaluation,
-                       partition_by_enumeration, partition_by_recursion,
+                       enumeration_log_z_and_u, recursion_rows,
                        state_energy_coefficients)
 from .spectrum import (KINDS, SpectrumSpec, adiabatic_energy_ratio,
                        level_coefficients, single_particle_energies)
@@ -26,10 +26,10 @@ __version__ = "0.1.0"
 __all__ = [
     "CycleConfig", "CycleResult", "DEFAULT_STATE_CAP", "EmptyStateSpaceError",
     "EnsembleSpec", "KINDS", "PartitionEvaluation", "RatioRecord",
-    "SpectrumSpec", "adiabatic_energy_ratio", "harmonic_closed_form_W",
-    "harmonic_closed_form_Z", "level_coefficients", "make_record", "make_series",
-    "partition_by_enumeration", "partition_by_recursion",
-    "positive_work_threshold", "records_to_csv", "run_cycle",
+    "SpectrumSpec", "adiabatic_energy_ratio", "enumeration_log_z_and_u",
+    "harmonic_closed_form_W", "harmonic_closed_form_Z", "level_coefficients",
+    "make_record", "make_series", "positive_work_threshold", "recursion_rows",
+    "records_to_csv", "run_cycle",
     "single_particle_energies", "state_energy_coefficients", "sweep_fig2",
     "sweep_fig3", "sweep_fig45", "sweep_fig67", "work_ratio_multiparticle",
     "work_ratio_two_particle", "write_csv", "__version__",

@@ -244,8 +244,7 @@ def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
                 ms = [M for M in m_values if statistics == "boson" or M <= N]
                 if not ms:
                     continue
-                cold, hot = (recursion_rows(EnsembleSpec(statistics, max(ms), N), spec,
-                                            beta, L) for beta, L in corners)
+                cold, hot = recursion_rows(EnsembleSpec(statistics, max(ms), N), spec, corners)
                 for M in ms:
                     cfg = CycleConfig(spec, EnsembleSpec(statistics, M, N), L1, R, Tc)
                     # row 1 is the single particle; the corner arithmetic ignores M

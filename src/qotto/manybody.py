@@ -5,11 +5,11 @@ Two independent routes to the partition function and internal energy:
 * Enumeration: ``state_energy_coefficients`` lists the total energy of every
   symmetrized many-body configuration (multisets for bosons, strictly
   increasing level tuples for fermions, ordered tuples for distinguishable
-  particles) and ``enumeration_log_z_and_u`` reduces that one table at any
-  number of (beta, L) points.
+  particles) and ``enumeration_log_z_and_u`` reduces that one table at a
+  list of (beta, L) points.
 
-* ``recursion_rows`` uses the exact recursion for noninteracting
-  identical particles,
+* ``recursion_rows`` takes the same point list and uses, at each point, the
+  exact recursion for noninteracting identical particles,
 
       Z_M(beta) = (1/M) sum_{m=1..M} (+-1)^{m+1} Z_1(m*beta) Z_{M-m}(beta),
 
@@ -18,7 +18,8 @@ Two independent routes to the partition function and internal energy:
   from the analytically differentiated recursion, never finite differences.
 
 The two routes share nothing but Z_1's level coefficients, so they serve as
-mutual oracles. ``internal_energies`` is the one place that chooses between
+mutual oracles. Both check every point through ``effective_betas`` before
+any sum runs. ``internal_energies`` is the one place that chooses between
 them; a caller that wants one route calls its functions by name.
 
 The float recursion can lose digits in two ways: the fermionic sum
@@ -123,22 +124,37 @@ def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarr
     return out
 
 
-def _check_beta_L(beta: float, L: float) -> None:
-    if not (0 <= beta < math.inf):
-        raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
-    if not (0 < L < math.inf):
-        raise ValueError(f"trap width must be positive and finite, got {L}")
-
-
-def inverse_temperature(T: float, L: float) -> float:
-    """beta = 1/T at a point (T, L) the Boltzmann sums can take: T positive
-    and finite with a 1/T that does not overflow (a subnormal T makes every
-    sum NaN), L positive and finite."""
+def inverse_temperature(T: float) -> float:
+    """beta = 1/T for T positive and finite with a 1/T that does not overflow
+    (a subnormal T makes every Boltzmann sum NaN)."""
     if not (0 < T < math.inf and 1.0 / T < math.inf):
         raise ValueError(
             f"temperature must be positive and finite with a finite 1/T, got {T}")
-    _check_beta_L(1.0 / T, L)
     return 1.0 / T
+
+
+def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec,
+                    beta_points: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    """(beta/L^p, L^p) at every (beta, L) in ``beta_points``, all checked before
+    any sum runs: beta finite and >= 0, L^p and beta/L^p finite and nonzero
+    (beta/L^p is 0 at beta = 0 only), and the largest many-body energy finite."""
+    n_top, M = spec.n_min + int(ens.N) - 1, int(ens.M)  # exact ints; no numpy overflow warning
+    top = spec.scale_c * (sum(map(spec.level_shape, range(n_top - M + 1, n_top + 1)))
+                          if ens.statistics == "fermion" else M * spec.level_shape(n_top))
+    out = []
+    for beta, L in beta_points:
+        if not (0 <= beta < math.inf):
+            raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
+        scale = L**spec.power_p
+        if not (0 < L < math.inf and 0 < scale < math.inf):
+            raise ValueError(f"trap width L and L^p must be positive and finite, got L = {L}, "
+                             f"L^p = {scale}")
+        if not (0 < (beta_eff := beta / scale) < math.inf or beta == 0):
+            raise ValueError(f"beta/L^p must be finite and nonzero, got {beta}/{scale}")
+        if not top / scale < math.inf:
+            raise ValueError(f"the largest many-body energy, {top:g}/L^p at L = {L}, is not finite")
+        out.append((beta_eff, scale))
+    return out
 
 
 def enumeration_log_z_and_u(ens: EnsembleSpec, spec: SpectrumSpec,
@@ -146,19 +162,10 @@ def enumeration_log_z_and_u(ens: EnsembleSpec, spec: SpectrumSpec,
                             ) -> tuple[list[float], list[float]]:
     """log Z and U at every (beta, L) in ``beta_points`` from one enumerated
     table, reduced at all points in one call."""
-    scales = [L**spec.power_p for _, L in beta_points]
-    log_zs, means = kernels.log_z_and_mean(
-        state_energy_coefficients(ens, spec),
-        np.array([beta / scale for (beta, _), scale in zip(beta_points, scales)]))
-    return log_zs.tolist(), [mean / scale for mean, scale in zip(means.tolist(), scales)]
-
-
-def partition_by_enumeration(ens: EnsembleSpec, spec: SpectrumSpec,
-                             beta: float, L: float) -> PartitionEvaluation:
-    """Direct Boltzmann sum over the enumerated many-body configurations."""
-    _check_beta_L(beta, L)
-    (log_z,), (u,) = enumeration_log_z_and_u(ens, spec, [(beta, L)])
-    return PartitionEvaluation(log_Z=log_z, U=u, method="enumeration")
+    points = effective_betas(ens, spec, beta_points)
+    log_zs, means = kernels.log_z_and_mean(state_energy_coefficients(ens, spec),
+                                           np.array([beta_eff for beta_eff, _ in points]))
+    return log_zs.tolist(), [mean / scale for mean, (_, scale) in zip(means.tolist(), points)]
 
 
 def _signed_logsumexp(logs: np.ndarray, signs: np.ndarray) -> tuple[float, float, float]:
@@ -244,33 +251,27 @@ def _recursion_levels(w: np.ndarray, M: int, beta_eff: float,
 
 
 def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec,
-                   beta: float, L: float) -> list[PartitionEvaluation]:
-    """Recursion-backend log Z and U of k = 1..M particles from one pass; rows
-    the float recursion cannot hold come from the level recursion ("levels").
+                   beta_points: list[tuple[float, float]]) -> list[list[PartitionEvaluation]]:
+    """log Z and U of k = 1..M particles at every (beta, L), one recursion pass per
+    point; rows the float recursion cannot hold come from the level recursion ("levels").
 
     Bosons and fermions only: distinguishable particles factorize as Z_1^M.
     """
     if ens.statistics == "distinguishable":
         raise ValueError("recursion backend supports boson/fermion statistics only; "
                          "distinguishable particles factorize as Z_1^M")
-    _check_beta_L(beta, L)
-    scale = L**spec.power_p
-    beta_eff = beta / scale
+    points = effective_betas(ens, spec, beta_points)
     w = level_coefficients(spec, ens.N)
     fermion = ens.statistics == "fermion"
-    log_zs, us, bad = _recursion_float(w, ens.M, beta_eff, fermion)
-    rows = [(log_z, u, "recursion") for log_z, u in zip(log_zs, us)]
-    if bad.any():
-        levels = _recursion_levels(w, ens.M, beta_eff, fermion)
-        rows = [(*levels[k], "levels") if bad[k] else row for k, row in enumerate(rows)]
-    return [PartitionEvaluation(log_Z=log_z, U=u / scale, method=method)
-            for log_z, u, method in rows]
-
-
-def partition_by_recursion(ens: EnsembleSpec, spec: SpectrumSpec,
-                           beta: float, L: float) -> PartitionEvaluation:
-    """Recursion-backend partition function and internal energy of ens."""
-    return recursion_rows(ens, spec, beta, L)[-1]
+    out = []
+    for beta_eff, scale in points:
+        log_zs, us, bad = _recursion_float(w, ens.M, beta_eff, fermion)
+        levels = _recursion_levels(w, ens.M, beta_eff, fermion) if bad.any() else None
+        rows = [(*levels[k], "levels") if bad[k] else (log_z, u, "recursion")
+                for k, (log_z, u) in enumerate(zip(log_zs, us))]
+        out.append([PartitionEvaluation(log_Z=log_z, U=u / scale, method=method)
+                    for log_z, u, method in rows])
+    return out
 
 
 def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
@@ -281,12 +282,13 @@ def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
     single-particle U from one N-level table, at any M. Bosons and fermions
     are enumerated up to ``DEFAULT_STATE_CAP`` configurations (and within the
     HARD_ENUMERATION_LIMIT memory guard), one table for all points, and take
-    the recursion per point beyond.
+    the recursion, one pass per point, beyond.
     """
-    beta_points = [(inverse_temperature(T, L), L) for T, L in points]
+    beta_points = [(inverse_temperature(T), L) for T, L in points]
     if ens.statistics == "distinguishable":
+        effective_betas(ens, spec, beta_points)  # M times the single particle's range
         single = EnsembleSpec("distinguishable", 1, ens.N)
         return [ens.M * u for u in enumeration_log_z_and_u(single, spec, beta_points)[1]]
     if ens.state_count <= DEFAULT_STATE_CAP and _table_entries(ens) <= HARD_ENUMERATION_LIMIT:
         return enumeration_log_z_and_u(ens, spec, beta_points)[1]
-    return [partition_by_recursion(ens, spec, beta, L).U for beta, L in beta_points]
+    return [rows[-1].U for rows in recursion_rows(ens, spec, beta_points)]

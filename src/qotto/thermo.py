@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .manybody import EnsembleSpec, internal_energies, inverse_temperature
+from .manybody import EnsembleSpec, effective_betas, internal_energies, inverse_temperature
 from .spectrum import SpectrumSpec, adiabatic_energy_ratio
 
 
@@ -40,8 +40,8 @@ class CycleConfig:
     def __post_init__(self):
         if not (1 < self.R < math.inf):
             raise ValueError(f"compression ratio R must exceed 1 and be finite, got {self.R}")
-        for L in (self.L1, self.L2):  # L1 as given; L2 = R*L1 may still overflow
-            inverse_temperature(self.T_c, L)
+        beta_c = inverse_temperature(self.T_c)  # L2 = R*L1 may overflow: check both widths
+        effective_betas(self.ens, self.spec, [(beta_c, self.L1), (beta_c, self.L2)])
 
     @property
     def L2(self) -> float:

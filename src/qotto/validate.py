@@ -12,9 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .experiments import harmonic_closed_form_W, harmonic_closed_form_Z
-from .manybody import (EnsembleSpec, enumeration_log_z_and_u,
-                       partition_by_enumeration, partition_by_recursion,
-                       recursion_rows)
+from .manybody import EnsembleSpec, enumeration_log_z_and_u, recursion_rows
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import (CycleConfig, cycles_from_corners, positive_work_threshold,
                      run_cycle)
@@ -46,11 +44,11 @@ def check_recursion_vs_enumeration() -> CheckResult:
                     if statistics == "fermion" and M > N:
                         continue
                     ens = EnsembleSpec(statistics, M, N)
-                    for beta in (0.0, 0.01, 0.1, 1.0, 10.0):
-                        a = partition_by_enumeration(ens, spec, beta, 1.0)
-                        b = partition_by_recursion(ens, spec, beta, 1.0)
-                        worst = max(worst, abs(a.log_Z - b.log_Z),
-                                    abs(a.U - b.U) / max(1.0, abs(a.U)))
+                    points = [(beta, 1.0) for beta in (0.0, 0.01, 0.1, 1.0, 10.0)]
+                    for log_z, u, rows in zip(*enumeration_log_z_and_u(ens, spec, points),
+                                              recursion_rows(ens, spec, points)):
+                        worst = max(worst, abs(log_z - rows[-1].log_Z),
+                                    abs(u - rows[-1].U) / max(1.0, abs(u)))
     return CheckResult("recursion-vs-enumeration", worst, 1e-10)
 
 
@@ -101,23 +99,23 @@ def check_positive_work_threshold() -> CheckResult:
 
 def check_harmonic_closed_forms() -> CheckResult:
     worst = 0.0
+    points = ((1.0, 2.0), (5.0, 1.0), (8.0, 1.0))  # (T, L): the cold corner, then Th = 5, 8
     # lam=1 converges with N=200; lam=0.05 needs far more levels
     for lam, N in ((1.0, 200), (0.05, 4800)):
         spec = SpectrumSpec("harmonic", scale_c=lam)
-        for Th in (5.0, 8.0):
-            works = {}
-            for statistics in ("boson", "fermion"):
-                ens = EnsembleSpec(statistics, 2, N)
-                hot, cold = (partition_by_recursion(ens, spec, 1.0 / T, L)
-                             for T, L in ((Th, 1.0), (1.0, 2.0)))
-                for z, T, L in ((hot, Th, 1.0), (cold, 1.0, 2.0)):
-                    closed = harmonic_closed_form_Z(statistics, T, L, lam)
-                    worst = max(worst, abs(math.exp(z.log_Z) - closed))
-                works[statistics] = cycles_from_corners(
-                    _engine(spec, ens), cold.U, [hot.U])[0].W
-                worst = max(worst, abs(
-                    works[statistics] - harmonic_closed_form_W(1.0, 2.0, 1.0, Th, lam)))
-            worst = max(worst, abs(works["boson"] - works["fermion"]))
+        works = {}
+        for statistics in ("boson", "fermion"):
+            ens = EnsembleSpec(statistics, 2, N)
+            cold, *hot = (rows[-1] for rows in recursion_rows(
+                ens, spec, [(1.0 / T, L) for T, L in points]))
+            for z, (T, L) in zip([cold, *hot], points):
+                closed = harmonic_closed_form_Z(statistics, T, L, lam)
+                worst = max(worst, abs(math.exp(z.log_Z) - closed))
+            works[statistics] = [res.W for res in cycles_from_corners(
+                _engine(spec, ens), cold.U, [z.U for z in hot])]
+            for (Th, _), w in zip(points[1:], works[statistics]):
+                worst = max(worst, abs(w - harmonic_closed_form_W(1.0, 2.0, 1.0, Th, lam)))
+        worst = max(worst, *(abs(b - f) for b, f in zip(works["boson"], works["fermion"])))
     return CheckResult("harmonic-closed-forms", worst, 1e-8)
 
 
@@ -156,8 +154,8 @@ def check_low_temperature_ground_energies() -> CheckResult:
     for statistics, grounds in (("boson", [1, 2, 3]),
                                 ("fermion", [1, 5, 14, 30, 55, 91, 140, 204])):
         ens = EnsembleSpec(statistics, len(grounds), 8)
-        for T in (1e-8, 1e-15, 1e-300):
-            rows = recursion_rows(ens, SpectrumSpec("box"), 1.0 / T, 1.0)
+        for rows in recursion_rows(ens, SpectrumSpec("box"),
+                                   [(1.0 / T, 1.0) for T in (1e-8, 1e-15, 1e-300)]):
             worst = max(worst, *(abs(row.U - u) for row, u in zip(rows, grounds)))
     return CheckResult("low-temperature-ground-energies", worst, 0.0)
 

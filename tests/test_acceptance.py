@@ -35,9 +35,8 @@ import math
 import time
 
 from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
-                   harmonic_closed_form_W, harmonic_closed_form_Z,
-                   partition_by_enumeration, partition_by_recursion,
-                   run_cycle, sweep_fig3, work_ratio_multiparticle,
+                   enumeration_log_z_and_u, harmonic_closed_form_W,
+                   harmonic_closed_form_Z, recursion_rows, run_cycle, sweep_fig3, work_ratio_multiparticle,
                    work_ratio_two_particle)
 from qotto.cli import main
 from qotto.thermo import cycles_from_corners
@@ -84,12 +83,12 @@ def test_criterion_02_backend_oracle_equivalence():
                     if statistics == "fermion" and M > N:
                         continue
                     ens = EnsembleSpec(statistics, M, N)
-                    for beta in (0.0, 0.01, 0.1, 1.0, 10.0):
-                        a = partition_by_enumeration(ens, spec, beta, 1.0)
-                        b = partition_by_recursion(ens, spec, beta, 1.0)
-                        worst_z = max(worst_z, abs(a.log_Z - b.log_Z))
+                    points = [(beta, 1.0) for beta in (0.0, 0.01, 0.1, 1.0, 10.0)]
+                    for log_z, u, rows in zip(*enumeration_log_z_and_u(ens, spec, points),
+                                              recursion_rows(ens, spec, points)):
+                        worst_z = max(worst_z, abs(log_z - rows[-1].log_Z))
                         worst_u = max(worst_u,
-                                      abs(a.U - b.U) / max(1.0, abs(a.U)))
+                                      abs(u - rows[-1].U) / max(1.0, abs(u)))
     elapsed = time.perf_counter() - t0
     ok = worst_z <= 1e-10 and worst_u <= 1e-9 and elapsed < 10.0
     report("2 backend oracle equivalence", ok,
@@ -136,10 +135,11 @@ def _criterion_04_deviation(lam):
         works = {}
         for statistics in ("boson", "fermion"):
             ens = EnsembleSpec(statistics, 2, 200)
-            for T, L in ((Th, 1.0), (1.0, 2.0)):
-                z = math.exp(partition_by_enumeration(ens, spec, 1.0 / T, L).log_Z)
-                worst = max(worst,
-                            abs(z - harmonic_closed_form_Z(statistics, T, L, lam)))
+            points = ((Th, 1.0), (1.0, 2.0))
+            log_zs = enumeration_log_z_and_u(ens, spec, [(1.0 / T, L) for T, L in points])[0]
+            for (T, L), log_z in zip(points, log_zs):
+                worst = max(worst, abs(math.exp(log_z)
+                                       - harmonic_closed_form_Z(statistics, T, L, lam)))
             cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0, T_c=1.0)
             works[statistics] = run_cycle(cfg, Th).W
             worst = max(worst, abs(works[statistics]
@@ -212,9 +212,10 @@ def test_criterion_04_harmonic_closed_forms_high_temperature_as_specified():
         works = {}
         for statistics in ("boson", "fermion"):
             ens = EnsembleSpec(statistics, 2, N)
-            for T, L in ((Th, 1.0), (1.0, R)):
-                z = math.exp(partition_by_enumeration(ens, spec, 1.0 / T, L).log_Z)
-                worst = max(worst, abs(z - _ladder_Z(statistics, N, T, L, lam)))
+            points = ((Th, 1.0), (1.0, R))
+            log_zs = enumeration_log_z_and_u(ens, spec, [(1.0 / T, L) for T, L in points])[0]
+            for (T, L), log_z in zip(points, log_zs):
+                worst = max(worst, abs(math.exp(log_z) - _ladder_Z(statistics, N, T, L, lam)))
             cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=R, T_c=1.0)
             works[statistics] = run_cycle(cfg, Th).W
             worst = max(worst, abs(works[statistics]
@@ -377,8 +378,8 @@ def test_criterion_10_distinguishable_factorization():
             # the enumerated N^M table at both corners, not the factorization
             cfg = CycleConfig(spec=spec, ens=EnsembleSpec("distinguishable", M, 5),
                               L1=1.0, R=2.0, T_c=1.0)
-            U4, U2 = (partition_by_enumeration(cfg.ens, spec, 1.0 / T, L).U
-                      for T, L in ((cfg.T_c, cfg.L2), (3.0 * 2**p, cfg.L1)))
+            U4, U2 = enumeration_log_z_and_u(cfg.ens, spec, [
+                (1.0 / T, L) for T, L in ((cfg.T_c, cfg.L2), (3.0 * 2**p, cfg.L1))])[1]
             w = cycles_from_corners(cfg, U4, [U2])[0].W
             worst = max(worst, abs(w - M * single) / abs(M * single))
     ok = worst <= 1e-12

@@ -164,6 +164,35 @@ def test_bad_arguments_exit_two(argv):
     assert main(argv) == 2
 
 
+# accepted inputs whose derived energies leave the float range printed NaN
+# with exit 0 (the last gave "float division by zero")
+@pytest.mark.parametrize("argv, quantity", [
+    (["cycle", "--scale", "1e308", "--levels", "5"], "largest many-body energy"),
+    (["cycle", "--scale", "1e307", "--levels", "3", "--particles", "2"],
+     "largest many-body energy"),
+    (["cycle", "--L1", "1e-160", "--particles", "2"], "beta/L^p"),
+    (["sweep", "--scale", "1e308", "--levels", "5", "--th-min", "5", "--th-max", "9"],
+     "largest many-body energy"),
+    (["cycle", "--L1", "1e-200"], "L and L^p must be"),
+])
+def test_energies_out_of_float_range_exit_two(tmp_path, capsys, argv, quantity):
+    out = tmp_path / "sweep.csv"
+    if argv[0] == "sweep":
+        argv = argv + ["--output", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert quantity in captured.err
+    assert "nan" not in captured.out
+    assert not out.exists()
+
+
+def test_fermion_top_levels_in_float_range_are_accepted(capsys):
+    # 4e307 + 9e307 is finite; a boson pair's 2 * 9e307 is not
+    assert main(["cycle", "--scale", "1e307", "--levels", "3", "--particles", "2",
+                 "--stats", "fermion"]) == 0
+    assert float(kv(capsys)["U2"]) == 5e307
+
+
 def test_empty_fermion_space_exits_three():
     assert main(["cycle", "--stats", "fermion", "--particles", "3",
                  "--levels", "2"]) == 3

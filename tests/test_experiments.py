@@ -12,9 +12,8 @@ import pytest
 
 from qotto import experiments, manybody
 from qotto import (CycleConfig, EnsembleSpec, SpectrumSpec,
-                   harmonic_closed_form_W, harmonic_closed_form_Z, make_record,
-                   partition_by_enumeration, partition_by_recursion,
-                   records_to_csv, run_cycle, sweep_fig2, sweep_fig3,
+                   enumeration_log_z_and_u, harmonic_closed_form_W,
+                   harmonic_closed_form_Z, make_record, recursion_rows, records_to_csv, run_cycle, sweep_fig2, sweep_fig3,
                    sweep_fig45, sweep_fig67, work_ratio_multiparticle,
                    write_csv)
 from qotto.experiments import CSV_COLUMNS, evaluate_series, th_range
@@ -80,9 +79,10 @@ def test_closed_form_matches_truncated_ensemble_intermediate_regime():
     spec = SpectrumSpec("harmonic", scale_c=1.0)
     for statistics in ("boson", "fermion"):
         ens = EnsembleSpec(statistics, 2, 200)
-        for T, L in ((5.0, 1.0), (8.0, 1.0), (1.0, 2.0)):
-            z = math.exp(partition_by_enumeration(ens, spec, 1.0 / T, L).log_Z)
-            assert z == pytest.approx(
+        points = ((5.0, 1.0), (8.0, 1.0), (1.0, 2.0))
+        log_zs = enumeration_log_z_and_u(ens, spec, [(1.0 / T, L) for T, L in points])[0]
+        for (T, L), log_z in zip(points, log_zs):
+            assert math.exp(log_z) == pytest.approx(
                 harmonic_closed_form_Z(statistics, T, L, 1.0), abs=1e-8)
         for Th in (5.0, 8.0):
             w = run_cycle(CycleConfig(spec=spec, ens=ens, L1=1.0, R=2.0,
@@ -97,9 +97,10 @@ def test_closed_form_matches_truncated_ensemble_high_temperature_regime():
     spec = SpectrumSpec("harmonic", scale_c=0.05)
     for statistics in ("boson", "fermion"):
         ens = EnsembleSpec(statistics, 2, 4800)
-        for T, L in ((8.0, 1.0), (1.0, 2.0)):
-            z = math.exp(partition_by_recursion(ens, spec, 1.0 / T, L).log_Z)
-            assert z == pytest.approx(
+        points = ((8.0, 1.0), (1.0, 2.0))
+        for (T, L), rows in zip(points, recursion_rows(ens, spec,
+                                                       [(1.0 / T, L) for T, L in points])):
+            assert math.exp(rows[-1].log_Z) == pytest.approx(
                 harmonic_closed_form_Z(statistics, T, L, 0.05), abs=1e-8)
         assert ens.state_count > manybody.DEFAULT_STATE_CAP  # run_cycle takes the recursion
         for Th in (5.0, 8.0):
@@ -247,9 +248,9 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
 def test_cross_check_builds_one_table_per_ensemble_and_compares_both_values(monkeypatch):
     ens = EnsembleSpec("fermion", 3, 8)
     corners = ((1.0 / 5.0, 1.0), (1.0, 2.0))
-    held = [(spec, corner, partition_by_recursion(ens, spec, *corner))
+    held = [(spec, corner, rows[-1])
             for spec in (SpectrumSpec("box", scale_c=0.05), SpectrumSpec("box", scale_c=1.0))
-            for corner in corners]
+            for corner, rows in zip(corners, recursion_rows(ens, spec, corners))]
     built = []
     original = manybody.state_energy_coefficients
 
@@ -274,10 +275,11 @@ def test_cross_check_builds_one_table_per_ensemble_and_compares_both_values(monk
 def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch):
     original = experiments.recursion_rows
 
-    def skewed(ens, spec, beta, L):
-        rows = original(ens, spec, beta, L)
-        rows[-1] = replace(rows[-1], U=rows[-1].U * (1.0 + 2e-8))
-        return rows
+    def skewed(ens, spec, beta_points):
+        passes = original(ens, spec, beta_points)
+        for rows in passes:
+            rows[-1] = replace(rows[-1], U=rows[-1].U * (1.0 + 2e-8))
+        return passes
 
     monkeypatch.setattr(experiments, "recursion_rows", skewed)
     with pytest.raises(AssertionError, match="mismatch"):
@@ -404,3 +406,17 @@ def test_multiparticle_crossover_in_truncation():
     rf_large = work_ratio_multiparticle(hot, 25, "fermion", 3, 1.0, 2.0, 1.0, 5.0)
     assert rb_small > 1.0 > rf_small
     assert rb_large < 1.0 < rf_large
+
+
+def test_fig67_makes_one_recursion_call_per_column(monkeypatch):
+    calls = []
+    original = experiments.recursion_rows
+
+    def counted(ens, spec, beta_points):
+        calls.append(len(beta_points))
+        return original(ens, spec, beta_points)
+
+    monkeypatch.setattr(experiments, "recursion_rows", counted)
+    sweep_fig67()
+    # 2 regimes x 7 truncations x 2 statistics, both corners in each call
+    assert calls == [2] * 28

@@ -12,10 +12,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qotto import (KINDS, EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
-                   level_coefficients, partition_by_enumeration,
-                   partition_by_recursion, state_energy_coefficients)
+                   enumeration_log_z_and_u, level_coefficients, recursion_rows,
+                   state_energy_coefficients)
 from qotto import kernels, manybody
-from qotto.manybody import internal_energies, recursion_rows
+from qotto.manybody import internal_energies
 
 BOX = SpectrumSpec("box")
 HARM = SpectrumSpec("harmonic")
@@ -80,15 +80,13 @@ def test_state_counts(statistics, M, N):
 
 
 def test_enumeration_counts_states_at_beta_zero():
-    res = partition_by_enumeration(EnsembleSpec("boson", 2, 3), BOX, 0.0, 1.0)
-    assert res.log_Z == pytest.approx(math.log(6), rel=1e-15)
-    assert res.method == "enumeration"
+    (log_z,), _ = enumeration_log_z_and_u(EnsembleSpec("boson", 2, 3), BOX, [(0.0, 1.0)])
+    assert log_z == pytest.approx(math.log(6), rel=1e-15)
 
 
 def test_single_fermion_pair_state_pins_energy():
-    for beta in (0.0, 0.7, 50.0):
-        res = partition_by_enumeration(EnsembleSpec("fermion", 2, 2), BOX, beta, 1.0)
-        assert res.U == 5.0
+    points = [(beta, 1.0) for beta in (0.0, 0.7, 50.0)]
+    assert enumeration_log_z_and_u(EnsembleSpec("fermion", 2, 2), BOX, points)[1] == [5.0] * 3
 
 
 def test_boson_pair_three_term_oracle():
@@ -97,25 +95,26 @@ def test_boson_pair_three_term_oracle():
     u = (2 * math.exp(-2) + 5 * math.exp(-5) + 8 * math.exp(-8)) / z
     assert z == pytest.approx(0.1424086928636007, rel=1e-15)
     assert u == pytest.approx(2.1560762641502516, rel=1e-15)
-    res = partition_by_enumeration(EnsembleSpec("boson", 2, 2), BOX, 1.0, 1.0)
-    assert res.log_Z == pytest.approx(math.log(z), rel=1e-14)
-    assert res.U == pytest.approx(u, rel=1e-14)
+    (log_z,), (U,) = enumeration_log_z_and_u(EnsembleSpec("boson", 2, 2), BOX, [(1.0, 1.0)])
+    assert log_z == pytest.approx(math.log(z), rel=1e-14)
+    assert U == pytest.approx(u, rel=1e-14)
 
 
 def test_enumeration_invalid_arguments():
     ens = EnsembleSpec("boson", 2, 3)
     with pytest.raises(ValueError):
-        partition_by_enumeration(ens, BOX, -0.5, 1.0)
+        enumeration_log_z_and_u(ens, BOX, [(-0.5, 1.0)])
     with pytest.raises(ValueError):
-        partition_by_enumeration(ens, BOX, 1.0, 0.0)
+        enumeration_log_z_and_u(ens, BOX, [(1.0, 0.0)])
 
 
 def test_recursion_base_case_is_z1():
-    for beta in (0.0, 0.4, 3.0):
-        a = partition_by_recursion(EnsembleSpec("boson", 1, 5), BOX, beta, 1.3)
-        b = partition_by_enumeration(EnsembleSpec("boson", 1, 5), BOX, beta, 1.3)
-        assert a.log_Z == pytest.approx(b.log_Z, rel=1e-14)
-        assert a.U == pytest.approx(b.U, rel=1e-14)
+    ens = EnsembleSpec("boson", 1, 5)
+    points = [(beta, 1.3) for beta in (0.0, 0.4, 3.0)]
+    for (a,), log_z, u in zip(recursion_rows(ens, BOX, points),
+                              *enumeration_log_z_and_u(ens, BOX, points)):
+        assert a.log_Z == pytest.approx(log_z, rel=1e-14)
+        assert a.U == pytest.approx(u, rel=1e-14)
         assert a.method == "recursion"
 
 
@@ -127,15 +126,16 @@ def test_recursion_two_particle_unrolling():
     z1_2b = sum(math.exp(-2 * beta * e) for e in e1)
     for statistics, sign in (("boson", 1.0), ("fermion", -1.0)):
         expected = (z1 * z1 + sign * z1_2b) / 2.0
-        res = partition_by_recursion(EnsembleSpec(statistics, 2, N), BOX, beta, L)
+        res = recursion_rows(EnsembleSpec(statistics, 2, N), BOX, [(beta, L)])[0][-1]
         assert res.log_Z == pytest.approx(math.log(expected), rel=1e-13)
 
 
 def test_recursion_fermion_pair_matches_enumeration():
-    a = partition_by_recursion(EnsembleSpec("fermion", 2, 3), BOX, 0.1, 1.0)
-    b = partition_by_enumeration(EnsembleSpec("fermion", 2, 3), BOX, 0.1, 1.0)
-    assert abs(a.log_Z - b.log_Z) <= 1e-12
-    assert abs(a.U - b.U) <= 1e-12 * max(1.0, abs(b.U))
+    ens = EnsembleSpec("fermion", 2, 3)
+    a = recursion_rows(ens, BOX, [(0.1, 1.0)])[0][-1]
+    (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(0.1, 1.0)])
+    assert abs(a.log_Z - log_z) <= 1e-12
+    assert abs(a.U - u) <= 1e-12 * max(1.0, abs(u))
 
 
 def test_ensemble_spec_rejects_invalid_arguments():
@@ -152,17 +152,17 @@ def test_ensemble_spec_rejects_invalid_arguments():
 
 def test_recursion_rejects_distinguishable():
     with pytest.raises(ValueError):
-        partition_by_recursion(EnsembleSpec("distinguishable", 2, 3), BOX, 1.0, 1.0)
+        recursion_rows(EnsembleSpec("distinguishable", 2, 3), BOX, [(1.0, 1.0)])
 
 
 def test_recursion_survives_catastrophic_fermion_cancellation():
     # beta=10 box fermions: surviving Z is ~e^260 below the largest recursion
     # term, far beyond float64; must still match enumeration
     ens = EnsembleSpec("fermion", 4, 8)
-    a = partition_by_recursion(ens, BOX, 10.0, 1.0)
-    b = partition_by_enumeration(ens, BOX, 10.0, 1.0)
-    assert abs(a.log_Z - b.log_Z) <= 1e-10
-    assert abs(a.U - b.U) <= 1e-9 * max(1.0, abs(b.U))
+    a = recursion_rows(ens, BOX, [(10.0, 1.0)])[0][-1]
+    (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(10.0, 1.0)])
+    assert abs(a.log_Z - log_z) <= 1e-10
+    assert abs(a.U - u) <= 1e-9 * max(1.0, abs(u))
 
 
 def test_recursion_rows_equal_one_pass_per_particle_number():
@@ -172,23 +172,28 @@ def test_recursion_rows_equal_one_pass_per_particle_number():
     for statistics, spec, N in itertools.product(("boson", "fermion"), (BOX, HARM),
                                                  (3, 8, 25, 150)):
         M = min(N, 8)
-        for beta in (0.0, 1e-3, 0.2, 1.0, 10.0, 1e3, 1e8):
-            rows = recursion_rows(EnsembleSpec(statistics, M, N), spec, beta, 1.3)
-            assert len(rows) == M
-            for k, row in enumerate(rows, 1):
-                alone = partition_by_recursion(EnsembleSpec(statistics, k, N), spec, beta, 1.3)
+        points = [(beta, 1.3) for beta in (0.0, 1e-3, 0.2, 1.0, 10.0, 1e3, 1e8)]
+        passes = recursion_rows(EnsembleSpec(statistics, M, N), spec, points)
+        assert len(passes) == len(points)
+        for k in range(1, M + 1):
+            for rows, alone in zip(passes, recursion_rows(EnsembleSpec(statistics, k, N),
+                                                          spec, points)):
+                assert len(rows) == M
+                row, alone = rows[k - 1], alone[-1]
                 assert (row.log_Z, row.U, row.method) == (alone.log_Z, alone.U, alone.method)
                 assert type(row.U) is type(alone.U)
-            mixed.add(tuple(row.method for row in rows))
+        mixed.update(tuple(row.method for row in rows) for rows in passes)
     # fermions box N=8 at beta=1: rows 1-3 stay on the float path, 4-8 hand over
     assert ("recursion",) * 3 + ("levels",) * 5 in mixed
     with pytest.raises(ValueError):
-        recursion_rows(EnsembleSpec("distinguishable", 2, 3), BOX, 1.0, 1.0)
+        recursion_rows(EnsembleSpec("distinguishable", 2, 3), BOX, [(1.0, 1.0)])
 
 
 def test_method_names_the_hand_over_to_the_level_recursion():
-    assert partition_by_recursion(EnsembleSpec("fermion", 3, 8), BOX, 1e4, 1.0).method == "levels"
-    assert partition_by_recursion(EnsembleSpec("boson", 1, 8), BOX, 1.0, 1.0).method == "recursion"
+    [rows] = recursion_rows(EnsembleSpec("fermion", 3, 8), BOX, [(1e4, 1.0)])
+    assert rows[-1].method == "levels"
+    [rows] = recursion_rows(EnsembleSpec("boson", 1, 8), BOX, [(1.0, 1.0)])
+    assert rows[-1].method == "recursion"
 
 
 @given(statistics=st.sampled_from(["boson", "fermion"]),
@@ -200,19 +205,19 @@ def test_backends_agree_property(statistics, M, N, beta, kind):
         return
     ens = EnsembleSpec(statistics, M, N)
     spec = SpectrumSpec(kind)
-    a = partition_by_recursion(ens, spec, beta, 1.0)
-    b = partition_by_enumeration(ens, spec, beta, 1.0)
-    assert abs(a.log_Z - b.log_Z) <= 1e-10
-    assert abs(a.U - b.U) <= 1e-9 * max(1.0, abs(b.U))
+    a = recursion_rows(ens, spec, [(beta, 1.0)])[0][-1]
+    (log_z,), (u,) = enumeration_log_z_and_u(ens, spec, [(beta, 1.0)])
+    assert abs(a.log_Z - log_z) <= 1e-10
+    assert abs(a.U - u) <= 1e-9 * max(1.0, abs(u))
 
 
 def test_fermion_partition_never_exceeds_boson():
     for N in (2, 4, 6):
         for M in (2, min(3, N)):
-            for beta in (0.0, 0.2, 2.0):
-                zb = partition_by_enumeration(EnsembleSpec("boson", M, N), BOX, beta, 1.0)
-                zf = partition_by_enumeration(EnsembleSpec("fermion", M, N), BOX, beta, 1.0)
-                assert zf.log_Z <= zb.log_Z
+            points = [(beta, 1.0) for beta in (0.0, 0.2, 2.0)]
+            zb = enumeration_log_z_and_u(EnsembleSpec("boson", M, N), BOX, points)[0]
+            zf = enumeration_log_z_and_u(EnsembleSpec("fermion", M, N), BOX, points)[0]
+            assert all(f <= b for f, b in zip(zf, zb))
 
 
 def test_internal_energy_monotone_in_temperature():
@@ -261,8 +266,8 @@ def test_harmonic_pair_matches_untruncated_closed_form():
 
 def test_internal_energy_methods_and_cap(monkeypatch):
     ens = EnsembleSpec("boson", 3, 6)
-    u_enum = partition_by_enumeration(ens, BOX, 1.0 / 2.0, 1.0).U
-    u_rec = partition_by_recursion(ens, BOX, 1.0 / 2.0, 1.0).U
+    (u_enum,) = enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])[1]
+    u_rec = recursion_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[0][-1].U
     assert internal_energies(ens, BOX, [(2.0, 1.0)])[0] == u_enum
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
     u_auto_small_cap = internal_energies(ens, BOX, [(2.0, 1.0)])[0]
@@ -291,31 +296,31 @@ def test_internal_energy_rejects_points_that_break_the_boltzmann_sum(monkeypatch
 
 def test_partition_backends_reject_non_finite_beta_and_width():
     ens = EnsembleSpec("fermion", 2, 4)
-    for backend in (partition_by_enumeration, partition_by_recursion):
+    for backend in (enumeration_log_z_and_u, recursion_rows):
         for beta, L in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)):
             with pytest.raises(ValueError):
-                backend(ens, BOX, beta, L)
+                backend(ens, BOX, [(beta, L)])
 
 
 def test_tiny_accepted_temperature_gives_ground_state_energy():
     for statistics, ground in (("boson", 3.0), ("fermion", 14.0)):
         ens = EnsembleSpec(statistics, 3, 8)
-        assert partition_by_enumeration(ens, BOX, 1.0 / 1e-300, 1.0).U == ground
+        assert enumeration_log_z_and_u(ens, BOX, [(1.0 / 1e-300, 1.0)])[1] == [ground]
         assert internal_energies(ens, BOX, [(1e-300, 1.0)])[0] == ground
     fermions = EnsembleSpec("fermion", 3, 8)
-    for T in (1e-300, 1e-4):
-        assert partition_by_recursion(fermions, BOX, 1.0 / T, 1.0).U == 14.0
+    passes = recursion_rows(fermions, BOX, [(1.0 / T, 1.0) for T in (1e-300, 1e-4)])
+    assert [rows[-1].U for rows in passes] == [14.0] * 2
     # the float particle recursion gave 1.0, 2.718 and 3.00000006 here: its
     # log-domain terms of size beta*E keep no digits in their differences
     bosons = EnsembleSpec("boson", 3, 8)
-    for T in (1e-300, 1e-15, 1e-8):
-        assert partition_by_recursion(bosons, BOX, 1.0 / T, 1.0).U == 3.0
+    passes = recursion_rows(bosons, BOX, [(1.0 / T, 1.0) for T in (1e-300, 1e-15, 1e-8)])
+    assert [rows[-1].U for rows in passes] == [3.0] * 3
 
 
 def test_level_recursion_matches_enumeration():
     # every kind, regime and statistics up to 3M states, from beta = 0 to
     # the ground state; the enumeration table is reduced at all betas in one
-    # call, bit for bit what partition_by_enumeration gives at L = 1
+    # call, bit for bit what enumeration_log_z_and_u gives at L = 1
     betas = np.array([0.0, 0.01, 0.2, 1.0, 10.0, 200.0, 1e8])
     cases = 0
     for kind, lam, statistics, M, N in itertools.product(
@@ -363,9 +368,9 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
         return build(ens, spec)
 
     for ens in (EnsembleSpec("distinguishable", 3, 4), EnsembleSpec("distinguishable", 2, 7)):
-        single = manybody.enumeration_log_z_and_u(
+        single = enumeration_log_z_and_u(
             EnsembleSpec("distinguishable", 1, ens.N), BOX, beta_points)[1]
-        direct = manybody.enumeration_log_z_and_u(ens, BOX, beta_points)[1]
+        direct = enumeration_log_z_and_u(ens, BOX, beta_points)[1]
         for cap in (manybody.DEFAULT_STATE_CAP, 1):
             monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
             monkeypatch.setattr(manybody, "state_energy_coefficients", one_particle_only)
@@ -382,7 +387,7 @@ def test_enumeration_guard_advises_auto_for_distinguishable_particles(monkeypatc
     monkeypatch.setattr(manybody, "level_coefficients", reached)
     ens = EnsembleSpec("distinguishable", 12, 10)
     with pytest.raises(ValueError, match=r"table entries; use internal_energies \(M times"):
-        partition_by_enumeration(ens, BOX, 1.0 / 2.0, 1.0)
+        enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])
 
 
 def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
@@ -396,7 +401,7 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     ens = EnsembleSpec("boson", 5, 70)
     assert ens.state_count == 16_108_764
     with pytest.raises(ValueError, match="table entries; use the recursion backend"):
-        partition_by_enumeration(ens, BOX, 1.0 / 2.0, 1.0)
+        enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])
 
 
 def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
@@ -406,10 +411,11 @@ def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
     # two backends differ in the last bits, so the route shows.
     three, one = EnsembleSpec("boson", 3, 4), EnsembleSpec("boson", 1, 10)
     beta = 1.0 / 3.3
-    expected = [partition_by_recursion(three, BOX, beta, 1.0).U,
-                partition_by_enumeration(one, BOX, beta, 1.0).U]
-    assert expected[0] != partition_by_enumeration(three, BOX, beta, 1.0).U
-    assert expected[1] != partition_by_recursion(one, BOX, beta, 1.0).U
+    points = [(beta, 1.0)]
+    expected = [recursion_rows(three, BOX, points)[0][-1].U,
+                enumeration_log_z_and_u(one, BOX, points)[1][0]]
+    assert expected[0] != enumeration_log_z_and_u(three, BOX, points)[1][0]
+    assert expected[1] != recursion_rows(one, BOX, points)[0][-1].U
     monkeypatch.setattr(manybody, "HARD_ENUMERATION_LIMIT", 10)
     assert [internal_energies(three, BOX, [(3.3, 1.0)])[0],
             internal_energies(one, BOX, [(3.3, 1.0)])[0]] == expected
@@ -422,7 +428,37 @@ def test_enumeration_matches_brute_force(statistics, M, N, beta):
     if statistics == "fermion" and M > N:
         return
     ens = EnsembleSpec(statistics, M, N)
-    res = partition_by_enumeration(ens, BOX, beta, 1.5)
+    (got_log_z,), (got_u,) = enumeration_log_z_and_u(ens, BOX, [(beta, 1.5)])
     log_z, u = brute_log_z_u(brute_coeffs(statistics, M, N, BOX), beta, 1.5, 2.0)
-    assert res.log_Z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
-    assert res.U == pytest.approx(u, rel=1e-12, abs=1e-12)
+    assert got_log_z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
+    assert got_u == pytest.approx(u, rel=1e-12, abs=1e-12)
+
+
+def test_backends_check_every_point_of_a_batch_before_any_kernel_runs(monkeypatch):
+    # a mixed point list gives, bit for bit, what each point gives alone
+    ens = EnsembleSpec("boson", 2, 4)
+    points = [(0.0, 1.0), (0.3, 2.0), (1.0, 1.0), (7.5, 0.8), (1e3, 1.5), (0.01, 3.0)]
+    log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
+    passes = recursion_rows(ens, BOX, points)
+    for i, point in enumerate(points):
+        assert enumeration_log_z_and_u(ens, BOX, [point]) == ([log_zs[i]], [us[i]])
+        assert recursion_rows(ens, BOX, [point]) == [passes[i]]
+
+    def reached(*args):
+        pytest.fail("a kernel ran before every point was checked")
+
+    for name in ("log_z_and_mean", "multiset_sums", "subset_sums"):
+        monkeypatch.setattr(kernels, name, reached)
+    # the enumeration backend took the first five silently: [nan], log Z = 32,
+    # U = 0, ZeroDivisionError and a RuntimeWarning; the last three leave
+    # L^p = 0, beta/L^p = inf and beta/L^p = 0 at beta > 0
+    bad_points = [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, 0.0),
+                  (math.inf, 1.0), (1.0, 1e-200), (1.0, 1e-160), (1e-300, 1e100)]
+    for backend in (enumeration_log_z_and_u, recursion_rows):
+        for bad in bad_points:
+            for at in (0, 3, len(points)):
+                with pytest.raises(ValueError):
+                    backend(ens, BOX, points[:at] + [bad] + points[at:])
+        # 2 * 1e308 * 4^2: the largest many-body energy coefficient overflows
+        with pytest.raises(ValueError, match="largest many-body energy"):
+            backend(ens, SpectrumSpec("box", scale_c=1e308), points)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
-                   adiabatic_energy_ratio, partition_by_enumeration,
+                   adiabatic_energy_ratio, enumeration_log_z_and_u,
                    positive_work_threshold, run_cycle, work_ratio_multiparticle,
                    work_ratio_two_particle)
 from qotto import manybody
@@ -131,8 +131,8 @@ def test_distinguishable_work_is_additive():
         for M in (2, 3, 4):
             # the enumerated N^M table at both corners, not the factorization
             c = cfg(spec=spec, statistics="distinguishable", M=M, N=5)
-            U4, U2 = (partition_by_enumeration(c.ens, spec, 1.0 / T, L).U
-                      for T, L in ((c.T_c, c.L2), (12.0, c.L1)))
+            U4, U2 = enumeration_log_z_and_u(c.ens, spec, [(1.0 / T, L) for T, L in
+                                                           ((c.T_c, c.L2), (12.0, c.L1))])[1]
             w = cycles_from_corners(c, U4, [U2])[0].W
             assert w == pytest.approx(M * single, rel=1e-12)
 
