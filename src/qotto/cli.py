@@ -74,9 +74,7 @@ def _load_config(path: str) -> dict[str, str]:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
             key, value = (part.strip() for part in line.split("=", 1))
             key = key.replace("-", "_")
-            if key == "lambda":
-                key = "lam"
-            data[key] = value
+            data["lam" if key == "lambda" else key] = value
     return data
 
 
@@ -130,10 +128,9 @@ def cmd_cycle(args: argparse.Namespace) -> int:
                ("R", f"{cfg.R:.12g}"), ("Tc", f"{cfg.T_c:.12g}"),
                ("Th", f"{params['Th']:.12g}"),
                ("lambda", f"{cfg.regime_lambda:.12g}")])
-    _print_kv([(k, f"{v:.12g}") for k, v in
-               (("U1", res.U1), ("U2", res.U2), ("U3", res.U3), ("U4", res.U4))])
-    _print_kv([(k, f"{v:.12g}") for k, v in
-               (("Qh", res.Q_h), ("Qc", res.Q_c), ("W", res.W), ("eta", res.eta))])
+    names = ("U1", "U2", "U3", "U4", "Qh", "Qc", "W", "eta")  # res[:8], two lines of four
+    for row in (slice(0, 4), slice(4, 8)):
+        _print_kv([(k, f"{v:.12g}") for k, v in zip(names[row], res[row])])
     _print_kv([("positive_work", "true" if res.positive_work else "false"),
                ("threshold_Th", f"{positive_work_threshold(cfg):.12g}")])
     return EXIT_OK
@@ -181,11 +178,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     results = run_all()
-    failed = 0
+    failed = sum(not res.passed for res in results)
     for res in results:
-        status = "PASS" if res.passed else "FAIL"
-        failed += 0 if res.passed else 1
-        print(f"{status} {res.name}: deviation={res.deviation:.3g} "
+        print(f"{'PASS' if res.passed else 'FAIL'} {res.name}: deviation={res.deviation:.3g} "
               f"tolerance={res.tolerance:.3g}")
     print(f"{len(results) - failed}/{len(results)} checks passed")
     return EXIT_OK if failed == 0 else EXIT_VALIDATION

@@ -1,9 +1,9 @@
 """Deterministic work-ratio sweeps and the untruncated harmonic validators.
 
 Each sweep reproduces one of the standard parameter studies as a list of
-RatioRecord rows, serializable to CSV with byte-stable formatting. The
-parameterization follows the dimensionless convention: L1 = 1, T_c = 1,
-and the spectrum prefactor carries the regime parameter
+RatioRecord named tuples, one CSV row each with byte-stable formatting.
+The parameterization follows the dimensionless convention: L1 = 1,
+T_c = 1, and the spectrum prefactor carries the regime parameter
 lam = scale_c / (L1^p * T_c), so hot-bath temperatures are in units of T_c.
 
 Sweep presets:
@@ -32,7 +32,8 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, fields, replace
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +45,8 @@ from .thermo import CycleConfig, cycles_from_corners, run_cycle_series
 CSV_COLUMNS = ("spectrum", "statistics", "M", "N", "L1", "R", "Tc", "Th",
                "lambda", "U1", "U2", "U3", "U4", "Qh", "Qc", "W", "eta",
                "Ws", "ratio", "positive_work")
+# one row: str() of the four leading columns, .17g of the 15 floats, then _fmt's positive_work
+_CSV_ROW = ",".join(["%s"] * 4 + ["%.17g"] * 15 + ["%s"])
 
 # |W_s| below this makes a work ratio meaningless; NaN is returned instead
 UNDEFINED_RATIO_GUARD = 1e-14
@@ -53,8 +56,7 @@ _CROSS_CHECK_CAP = 200_000
 _CROSS_CHECK_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RatioRecord:
+class RatioRecord(NamedTuple):
     """One evaluated sweep point: cycle quantities for the M-particle system
     plus the single-particle work Ws and the ratio W/Ws (NaN if undefined)."""
 
@@ -80,18 +82,15 @@ class RatioRecord:
     positive_work: bool
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
+def _fmt(flag) -> str:
+    if isinstance(flag, bool):
+        return "true" if flag else "false"
+    return str(flag)  # a numpy bool, from the float recursion, prints True/False
 
 
 def records_to_csv(records: list[RatioRecord]) -> str:
     lines = [",".join(CSV_COLUMNS)]
-    for rec in records:
-        lines.append(",".join(_fmt(getattr(rec, f.name)) for f in fields(RatioRecord)))
+    lines += [_CSV_ROW % (*rec[:-1], _fmt(rec[-1])) for rec in records]
     return "\n".join(lines) + "\n"
 
 
@@ -127,13 +126,12 @@ def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
 
 def _records(cfg: CycleConfig, Th_values, results, singles) -> list[RatioRecord]:
     """One record per Th: the cycle result of ``cfg`` against the single particle's."""
-    return [RatioRecord(
-        spectrum=cfg.spec.kind, statistics=cfg.ens.statistics, M=cfg.ens.M, N=cfg.ens.N,
-        L1=cfg.L1, R=cfg.R, Tc=cfg.T_c, Th=Th, lam=cfg.regime_lambda, U1=res.U1,
-        U2=res.U2, U3=res.U3, U4=res.U4, Qh=res.Q_h, Qc=res.Q_c, W=res.W, eta=res.eta,
-        Ws=single.W, positive_work=res.positive_work,
-        ratio=res.W / single.W if abs(single.W) >= UNDEFINED_RATIO_GUARD else math.nan)
-        for Th, res, single in zip(Th_values, results, singles)]
+    head = (cfg.spec.kind, cfg.ens.statistics, cfg.ens.M, cfg.ens.N, cfg.L1, cfg.R, cfg.T_c)
+    lam = cfg.regime_lambda
+    return [RatioRecord(*head, Th, lam, *res[:8], single.W,
+                        res.W / single.W if abs(single.W) >= UNDEFINED_RATIO_GUARD else math.nan,
+                        res.positive_work)
+            for Th, res, single in zip(Th_values, results, singles)]
 
 
 def make_record(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,

@@ -24,7 +24,9 @@ _BLOCK_ELEMENTS = 1 << 16
 
 def log_z_and_mean(w: np.ndarray, beta_effs: np.ndarray,
                    counts: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """log Z and the Boltzmann mean of w at each beta_eff; counts[i] states share w[i]."""
+    """log Z and the Boltzmann mean of w at each beta_eff; counts[i] states share w[i].
+    A beta_eff * (w - w.min()) past the float range is the exact weight exp(-inf) = 0;
+    log Z = -inf is the rounded value of a -beta_eff * w.min() below -1.8e308."""
     w0 = w.min()
     d = w - w0
     rows = max(1, _BLOCK_ELEMENTS // d.size)
@@ -32,11 +34,13 @@ def log_z_and_mean(w: np.ndarray, beta_effs: np.ndarray,
     mean = np.empty(beta_effs.size)
     for i in range(0, beta_effs.size, rows):
         b = beta_effs[i:i + rows]
-        x = np.exp(-b[:, None] * d)
+        with np.errstate(over="ignore"):  # either product may leave the float range
+            x, log_z[i:i + rows] = -b[:, None] * d, -b * w0
+        x = np.exp(x)
         if counts is not None:
             x *= counts  # a multiply rounds once; a log-count offset would not
         s = x.sum(axis=1)
-        log_z[i:i + rows] = -b * w0 + np.log(s)
+        log_z[i:i + rows] += np.log(s)
         mean[i:i + rows] = w0 + (d * x).sum(axis=1) / s
     return log_z, mean
 

@@ -145,7 +145,10 @@ def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec,
     for beta, L in beta_points:
         if not (0 <= beta < math.inf):
             raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
-        scale = L**spec.power_p
+        try:
+            scale = L**spec.power_p
+        except OverflowError:  # Python floats raise where numpy would give inf
+            scale = math.inf
         if not (0 < L < math.inf and 0 < scale < math.inf):
             raise ValueError(f"trap width L and L^p must be positive and finite, got L = {L}, "
                              f"L^p = {scale}")

@@ -17,13 +17,15 @@ the efficiency depending only on the geometry, never on statistics,
 particle number or temperatures. Net work is positive exactly when
 T_h > R^p * T_c. The cycle needs nothing but the two thermal corner
 energies U2 and U4: ``run_cycle`` takes them from ``internal_energies``,
-``cycles_from_corners`` from a backend called by name.
+``cycles_from_corners`` from a backend called by name. A cycle is a
+``CycleResult`` named tuple: U1..U4, Q_h, Q_c, W, eta and positive_work.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .manybody import EnsembleSpec, effective_betas, internal_energies, inverse_temperature
 from .spectrum import SpectrumSpec, adiabatic_energy_ratio
@@ -53,8 +55,7 @@ class CycleConfig:
         return self.spec.scale_c / (self.L1**self.spec.power_p * self.T_c)
 
 
-@dataclass(frozen=True)
-class CycleResult:
+class CycleResult(NamedTuple):
     U1: float
     U2: float
     U3: float
@@ -78,15 +79,14 @@ def cycles_from_corners(cfg: CycleConfig, U4: float, U2s) -> list[CycleResult]:
     """Cycles of ``cfg`` from the cold corner U4 and each hot corner in U2s."""
     shrink = adiabatic_energy_ratio(cfg.spec, cfg.L1, cfg.L2)
     grow = adiabatic_energy_ratio(cfg.spec, cfg.L2, cfg.L1)
-    U1 = U4 * grow
+    U1, eta = U4 * grow, 1.0 - shrink
     results = []
     for U2 in U2s:
         U3 = U2 * shrink
         Q_h = U2 - U1
         Q_c = U3 - U4
         W = Q_h - Q_c
-        results.append(CycleResult(U1=U1, U2=U2, U3=U3, U4=U4, Q_h=Q_h, Q_c=Q_c,
-                                   W=W, eta=1.0 - shrink, positive_work=W > 0))
+        results.append(CycleResult(U1, U2, U3, U4, Q_h, Q_c, W, eta, W > 0))
     return results
 
 

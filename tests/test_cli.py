@@ -174,6 +174,7 @@ def test_bad_arguments_exit_two(argv):
     (["sweep", "--scale", "1e308", "--levels", "5", "--th-min", "5", "--th-max", "9"],
      "largest many-body energy"),
     (["cycle", "--L1", "1e-200"], "L and L^p must be"),
+    (["cycle", "--L1", "1e200"], "L^p = inf"),  # was "(34, 'Numerical result out of range')"
 ])
 def test_energies_out_of_float_range_exit_two(tmp_path, capsys, argv, quantity):
     out = tmp_path / "sweep.csv"
@@ -250,3 +251,15 @@ def test_module_entrypoint_runs():
         capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 0
     assert "positive_work=true" in proc.stdout
+
+
+@pytest.mark.parametrize("command", ["cycle", "ratio"])
+def test_zero_boltzmann_weights_raise_no_warning(command):
+    # beta*E past the float range is the exact weight 0; it warned "overflow
+    # encountered in multiply", a traceback under -W error
+    argv = ["-m", "qotto", command, "--Tc", "1e-300", "--scale", "1e10"]
+    runs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True,
+                           env=_CHILD_ENV) for flags in (["-W", "error"], [])]
+    assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, ""), (0, "")]
+    assert runs[0].stdout == runs[1].stdout
+    assert "W=0" in runs[0].stdout

@@ -174,6 +174,52 @@ def test_csv_header_and_roundtrip():
     assert int(first["M"]) == 2
 
 
+def _per_cell_csv(records):
+    """The writer as a loop over every cell, the reference for the row template."""
+    def fmt(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        if isinstance(value, float):
+            return format(value, ".17g")
+        return str(value)
+
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(fmt(v) for v in rec) for rec in records]
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_row_template_matches_per_cell_formatting(monkeypatch):
+    hand = [experiments.RatioRecord(
+        "harmonic", "fermion", 3, np.int64(7), 1.0, np.float64(2.5), 1e-300, 5.0, 0.05,
+        -0.0, 0.0, math.inf, -math.inf, 2.0, np.float64(0.1), 1e17, 123456789.0,
+        np.float64(-3.0), math.nan, positive) for positive in (True, False, np.True_, np.False_)]
+    monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)  # the recursion's numpy flags
+    recursion = evaluate_series("box", "boson", 4, 6, 0.05, 2.0, (4.5, 5.0, 12.0))
+    assert {rec.positive_work.__class__ for rec in recursion} == {np.bool_}
+    monkeypatch.undo()
+    for records in (sweep_fig2(steps=10), sweep_fig67(), recursion, hand):
+        assert records_to_csv(records) == _per_cell_csv(records)
+    assert records_to_csv(hand).splitlines()[1] == (
+        "harmonic,fermion,3,7,1,2.5,1e-300,5,0.050000000000000003,-0,0,"
+        "inf,-inf,2,0.10000000000000001,1e+17,123456789,-3,nan,true")
+    assert [rec.split(",")[-1] for rec in records_to_csv(hand).splitlines()[1:]] == \
+        ["true", "false", "True", "False"]
+
+
+def test_records_are_immutable_named_tuples():
+    assert [{"lam": "lambda"}.get(f, f) for f in experiments.RatioRecord._fields] == \
+        list(CSV_COLUMNS)
+    rec = sweep_fig2(steps=2)[0]
+    res = run_cycle(CycleConfig(SpectrumSpec("box"), EnsembleSpec("boson", 2, 3), 1.0, 2.0, 1.0),
+                    8.0)
+    for record, name in ((rec, "W"), (res, "W"), (rec, "positive_work")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0.0)
+    assert rec._replace(Th=9.0).Th == 9.0 and rec.Th != 9.0
+    assert tuple(res) == (res.U1, res.U2, res.U3, res.U4, res.Q_h, res.Q_c, res.W, res.eta,
+                          res.positive_work)
+
+
 def test_csv_output_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     write_csv(sweep_fig3(steps=10), str(p1))

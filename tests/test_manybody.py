@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qotto import (KINDS, EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
                    enumeration_log_z_and_u, level_coefficients, recursion_rows,
@@ -424,10 +424,15 @@ def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
 @given(statistics=st.sampled_from(["boson", "fermion", "distinguishable"]),
        M=st.integers(1, 3), N=st.integers(1, 5), beta=st.floats(0.0, 3.0))
 @settings(max_examples=40, deadline=None)
+@example(statistics="boson", M=1, N=1, beta=5e-324)
 def test_enumeration_matches_brute_force(statistics, M, N, beta):
     if statistics == "fermion" and M > N:
         return
     ens = EnsembleSpec(statistics, M, N)
+    if 0 < beta and beta / 1.5**2 == 0:  # a subnormal beta: beta/L^p underflows to 0
+        with pytest.raises(ValueError, match=r"beta/L\^p must be finite and nonzero"):
+            enumeration_log_z_and_u(ens, BOX, [(beta, 1.5)])
+        return
     (got_log_z,), (got_u,) = enumeration_log_z_and_u(ens, BOX, [(beta, 1.5)])
     log_z, u = brute_log_z_u(brute_coeffs(statistics, M, N, BOX), beta, 1.5, 2.0)
     assert got_log_z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
@@ -462,3 +467,12 @@ def test_backends_check_every_point_of_a_batch_before_any_kernel_runs(monkeypatc
         # 2 * 1e308 * 4^2: the largest many-body energy coefficient overflows
         with pytest.raises(ValueError, match="largest many-body energy"):
             backend(ens, SpectrumSpec("box", scale_c=1e308), points)
+
+
+def test_effective_betas_names_an_L_whose_L_p_overflows():
+    # Python's float power raised OverflowError, "(34, 'Numerical result out of range')"
+    ens = EnsembleSpec("boson", 2, 3)
+    for spec, L in ((BOX, 1e200), (BOX, 1.5e154), (SpectrumSpec("quartic"), 1e240)):
+        with pytest.raises(ValueError, match=r"L and L\^p must be positive and finite.*L\^p = inf"):
+            manybody.effective_betas(ens, spec, [(1.0, 1.0), (1.0, L)])
+    assert manybody.effective_betas(ens, BOX, [(2.0, 1e150)]) == [(2.0 / 1e150**2, 1e150**2)]
