@@ -2,9 +2,9 @@
 
 Work, heat and efficiency of the four-stroke Otto cycle for M bosons,
 fermions or distinguishable particles on N truncated single-particle
-levels, with two independent partition-function backends (direct
-enumeration and the identical-particle recursion) that cross-validate
-each other.
+levels. The sign-free recursion over levels gives every live number (the
+identical-particle recursion above 2M states); direct enumeration is the
+oracle that cross-validates both.
 """
 
 from .errors import EmptyStateSpaceError

@@ -13,9 +13,9 @@ Sweep presets:
     fig45   high (lam=0.05) and intermediate (lam=1) regimes, R=2,
             several truncations N, T_h swept
     fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
-            by ``recursion_rows``, checked on each ensemble's distinct enumerated energies
+            by ``recursion_rows``, checked against the enumeration oracle
 
-The other presets take U from ``internal_energies``, which picks the backend.
+The other presets take U from ``internal_energies``: the level recursion.
 
 For the harmonic spectrum with infinitely many levels, the two-particle
 partition functions close to
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import kernels, manybody
+from . import manybody
 from .manybody import EnsembleSpec, recursion_rows
 from .spectrum import SpectrumSpec
 from .thermo import CycleConfig, cycles_from_corners, run_cycle_series
@@ -260,14 +260,14 @@ def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
 
 def _cross_check(ens: EnsembleSpec, held) -> None:
     """Compare the (spectrum, (beta, L), evaluation) triples in ``held``, one
-    spectrum kind, with one c = 1 table's distinct energies: Z(beta; c) = Z(beta*c; 1)."""
+    spectrum kind, with the enumeration oracle on one c = 1 table: Z(beta; c) = Z(beta*c; 1)."""
     if ens.state_count > _CROSS_CHECK_CAP:
         return
-    levels, counts = np.unique(manybody.state_energy_coefficients(
-        ens, SpectrumSpec(held[0][0].kind)), return_counts=True)
-    scales = np.array([spec.scale_c / L**spec.power_p for spec, (_, L), _ in held])
-    log_zs, us = kernels.log_z_and_mean(levels, scales * [b for _, (b, _), _ in held], counts)
-    for (spec, (beta, L), a), log_z, u in zip(held, log_zs, us * scales):
+    unit = SpectrumSpec(held[0][0].kind)
+    log_zs, us = manybody.enumeration_log_z_and_u(
+        ens, unit, [(beta * spec.scale_c, L) for spec, (beta, L), _ in held])
+    for (spec, (beta, L), a), log_z, u in zip(held, log_zs, us):
+        u *= spec.scale_c  # U(beta; c) = c U(beta*c; 1)
         if abs(a.log_Z - log_z) > _CROSS_CHECK_TOL or \
                 abs(a.U - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
             raise AssertionError(

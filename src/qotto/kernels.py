@@ -1,11 +1,11 @@
 """Hot numerical kernels: the Boltzmann reduction and the state-energy tables.
 
-numpy only. ``log_z_and_mean`` is the one Boltzmann reduction: energy coefficients,
-with optional multiplicities, at an array of inverse temperatures, in blocks of
-at most 2^16 temperature x state elements. Enumeration, the recursion's
-single-particle sums and whole sweep grids all go through it.
-``multiset_sums`` and ``subset_sums`` build the boson and fermion tables in
-lexicographic order from running sums, one particle at a time.
+numpy only. ``log_z_and_mean`` reduces energy coefficients, with optional
+multiplicities, at an array of inverse temperatures, in blocks of at most 2^16
+temperature x state elements: the enumeration oracle's tables and the particle
+recursion's single-particle sums. Sweeps take the level recursion in ``manybody``.
+``multiset_sums`` and ``subset_sums`` build the oracle's boson and fermion tables
+in lexicographic order from running sums, one particle at a time.
 
 Conventions: ``w`` is a float64 array of energy coefficients (energy times
 L^p, so E = w / L^p) and ``beta_eff = beta / L^p``, making every Boltzmann

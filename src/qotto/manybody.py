@@ -1,35 +1,34 @@
 """Canonical ensembles of M identical particles on N truncated levels.
 
-Two independent routes to the partition function and internal energy:
+* The level recursion, ``_recursion_levels``, expands
+  prod_n (1 +- x exp(-beta*e_n))^(+-1) one level at a time, each
+  particle-number row relative to its own ground state, so every term is
+  positive and nothing cancels. One call takes an array of beta/L^p and
+  gives every k <= M. Below ``DEFAULT_STATE_CAP`` states every live number
+  comes from it: row M for bosons and fermions, M times row 1 for
+  distinguishable particles (Z_M = Z_1^M).
 
-* Enumeration: ``state_energy_coefficients`` lists the total energy of every
-  symmetrized many-body configuration (multisets for bosons, strictly
-  increasing level tuples for fermions, ordered tuples for distinguishable
-  particles) and ``enumeration_log_z_and_u`` reduces that one table at a
-  list of (beta, L) points.
-
-* ``recursion_rows`` takes the same point list and uses, at each point, the
-  exact recursion for noninteracting identical particles,
+* ``recursion_rows`` takes bosons and fermions above the cap. At each
+  (beta, L) of a point list it runs the exact identical-particle recursion
 
       Z_M(beta) = (1/M) sum_{m=1..M} (+-1)^{m+1} Z_1(m*beta) Z_{M-m}(beta),
 
-  upper sign for bosons, lower for fermions, Z_0 = 1, with Z_1 built from
-  the same N-level truncation; one pass to M gives every k <= M. U comes
-  from the analytically differentiated recursion, never finite differences.
+  upper sign for bosons, lower for fermions, Z_0 = 1; one pass to M gives
+  every k <= M, and U comes from the differentiated recursion. Its float
+  path tracks the fermionic sign cancellation and |log Z| (large, it leaves
+  the log-domain terms few digits in their differences); rows past either
+  limit come from the level recursion instead (``method`` "levels").
 
-The two routes share nothing but Z_1's level coefficients, so they serve as
-mutual oracles. Both check every point through ``effective_betas`` before
-any sum runs. ``internal_energies`` is the one place that chooses between
-them; a caller that wants one route calls its functions by name.
+* Enumeration is the oracle only: ``state_energy_coefficients`` lists the
+  total energy of every symmetrized configuration (multisets for bosons,
+  strictly increasing level tuples for fermions, ordered tuples for
+  distinguishable particles), and ``enumeration_log_z_and_u`` reduces the
+  table's distinct energies, weighted by their counts, at a list of
+  (beta, L) points. ``validate``, the fig67 cross-check and the tests call it.
 
-The float recursion can lose digits in two ways: the fermionic sum
-alternates signs and cancels catastrophically at large beta, and at any
-statistics a large |log Z| leaves its log-domain terms with few digits in
-their differences. The float path tracks both and, past either limit,
-recomputes Z_k and U_k by the level-by-level expansion of
-prod_n (1 +- x exp(-beta*e_n))^(+-1): each particle-number row relative to
-its own ground state, so every term is positive and nothing cancels. That
-keeps the backend independent of enumeration at any beta.
+The routes share nothing but Z_1's level coefficients, so they check each
+other. Each checks every point through ``effective_betas`` before any sum
+runs. ``internal_energies`` is the one place that chooses a route.
 """
 
 from __future__ import annotations
@@ -45,11 +44,15 @@ from .spectrum import SpectrumSpec, check_count, level_coefficients
 
 STATISTICS = ("boson", "fermion", "distinguishable")
 
-# `internal_energies` switches bosons and fermions from enumeration to the
-# recursion above this many states; distinguishable particles never reach it
+# above this many states `internal_energies` gives bosons and fermions the
+# particle recursion, not the level recursion. Stored benchmark references pin
+# the numpy `True` positive_work its float path prints (155 fig67 rows, 13 of
+# points seed 1); the split stays until they store exact values instead
 DEFAULT_STATE_CAP = 2_000_000
 
-# memory guard: enumeration refuses above this many _table_entries
+# memory guard of the enumeration oracle: it refuses tables above this many
+# entries, states x M for bosons and fermions (their builders hold a few
+# state-length arrays while they place the last particle), else states
 HARD_ENUMERATION_LIMIT = 50_000_000
 
 # beyond this cancellation loss, or this |log Z|, the particle recursion hands
@@ -94,22 +97,15 @@ class PartitionEvaluation:
     method: str
 
 
-def _table_entries(ens: EnsembleSpec) -> int:
-    """Memory-guard measure: count x M for bosons and fermions (their builders
-    hold a few count-length arrays; internal_energies routes by it), else count."""
-    if ens.statistics == "distinguishable":
-        return ens.state_count
-    return ens.state_count * ens.M
-
-
 def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarray:
     """Total energy coefficient of every many-body configuration.
 
     Deterministic (lexicographic) generation order, not sorted by energy.
     """
-    if _table_entries(ens) > HARD_ENUMERATION_LIMIT:
+    distinguishable = ens.statistics == "distinguishable"
+    if ens.state_count * (1 if distinguishable else ens.M) > HARD_ENUMERATION_LIMIT:
         advice = ("internal_energies (M times the single-particle energy)"
-                  if ens.statistics == "distinguishable" else "the recursion backend")
+                  if distinguishable else "the recursion backend")
         raise ValueError(
             f"enumerating {ens.state_count} configurations of {ens.M} particles exceeds "
             f"the limit of {HARD_ENUMERATION_LIMIT} table entries; use {advice}")
@@ -141,21 +137,28 @@ def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec,
     n_top, M = spec.n_min + int(ens.N) - 1, int(ens.M)  # exact ints; no numpy overflow warning
     top = spec.scale_c * (sum(map(spec.level_shape, range(n_top - M + 1, n_top + 1)))
                           if ens.statistics == "fermion" else M * spec.level_shape(n_top))
-    out = []
+    out, scales = [], {}  # L -> L^p: each distinct width is checked once
     for beta, L in beta_points:
         if not (0 <= beta < math.inf):
             raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
-        try:
-            scale = L**spec.power_p
-        except OverflowError:  # Python floats raise where numpy would give inf
-            scale = math.inf
-        if not (0 < L < math.inf and 0 < scale < math.inf):
-            raise ValueError(f"trap width L and L^p must be positive and finite, got L = {L}, "
-                             f"L^p = {scale}")
+        known = L in scales
+        if known:
+            scale = scales[L]
+        else:
+            try:
+                scale = L**spec.power_p
+            except OverflowError:  # Python floats raise where numpy would give inf
+                scale = math.inf
+            if not (0 < L < math.inf and 0 < scale < math.inf):
+                raise ValueError(f"trap width L and L^p must be positive and finite, "
+                                 f"got L = {L}, L^p = {scale}")
         if not (0 < (beta_eff := beta / scale) < math.inf or beta == 0):
             raise ValueError(f"beta/L^p must be finite and nonzero, got {beta}/{scale}")
-        if not top / scale < math.inf:
-            raise ValueError(f"the largest many-body energy, {top:g}/L^p at L = {L}, is not finite")
+        if not known:
+            if not top / scale < math.inf:
+                raise ValueError(
+                    f"the largest many-body energy, {top:g}/L^p at L = {L}, is not finite")
+            scales[L] = scale
         out.append((beta_eff, scale))
     return out
 
@@ -164,10 +167,12 @@ def enumeration_log_z_and_u(ens: EnsembleSpec, spec: SpectrumSpec,
                             beta_points: list[tuple[float, float]]
                             ) -> tuple[list[float], list[float]]:
     """log Z and U at every (beta, L) in ``beta_points`` from one enumerated
-    table, reduced at all points in one call."""
+    table, reduced over its distinct energies, each weighted by the number of
+    states that share it, at all points in one call."""
     points = effective_betas(ens, spec, beta_points)
-    log_zs, means = kernels.log_z_and_mean(state_energy_coefficients(ens, spec),
-                                           np.array([beta_eff for beta_eff, _ in points]))
+    levels, counts = np.unique(state_energy_coefficients(ens, spec), return_counts=True)
+    log_zs, means = kernels.log_z_and_mean(
+        levels, np.array([beta_eff for beta_eff, _ in points]), counts)
     return log_zs.tolist(), [mean / scale for mean, (_, scale) in zip(means.tolist(), points)]
 
 
@@ -219,9 +224,10 @@ def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
     return lz[1:], uu[1:], bad[1:]
 
 
-def _recursion_levels(w: np.ndarray, M: int, beta_eff: float,
-                      fermion: bool) -> list[tuple[float, float]]:
-    """Sign-free recursion over levels: log Z_k, U_k in coefficient units, k = 1..M.
+def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
+                      fermion: bool) -> tuple[list[list[float]], list[list[float]]]:
+    """Sign-free recursion over levels: log Z_k and U_k in coefficient units,
+    k = 1..M, as lists of M rows with one value per beta_eff in ``beta_effs``.
 
     Adding level n to the first n levels gives, for k = 1..M,
 
@@ -232,25 +238,41 @@ def _recursion_levels(w: np.ndarray, M: int, beta_eff: float,
     ground state (reference level w[k-1] for fermions, w[0] for bosons), so
     every factor is at most 1 and every sum positive. The excitation-energy
     numerator D_k obeys the same recursion plus (w_n - ref) x_n Z_{k-1}.
+
+    Row k's Z_k - 1 and D_k are pairwise sums of its excited terms (the ground
+    term is exactly 1, hence log1p); running sums only feed row k + 1, so no row
+    depends on M. Points run in blocks of at most 2^16 point x level elements.
     """
     N = w.size
-    z = np.ones(N + 1)    # Z_{k-1} over the first n levels, n = 0..N
-    d = np.zeros(N + 1)   # its excitation-energy numerator
     ground = w[:M].tolist() if fermion else [w[0].item()] * M
-    rows = []
-    for k in range(1, M + 1):
-        lo = k - 1 if fermion else 0   # row k's reference level
-        # Z_{k-1} without level n (fermions) or with it (bosons), n = lo..N-1
-        prev = slice(lo, N) if fermion else slice(1, N + 1)
-        e = w[lo:] - w[lo]
-        x = np.exp(-beta_eff * e)
-        t = x * z[prev]
-        head = np.zeros(lo + 1)
-        d = np.concatenate((head, np.cumsum(x * d[prev] + e * t)))
-        z = np.concatenate((head, np.cumsum(t)))
-        rows.append((-beta_eff * math.fsum(ground[:k]) + math.log(z[N]),
-                     math.fsum(ground[:k] + [d[N] / z[N]])))
-    return rows
+    excited = np.empty((M, beta_effs.size))  # Z_k - 1 at every point
+    numer = np.empty((M, beta_effs.size))    # D_k
+    rows = max(1, kernels._BLOCK_ELEMENTS // (N + 1))
+    for i in range(0, beta_effs.size, rows):
+        nb = -beta_effs[i:i + rows, None]
+        z = np.ones((nb.size, N + 1))   # Z_{k-1} over the first n levels, n = 0..N
+        d = np.zeros((nb.size, N + 1))  # its excitation-energy numerator
+        for k in range(1, M + 1):
+            lo = k - 1 if fermion else 0   # row k's reference level
+            # Z_{k-1} without level n (fermions) or with it (bosons), n = lo..N-1
+            prev = slice(lo, N) if fermion else slice(1, N + 1)
+            e = w[lo:] - w[lo]
+            with np.errstate(over="ignore"):  # beta_eff * e past the float range is weight 0
+                x = np.exp(nb * e)
+            t = x * z[:, prev]
+            dt = x * d[:, prev] + e * t
+            np.add.reduce(t[:, 1:], axis=1, out=excited[k - 1, i:i + rows])
+            np.add.reduce(dt[:, 1:], axis=1, out=numer[k - 1, i:i + rows])
+            if k < M:  # row k + 1 reads no entry left of its own reference level
+                np.add.accumulate(t, axis=1, out=z[:, lo + 1:])
+                np.add.accumulate(dt, axis=1, out=d[:, lo + 1:])
+    ground_sums = np.array([[math.fsum(ground[:k])] for k in range(1, M + 1)])
+    with np.errstate(over="ignore"):  # a ground energy past the float range is log Z = -inf
+        log_zs = -beta_effs * ground_sums
+    log_zs += np.log1p(excited)
+    us = [[math.fsum(ground[:k] + [q]) for q in row]
+          for k, row in enumerate((numer / (1.0 + excited)).tolist(), 1)]
+    return log_zs.tolist(), us
 
 
 def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec,
@@ -269,8 +291,8 @@ def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec,
     out = []
     for beta_eff, scale in points:
         log_zs, us, bad = _recursion_float(w, ens.M, beta_eff, fermion)
-        levels = _recursion_levels(w, ens.M, beta_eff, fermion) if bad.any() else None
-        rows = [(*levels[k], "levels") if bad[k] else (log_z, u, "recursion")
+        levels = _recursion_levels(w, ens.M, np.array([beta_eff]), fermion) if bad.any() else None
+        rows = [(levels[0][k][0], levels[1][k][0], "levels") if bad[k] else (log_z, u, "recursion")
                 for k, (log_z, u) in enumerate(zip(log_zs, us))]
         out.append([PartitionEvaluation(log_Z=log_z, U=u / scale, method=method)
                     for log_z, u, method in rows])
@@ -281,17 +303,18 @@ def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
                       points: list[tuple[float, float]]) -> list[float]:
     """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``.
 
-    The one backend dispatcher: distinguishable particles get M times the
-    single-particle U from one N-level table, at any M. Bosons and fermions
-    are enumerated up to ``DEFAULT_STATE_CAP`` configurations (and within the
-    HARD_ENUMERATION_LIMIT memory guard), one table for all points, and take
-    the recursion, one pass per point, beyond.
+    The one backend dispatcher. One level recursion over all points gives
+    bosons and fermions up to ``DEFAULT_STATE_CAP`` configurations their row
+    M, and distinguishable particles, at any M, M times row 1 (the single
+    particle). Bosons and fermions beyond the cap take ``recursion_rows``.
     """
     beta_points = [(inverse_temperature(T), L) for T, L in points]
-    if ens.statistics == "distinguishable":
-        effective_betas(ens, spec, beta_points)  # M times the single particle's range
-        single = EnsembleSpec("distinguishable", 1, ens.N)
-        return [ens.M * u for u in enumeration_log_z_and_u(single, spec, beta_points)[1]]
-    if ens.state_count <= DEFAULT_STATE_CAP and _table_entries(ens) <= HARD_ENUMERATION_LIMIT:
-        return enumeration_log_z_and_u(ens, spec, beta_points)[1]
-    return [rows[-1].U for rows in recursion_rows(ens, spec, beta_points)]
+    distinguishable = ens.statistics == "distinguishable"
+    if not distinguishable and ens.state_count > DEFAULT_STATE_CAP:
+        return [rows[-1].U for rows in recursion_rows(ens, spec, beta_points)]
+    points = effective_betas(ens, spec, beta_points)  # M times the single particle's range
+    M, factor = (1, ens.M) if distinguishable else (ens.M, 1)
+    us = _recursion_levels(level_coefficients(spec, ens.N), M,
+                           np.array([beta_eff for beta_eff, _ in points]),
+                           ens.statistics == "fermion")[1][-1]
+    return [factor * (u / scale) for u, (_, scale) in zip(us, points)]

@@ -165,7 +165,7 @@ def test_bad_arguments_exit_two(argv):
 
 
 # accepted inputs whose derived energies leave the float range printed NaN
-# with exit 0 (the last gave "float division by zero")
+# with exit 0 (one gave "float division by zero")
 @pytest.mark.parametrize("argv, quantity", [
     (["cycle", "--scale", "1e308", "--levels", "5"], "largest many-body energy"),
     (["cycle", "--scale", "1e307", "--levels", "3", "--particles", "2"],
@@ -175,6 +175,11 @@ def test_bad_arguments_exit_two(argv):
      "largest many-body energy"),
     (["cycle", "--L1", "1e-200"], "L and L^p must be"),
     (["cycle", "--L1", "1e200"], "L^p = inf"),  # was "(34, 'Numerical result out of range')"
+    # c/(L1^p Tc) = 1e310 printed lambda=inf, and the sweep wrote inf in every lambda cell
+    (["cycle", "--Tc", "1e-300", "--scale", "1e10"], "regime parameter lambda"),
+    (["ratio", "--Tc", "1e-300", "--scale", "1e10"], "regime parameter lambda"),
+    (["sweep", "--Tc", "1e-300", "--scale", "1e10", "--th-min", "5", "--th-max", "9"],
+     "regime parameter lambda"),
 ])
 def test_energies_out_of_float_range_exit_two(tmp_path, capsys, argv, quantity):
     out = tmp_path / "sweep.csv"
@@ -256,10 +261,15 @@ def test_module_entrypoint_runs():
 @pytest.mark.parametrize("command", ["cycle", "ratio"])
 def test_zero_boltzmann_weights_raise_no_warning(command):
     # beta*E past the float range is the exact weight 0; it warned "overflow
-    # encountered in multiply", a traceback under -W error
-    argv = ["-m", "qotto", command, "--Tc", "1e-300", "--scale", "1e10"]
-    runs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True,
-                           env=_CHILD_ENV) for flags in (["-W", "error"], [])]
-    assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, ""), (0, "")]
-    assert runs[0].stdout == runs[1].stdout
-    assert "W=0" in runs[0].stdout
+    # encountered in multiply", a traceback under -W error. lambda = 1e307 is
+    # finite, but the cold corner's beta*E is about 2e311. Three bosons on 300
+    # levels are 4.5M states, above the state cap: the particle recursion hands
+    # them over to the level recursion, which warned as well.
+    for extra in ([], ["--particles", "3"]):
+        argv = ["-m", "qotto", command, "--Tc", "1e-300", "--scale", "1e7", "--levels", "300",
+                *extra]
+        runs = [subprocess.run([sys.executable, *flags, *argv], capture_output=True, text=True,
+                               env=_CHILD_ENV) for flags in (["-W", "error"], [])]
+        assert [(proc.returncode, proc.stderr) for proc in runs] == [(0, ""), (0, "")]
+        assert runs[0].stdout == runs[1].stdout
+        assert "W=0" in runs[0].stdout

@@ -276,19 +276,25 @@ def test_series_rows_equal_per_point_records(monkeypatch):
 
 
 def test_fig45_builds_each_ensemble_once(monkeypatch):
-    built = []
-    original = manybody.state_energy_coefficients
+    calls = []
+    original = manybody._recursion_levels
 
-    def counted(ens, spec):
-        built.append((ens, spec))
-        return original(ens, spec)
+    def counted(w, M, beta_effs, fermion):
+        calls.append((w.size, w[0], M, fermion, beta_effs.size))
+        return original(w, M, beta_effs, fermion)
 
-    monkeypatch.setattr(manybody, "state_energy_coefficients", counted)
+    def built(ens, spec):
+        pytest.fail("a sweep built a state table")
+
+    monkeypatch.setattr(manybody, "_recursion_levels", counted)
+    monkeypatch.setattr(manybody, "state_energy_coefficients", built)
     records = sweep_fig45(steps=5)
-    # 2 regimes x 7 truncations x 2 statistics, each with its single-particle twin
+    # 2 regimes x 7 truncations x 2 statistics, each with its single-particle
+    # twin: one level pass per ensemble, over the cold corner and all 5 Th
     assert len(records) == 28 * 5
-    assert len(built) == 56
-    assert len(set(built)) == 56
+    assert len(calls) == 56
+    assert len(set(calls)) == 56
+    assert {size for *_, size in calls} == {6}
 
 
 def test_cross_check_builds_one_table_per_ensemble_and_compares_both_values(monkeypatch):

@@ -6,6 +6,7 @@ checks stay independent of the package's kernels and recursion.
 
 import itertools
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -268,7 +269,11 @@ def test_internal_energy_methods_and_cap(monkeypatch):
     ens = EnsembleSpec("boson", 3, 6)
     (u_enum,) = enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])[1]
     u_rec = recursion_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[0][-1].U
-    assert internal_energies(ens, BOX, [(2.0, 1.0)])[0] == u_enum
+    # below the cap: row M of the level recursion, bit for bit
+    (u_levels,) = manybody._recursion_levels(level_coefficients(BOX, 6), 3, np.array([0.5]),
+                                             False)[1][-1]
+    assert internal_energies(ens, BOX, [(2.0, 1.0)])[0] == u_levels
+    assert u_levels == pytest.approx(u_enum, rel=1e-12)
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
     u_auto_small_cap = internal_energies(ens, BOX, [(2.0, 1.0)])[0]
     assert u_rec == pytest.approx(u_enum, rel=1e-12)
@@ -277,8 +282,10 @@ def test_internal_energy_methods_and_cap(monkeypatch):
         internal_energies(ens, BOX, [(0.0, 1.0)])
 
 
-# the state cap picks the route: an unbounded cap always enumerates, cap 1
-# always takes the recursion, the default enumerates these small ensembles
+# the state cap picks the route: an unbounded cap always takes the level
+# recursion, cap 1 always the particle recursion, the default the level
+# recursion for these small ensembles (the "enumeration" id names the route
+# an unbounded cap took before the level recursion replaced it)
 @pytest.mark.parametrize("cap", [pytest.param(math.inf, id="enumeration"),
                                  pytest.param(1, id="recursion"),
                                  pytest.param(manybody.DEFAULT_STATE_CAP, id="auto")])
@@ -319,8 +326,8 @@ def test_tiny_accepted_temperature_gives_ground_state_energy():
 
 def test_level_recursion_matches_enumeration():
     # every kind, regime and statistics up to 3M states, from beta = 0 to
-    # the ground state; the enumeration table is reduced at all betas in one
-    # call, bit for bit what enumeration_log_z_and_u gives at L = 1
+    # the ground state; the full enumerated table and the level recursion
+    # each take all betas in one call
     betas = np.array([0.0, 0.01, 0.2, 1.0, 10.0, 200.0, 1e8])
     cases = 0
     for kind, lam, statistics, M, N in itertools.product(
@@ -334,17 +341,38 @@ def test_level_recursion_matches_enumeration():
         spec = SpectrumSpec(kind, scale_c=lam)
         log_zs, means = kernels.log_z_and_mean(state_energy_coefficients(ens, spec), betas)
         w = level_coefficients(spec, N)
-        for beta, log_z, u in zip(betas, log_zs, means):
-            got = manybody._recursion_levels(w, M, beta, statistics == "fermion")[-1]
+        got_log_zs, got_us = manybody._recursion_levels(w, M, betas, statistics == "fermion")
+        for log_z, u, got in zip(log_zs, means, zip(got_log_zs[-1], got_us[-1])):
             assert abs(got[0] - log_z) <= 1e-13 * max(1.0, abs(log_z))
             assert abs(got[1] - u) <= 1e-13 * max(1.0, abs(u))
             cases += 1
     assert cases == 3276
 
 
+def test_level_recursion_keeps_log_z_near_zero_exact():
+    # harmonic bosons M=3, N=25, lambda=0.05 at beta=200: Z = 1 + 4.5e-5, and
+    # log(Z) lost 3.5e-12 of log Z's relative precision; against a 50-digit sum
+    # over all 2925 states of the same float coefficients
+    w = level_coefficients(SpectrumSpec("harmonic", scale_c=0.05), 25)
+    log_zs, us = manybody._recursion_levels(w, 3, np.array([200.0]), False)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        z = d = Decimal(0)
+        for levels in itertools.combinations_with_replacement(map(Decimal, w.tolist()), 3):
+            e = sum(levels)
+            t = (-Decimal(200.0) * e).exp()
+            z, d = z + t, d + e * t
+        log_z, u = z.ln(), d / z
+        errors = [abs((Decimal(got) - value) / value)
+                  for got, value in ((log_zs[-1][0], log_z), (us[-1][0], u))]
+    assert float(log_z) == pytest.approx(4.5403021617690e-5, rel=1e-13)
+    assert max(errors) <= Decimal("2e-15")
+
+
 def test_internal_energies_equal_pointwise_values_on_every_route(monkeypatch):
     points = [(0.3, 2.0), (1.0, 1.0), (2.5, 1.0), (7.0, 1.5)]
-    # the default cap enumerates these ensembles, cap 1 takes the recursion
+    # the default cap gives these ensembles the level recursion, cap 1 the
+    # particle recursion
     cases = [(EnsembleSpec("boson", 3, 6), 2_000_000),
              (EnsembleSpec("fermion", 3, 6), 2_000_000),
              (EnsembleSpec("fermion", 3, 6), 1),
@@ -356,8 +384,8 @@ def test_internal_energies_equal_pointwise_values_on_every_route(monkeypatch):
 
 
 def test_distinguishable_beyond_cap_factorizes(monkeypatch):
-    # at any cap, auto gives M distinguishable particles M times the one-particle
-    # U and never builds their N^M table
+    # at any cap, auto gives M distinguishable particles M times row 1 (the one
+    # particle) of the level recursion and never builds their N^M table
     points = [(3.0, 1.0), (0.7, 1.5)]
     beta_points = [(1.0 / T, L) for T, L in points]
     build = manybody.state_energy_coefficients
@@ -368,15 +396,16 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
         return build(ens, spec)
 
     for ens in (EnsembleSpec("distinguishable", 3, 4), EnsembleSpec("distinguishable", 2, 7)):
-        single = enumeration_log_z_and_u(
-            EnsembleSpec("distinguishable", 1, ens.N), BOX, beta_points)[1]
+        single = manybody._recursion_levels(level_coefficients(BOX, ens.N), 1,
+                                            np.array([b / L**2.0 for b, L in beta_points]),
+                                            False)[1][0]
         direct = enumeration_log_z_and_u(ens, BOX, beta_points)[1]
         for cap in (manybody.DEFAULT_STATE_CAP, 1):
             monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
             monkeypatch.setattr(manybody, "state_energy_coefficients", one_particle_only)
             via_auto = internal_energies(ens, BOX, points)
             monkeypatch.undo()
-            assert via_auto == [ens.M * u for u in single]
+            assert via_auto == [ens.M * (u / L**2.0) for u, (_, L) in zip(single, beta_points)]
             assert via_auto == pytest.approx(direct, rel=1e-13)
 
 
@@ -402,23 +431,6 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     assert ens.state_count == 16_108_764
     with pytest.raises(ValueError, match="table entries; use the recursion backend"):
         enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])
-
-
-def test_auto_takes_the_recursion_above_the_enumeration_guard(monkeypatch):
-    # 20 states of 3 bosons are 60 table entries: under the state cap, above
-    # a guard of 10, so auto must not hand the ensemble to enumeration. One
-    # boson on 10 levels is 10 entries and still enumerates. At T=3.3 the
-    # two backends differ in the last bits, so the route shows.
-    three, one = EnsembleSpec("boson", 3, 4), EnsembleSpec("boson", 1, 10)
-    beta = 1.0 / 3.3
-    points = [(beta, 1.0)]
-    expected = [recursion_rows(three, BOX, points)[0][-1].U,
-                enumeration_log_z_and_u(one, BOX, points)[1][0]]
-    assert expected[0] != enumeration_log_z_and_u(three, BOX, points)[1][0]
-    assert expected[1] != recursion_rows(one, BOX, points)[0][-1].U
-    monkeypatch.setattr(manybody, "HARD_ENUMERATION_LIMIT", 10)
-    assert [internal_energies(three, BOX, [(3.3, 1.0)])[0],
-            internal_energies(one, BOX, [(3.3, 1.0)])[0]] == expected
 
 
 @given(statistics=st.sampled_from(["boson", "fermion", "distinguishable"]),
