@@ -14,7 +14,7 @@ from .experiments import (RatioRecord, harmonic_closed_form_W,
                           sweep_fig67, work_ratio_multiparticle,
                           work_ratio_two_particle, write_csv)
 from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, PartitionEvaluation,
-                       enumeration_log_z_and_u, recursion_rows,
+                       enumeration_log_z_and_u, enumeration_rows, recursion_rows,
                        state_energy_coefficients)
 from .spectrum import (KINDS, SpectrumSpec, adiabatic_energy_ratio,
                        level_coefficients, single_particle_energies)
@@ -27,7 +27,7 @@ __all__ = [
     "CycleConfig", "CycleResult", "DEFAULT_STATE_CAP", "EmptyStateSpaceError",
     "EnsembleSpec", "KINDS", "PartitionEvaluation", "RatioRecord",
     "SpectrumSpec", "adiabatic_energy_ratio", "enumeration_log_z_and_u",
-    "harmonic_closed_form_W", "harmonic_closed_form_Z", "level_coefficients",
+    "enumeration_rows", "harmonic_closed_form_W", "harmonic_closed_form_Z", "level_coefficients",
     "make_record", "make_series", "positive_work_threshold", "recursion_rows",
     "records_to_csv", "run_cycle",
     "single_particle_energies", "state_energy_coefficients", "sweep_fig2",

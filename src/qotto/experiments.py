@@ -13,7 +13,8 @@ Sweep presets:
     fig45   high (lam=0.05) and intermediate (lam=1) regimes, R=2,
             several truncations N, T_h swept
     fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
-            by ``recursion_rows``, checked against the enumeration oracle
+            by ``recursion_rows``, each (statistics, N) column checked
+            against one enumeration of its k-particle tables
 
 The other presets take U from ``internal_energies``: the level recursion.
 
@@ -32,7 +33,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,7 +40,7 @@ import numpy as np
 from . import manybody
 from .manybody import EnsembleSpec, recursion_rows
 from .spectrum import SpectrumSpec
-from .thermo import CycleConfig, cycles_from_corners, run_cycle_series
+from .thermo import CycleConfig, cycles_from_corners
 
 CSV_COLUMNS = ("spectrum", "statistics", "M", "N", "L1", "R", "Tc", "Th",
                "lambda", "U1", "U2", "U3", "U4", "Qh", "Qc", "W", "eta",
@@ -114,13 +114,13 @@ def write_csv(records: list[RatioRecord], path: str) -> None:
 
 def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
                 Tc: float, Th_values) -> list[RatioRecord]:
-    """M- and single-particle cycles over a Th series, each ensemble built once."""
+    """M- and single-particle cycles over a Th series, each ensemble built once:
+    up to the state cap, one level pass gives both (row 1 is the single particle)."""
     if len(Th_values) == 0:
         return []
     cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc)
-    results = run_cycle_series(cfg, Th_values)
-    singles = run_cycle_series(replace(cfg, ens=EnsembleSpec(ens.statistics, 1, ens.N)),
-                               Th_values)
+    singles, results = (cycles_from_corners(cfg, U4, U2s) for U4, *U2s in manybody._energy_rows(
+        ens, spec, [(Tc, cfg.L2)] + [(Th, L1) for Th in Th_values], True))
     return _records(cfg, Th_values, results, singles)
 
 
@@ -249,30 +249,37 @@ def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
                     single, res = (cycles_from_corners(cfg, cold[k].U, [hot[k].U])
                                    for k in (0, M - 1))
                     records += _records(cfg, [Th], res, single)
-                    held.setdefault(cfg.ens, []).extend(
-                        zip((spec, spec), corners, (cold[M - 1], hot[M - 1])))
-    # checked after every row: interleaving the enumeration tables with the
-    # recursion cost about 4% more CPU time (fig67, 2-vCPU VM)
-    for ens, evaluations in held.items():
-        _cross_check(ens, evaluations)
+                held.setdefault((statistics, N, tuple(ms)), []).extend(
+                    zip((spec, spec), corners, (cold, hot)))
+    # checked after every row: a column's rows at both lambda share one enumeration
+    for column, passes in held.items():
+        _cross_check(*column, passes)
     return records
 
 
-def _cross_check(ens: EnsembleSpec, held) -> None:
-    """Compare the (spectrum, (beta, L), evaluation) triples in ``held``, one
-    spectrum kind, with the enumeration oracle on one c = 1 table: Z(beta; c) = Z(beta*c; 1)."""
-    if ens.state_count > _CROSS_CHECK_CAP:
-        return
+def _cross_check(statistics: str, N: int, ms, held) -> None:
+    """Compare rows M in ``ms`` of the (spectrum, (beta, L), rows) recursion passes in
+    ``held``, one spectrum kind, with the enumeration oracle on the c = 1 shapes:
+    Z(beta; c) = Z(beta*c; 1). One oracle call gives every row up to the largest M whose
+    k-tables, k <= M, all hold at most _CROSS_CHECK_CAP states; a larger M under the cap
+    (fermions past N/2) takes its own table."""
+    sizes = [EnsembleSpec(statistics, k, N).state_count for k in range(1, max(ms) + 1)]
+    top = max((M for M in ms if max(sizes[:M]) <= _CROSS_CHECK_CAP), default=0)
     unit = SpectrumSpec(held[0][0].kind)
-    log_zs, us = manybody.enumeration_log_z_and_u(
-        ens, unit, [(beta * spec.scale_c, L) for spec, (beta, L), _ in held])
-    for (spec, (beta, L), a), log_z, u in zip(held, log_zs, us):
-        u *= spec.scale_c  # U(beta; c) = c U(beta*c; 1)
-        if abs(a.log_Z - log_z) > _CROSS_CHECK_TOL or \
-                abs(a.U - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
-            raise AssertionError(
-                f"recursion/enumeration mismatch for {ens} on {spec} at "
-                f"beta={beta}, L={L}: dlogZ={a.log_Z - log_z:.3g} dU={a.U - u:.3g}")
+    points = [(beta * spec.scale_c, L) for spec, (beta, L), _ in held]
+    column = manybody.enumeration_rows(EnsembleSpec(statistics, top, N), unit, points) if top else []
+    for M in ms:
+        ens = EnsembleSpec(statistics, M, N)
+        if M > top and ens.state_count > _CROSS_CHECK_CAP:
+            continue
+        log_zs, us = column[M - 1] if M <= top else manybody.enumeration_log_z_and_u(ens, unit, points)
+        for (spec, (beta, L), rows), log_z, u in zip(held, log_zs, us):
+            a, u = rows[M - 1], u * spec.scale_c  # U(beta; c) = c U(beta*c; 1)
+            if abs(a.log_Z - log_z) > _CROSS_CHECK_TOL or \
+                    abs(a.U - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
+                raise AssertionError(
+                    f"recursion/enumeration mismatch for {ens} on {spec} at "
+                    f"beta={beta}, L={L}: dlogZ={a.log_Z - log_z:.3g} dU={a.U - u:.3g}")
 
 
 def harmonic_closed_form_Z(statistics: str, T: float, L: float,

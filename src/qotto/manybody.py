@@ -22,13 +22,15 @@
 * Enumeration is the oracle only: ``state_energy_coefficients`` lists the
   total energy of every symmetrized configuration (multisets for bosons,
   strictly increasing level tuples for fermions, ordered tuples for
-  distinguishable particles), and ``enumeration_log_z_and_u`` reduces the
-  table's distinct energies, weighted by their counts, at a list of
-  (beta, L) points. ``validate``, the fig67 cross-check and the tests call it.
+  distinguishable particles). ``enumeration_rows`` builds the exact integer
+  table of every k <= M, each from the last, and reduces each over its
+  distinct energies at a list of (beta, L) points; ``enumeration_log_z_and_u``
+  does so for the M-table alone. ``validate``, fig67 and the tests call them.
 
 The routes share nothing but Z_1's level coefficients, so they check each
 other. Each checks every point through ``effective_betas`` before any sum
-runs. ``internal_energies`` is the one place that chooses a route.
+runs. ``_energy_rows``, behind ``internal_energies``, is the one place that
+chooses a route.
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ STATISTICS = ("boson", "fermion", "distinguishable")
 # points seed 1); the split stays until they store exact values instead
 DEFAULT_STATE_CAP = 2_000_000
 
-# memory guard of the enumeration oracle: it refuses tables above this many
-# entries, states x M for bosons and fermions (their builders hold a few
-# state-length arrays while they place the last particle), else states
+# memory guard of the enumeration oracle: it refuses a build whose largest
+# table has more entries, states x k for k bosons or fermions (their builders
+# hold a few state-length arrays while they place the k-th particle), else states
 HARD_ENUMERATION_LIMIT = 50_000_000
 
 # beyond this cancellation loss, or this |log Z|, the particle recursion hands
@@ -97,27 +99,24 @@ class PartitionEvaluation:
     method: str
 
 
-def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarray:
-    """Total energy coefficient of every many-body configuration.
-
-    Deterministic (lexicographic) generation order, not sorted by energy.
-    """
+def _check_table_entries(ens: EnsembleSpec, rows: bool) -> None:
+    """The oracle's memory guard on the largest table one build holds."""
     distinguishable = ens.statistics == "distinguishable"
-    if ens.state_count * (1 if distinguishable else ens.M) > HARD_ENUMERATION_LIMIT:
+    if any(EnsembleSpec(ens.statistics, k, ens.N).state_count * (1 if distinguishable else k)
+           > HARD_ENUMERATION_LIMIT for k in (range(1, ens.M + 1) if rows else [ens.M])):
         advice = ("internal_energies (M times the single-particle energy)"
                   if distinguishable else "the recursion backend")
         raise ValueError(
-            f"enumerating {ens.state_count} configurations of {ens.M} particles exceeds "
-            f"the limit of {HARD_ENUMERATION_LIMIT} table entries; use {advice}")
-    w = level_coefficients(spec, ens.N)
-    if ens.statistics == "boson":
-        return kernels.multiset_sums(w, ens.M)
-    if ens.statistics == "fermion":
-        return kernels.subset_sums(w, ens.M)
-    out = w
-    for _ in range(ens.M - 1):
-        out = np.add.outer(out, w).ravel()
-    return out
+            f"enumerating {ens.state_count} configurations of {ens.M} particles"
+            f"{' and every table below' if rows else ''} exceeds the limit of "
+            f"{HARD_ENUMERATION_LIMIT} table entries; use {advice}")
+
+
+def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarray:
+    """Total energy coefficient of every many-body configuration, in
+    deterministic (lexicographic) generation order, not sorted by energy."""
+    _check_table_entries(ens, False)
+    return next(kernels.state_tables(level_coefficients(spec, ens.N), ens.M, ens.statistics))
 
 
 def inverse_temperature(T: float) -> float:
@@ -163,17 +162,33 @@ def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec,
     return out
 
 
+def _enumerate(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]],
+               rows: bool) -> list[tuple[list[float], list[float]]]:
+    """(log Z, U) over ``beta_points`` of k = 1..M particles (``rows``) or M alone, each
+    from one table of the exact integer shapes g(n), reduced over its distinct energies."""
+    points = effective_betas(ens, spec, beta_points)
+    _check_table_entries(ens, rows)
+    g = level_coefficients(SpectrumSpec(spec.kind), ens.N).astype(np.int64)  # exact: c = 1
+    beta_effs = np.array([beta_eff for beta_eff, _ in points])
+    out = []
+    for table in kernels.state_tables(g, ens.M, ens.statistics, rows):
+        levels, counts = kernels.distinct_counts(table)
+        log_zs, means = kernels.log_z_and_mean(spec.scale_c * levels, beta_effs, counts)
+        out.append((log_zs.tolist(), [mean / scale for mean, (_, scale) in zip(means.tolist(), points)]))
+    return out
+
+
+def enumeration_rows(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]]
+                     ) -> list[tuple[list[float], list[float]]]:
+    """(log Z, U) at every (beta, L) of k = 1..M particles, one enumeration for all k."""
+    return _enumerate(ens, spec, beta_points, True)
+
+
 def enumeration_log_z_and_u(ens: EnsembleSpec, spec: SpectrumSpec,
                             beta_points: list[tuple[float, float]]
                             ) -> tuple[list[float], list[float]]:
-    """log Z and U at every (beta, L) in ``beta_points`` from one enumerated
-    table, reduced over its distinct energies, each weighted by the number of
-    states that share it, at all points in one call."""
-    points = effective_betas(ens, spec, beta_points)
-    levels, counts = np.unique(state_energy_coefficients(ens, spec), return_counts=True)
-    log_zs, means = kernels.log_z_and_mean(
-        levels, np.array([beta_eff for beta_eff, _ in points]), counts)
-    return log_zs.tolist(), [mean / scale for mean, (_, scale) in zip(means.tolist(), points)]
+    """log Z and U at every (beta, L) in ``beta_points`` from the M-table alone."""
+    return _enumerate(ens, spec, beta_points, False)[0]
 
 
 def _signed_logsumexp(logs: np.ndarray, signs: np.ndarray) -> tuple[float, float, float]:
@@ -301,20 +316,29 @@ def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec,
 
 def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
                       points: list[tuple[float, float]]) -> list[float]:
-    """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``.
+    """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``."""
+    return _energy_rows(ens, spec, points, False)[-1]
 
-    The one backend dispatcher. One level recursion over all points gives
-    bosons and fermions up to ``DEFAULT_STATE_CAP`` configurations their row
-    M, and distinguishable particles, at any M, M times row 1 (the single
-    particle). Bosons and fermions beyond the cap take ``recursion_rows``.
-    """
+
+def _energy_rows(ens: EnsembleSpec, spec: SpectrumSpec, points: list[tuple[float, float]],
+                 single: bool) -> list[list[float]]:
+    """U at every (T, L) in ``points`` of M particles, after that of one if ``single``.
+
+    The one backend dispatcher. One level recursion over all points gives bosons
+    and fermions up to ``DEFAULT_STATE_CAP`` configurations rows 1 (the single
+    particle) and M, and distinguishable particles, at any M, row 1 and M times
+    row 1. Bosons and fermions beyond the cap take ``recursion_rows``, and their
+    single particle its own call."""
     beta_points = [(inverse_temperature(T), L) for T, L in points]
     distinguishable = ens.statistics == "distinguishable"
     if not distinguishable and ens.state_count > DEFAULT_STATE_CAP:
-        return [rows[-1].U for rows in recursion_rows(ens, spec, beta_points)]
+        many = [[rows[-1].U for rows in recursion_rows(ens, spec, beta_points)]]
+        return ([internal_energies(EnsembleSpec(ens.statistics, 1, ens.N), spec, points)]
+                if single else []) + many
     points = effective_betas(ens, spec, beta_points)  # M times the single particle's range
     M, factor = (1, ens.M) if distinguishable else (ens.M, 1)
     us = _recursion_levels(level_coefficients(spec, ens.N), M,
                            np.array([beta_eff for beta_eff, _ in points]),
-                           ens.statistics == "fermion")[1][-1]
-    return [factor * (u / scale) for u, (_, scale) in zip(us, points)]
+                           ens.statistics == "fermion")[1]
+    return [[f * (u / scale) for u, (_, scale) in zip(row, points)]
+            for row, f in [(us[0], 1), (us[-1], factor)][not single:]]

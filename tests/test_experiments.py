@@ -289,67 +289,117 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
     monkeypatch.setattr(manybody, "_recursion_levels", counted)
     monkeypatch.setattr(manybody, "state_energy_coefficients", built)
     records = sweep_fig45(steps=5)
-    # 2 regimes x 7 truncations x 2 statistics, each with its single-particle
-    # twin: one level pass per ensemble, over the cold corner and all 5 Th
+    # 2 regimes x 7 truncations x 2 statistics: one level pass per series over
+    # the cold corner and all 5 Th, whose row 1 is the single-particle twin
     assert len(records) == 28 * 5
-    assert len(calls) == 56
-    assert len(set(calls)) == 56
-    assert {size for *_, size in calls} == {6}
+    assert len(calls) == 28
+    assert len(set(calls)) == 28
+    assert {(M, size) for *_, M, _, size in calls} == {(2, 6)}
 
 
-def test_cross_check_builds_one_table_per_ensemble_and_compares_both_values(monkeypatch):
-    ens = EnsembleSpec("fermion", 3, 8)
+def _column_passes(statistics, M, N):
+    """fig67's (spectrum, corner, rows) recursion passes of one column, both lambda."""
     corners = ((1.0 / 5.0, 1.0), (1.0, 2.0))
-    held = [(spec, corner, rows[-1])
+    return [(spec, corner, rows)
             for spec in (SpectrumSpec("box", scale_c=0.05), SpectrumSpec("box", scale_c=1.0))
-            for corner, rows in zip(corners, recursion_rows(ens, spec, corners))]
-    built = []
-    original = manybody.state_energy_coefficients
+            for corner, rows in zip(corners, recursion_rows(EnsembleSpec(statistics, M, N),
+                                                            spec, corners))]
 
-    def counted(ens, spec):
-        built.append(ens)
-        return original(ens, spec)
 
-    monkeypatch.setattr(manybody, "state_energy_coefficients", counted)
-    experiments._cross_check(ens, held)
-    # one table serves both lambda and both corners
-    assert built == [EnsembleSpec("fermion", 3, 8)]
+def _count_oracle_calls(monkeypatch):
+    calls = []
+    for name in ("enumeration_rows", "enumeration_log_z_and_u"):
+        def counted(ens, spec, beta_points, name=name, original=getattr(manybody, name)):
+            calls.append((name, ens))
+            return original(ens, spec, beta_points)
+        monkeypatch.setattr(manybody, name, counted)
+    return calls
+
+
+def test_cross_check_builds_one_column_and_compares_both_values(monkeypatch):
+    held = _column_passes("fermion", 4, 8)
+    calls = _count_oracle_calls(monkeypatch)
+    experiments._cross_check("fermion", 8, (2, 3, 4), held)
+    # one enumeration serves every M, both lambda and both corners
+    assert calls == [("enumeration_rows", EnsembleSpec("fermion", 4, 8))]
 
     # twice each 1e-8 tolerance: absolute in log Z, relative in U (U > 0.5
-    # here, so 2e-8 of U is above the absolute floor), at either lambda
-    for i, (spec, corner, a) in enumerate(held):
-        for field, shift in (("log_Z", lambda v: v + 2e-8), ("U", lambda v: v * (1.0 + 2e-8))):
-            shifted = (spec, corner, replace(a, **{field: shift(getattr(a, field))}))
-            with pytest.raises(AssertionError, match="mismatch"):
-                experiments._cross_check(ens, held[:i] + [shifted] + held[i + 1:])
+    # here, so 2e-8 of U is above the absolute floor), at every M and lambda
+    for i, (spec, corner, rows) in enumerate(held):
+        for M in (2, 3, 4):
+            for field, shift in (("log_Z", lambda v: v + 2e-8),
+                                 ("U", lambda v: v * (1.0 + 2e-8))):
+                skewed = list(rows)
+                skewed[M - 1] = replace(rows[M - 1], **{field: shift(getattr(rows[M - 1], field))})
+                with pytest.raises(AssertionError, match="mismatch"):
+                    experiments._cross_check("fermion", 8, (2, 3, 4),
+                                             held[:i] + [(spec, corner, skewed)] + held[i + 1:])
 
 
-def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch):
+@pytest.mark.parametrize("field", ["log_Z", "U"])
+@pytest.mark.parametrize("lam", [0.05, 1.0])
+@pytest.mark.parametrize("corner", [0, 1])
+def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch, field, lam, corner):
+    # the middle M of a column, at one lambda and one corner only
     original = experiments.recursion_rows
 
     def skewed(ens, spec, beta_points):
         passes = original(ens, spec, beta_points)
-        for rows in passes:
-            rows[-1] = replace(rows[-1], U=rows[-1].U * (1.0 + 2e-8))
+        if spec.scale_c == lam:
+            rows = passes[corner]
+            shift = {"log_Z": lambda v: v + 2e-8, "U": lambda v: v * (1.0 + 2e-8)}[field]
+            rows[2] = replace(rows[2], **{field: shift(getattr(rows[2], field))})
         return passes
 
     monkeypatch.setattr(experiments, "recursion_rows", skewed)
-    with pytest.raises(AssertionError, match="mismatch"):
-        sweep_fig67(m_values=(2, 3), n_values=(4, 10))
+    with pytest.raises(AssertionError, match="mismatch.*M=3, N=10"):
+        sweep_fig67(m_values=(2, 3, 4), n_values=(10,))
 
 
 def test_fig67_cross_checks_every_ensemble_under_the_cap(monkeypatch):
-    built = []
-    original = manybody.state_energy_coefficients
+    compared = set()
+    original = experiments.recursion_rows
 
-    def counted(ens, spec):
-        built.append(ens)
-        return original(ens, spec)
+    class Watched:
+        # a recursion row that notes each comparison: only the cross-check reads log Z
+        def __init__(self, row, key):
+            self.U, self._row, self._key = row.U, row, key
 
-    monkeypatch.setattr(manybody, "state_energy_coefficients", counted)
+        @property
+        def log_Z(self):
+            compared.add(self._key)
+            return self._row.log_Z
+
+    def watched(ens, spec, beta_points):
+        return [[Watched(row, (ens.statistics, k, ens.N)) for k, row in enumerate(rows, 1)]
+                for rows in original(ens, spec, beta_points)]
+
+    monkeypatch.setattr(experiments, "recursion_rows", watched)
+    calls = _count_oracle_calls(monkeypatch)
     sweep_fig67()
-    # one table per checked ensemble, shared by both lambda and both corners
-    assert len(built) == len(set(built)) == 52
+    assert compared == {(statistics, M, N) for statistics in ("boson", "fermion")
+                        for N in (3, 4, 10, 25, 50, 100, 150) for M in range(2, 9)
+                        if (statistics == "boson" or M <= N)
+                        and EnsembleSpec(statistics, M, N).state_count <= 200_000}
+    assert len(compared) == 52
+    # one enumeration per (statistics, N) column, shared by both lambda and corners
+    assert len(calls) == len(set(calls)) == 14
+    assert {name for name, _ in calls} == {"enumeration_rows"}
+
+
+def test_cross_check_gives_fermions_past_half_filling_their_own_table(monkeypatch):
+    # 21 fermions on 22 levels are 22 states, but the tables of 2..20 fermions
+    # pass the cap (11 of them hold 705 432 states): M = 2 comes from the column
+    # build, M = 21 from its own M-table
+    calls = _count_oracle_calls(monkeypatch)
+    held = _column_passes("fermion", 21, 22)
+    experiments._cross_check("fermion", 22, (2, 21), held)
+    assert calls == [("enumeration_rows", EnsembleSpec("fermion", 2, 22)),
+                     ("enumeration_log_z_and_u", EnsembleSpec("fermion", 21, 22))]
+    spec, corner, rows = held[0]
+    skewed = rows[:20] + [replace(rows[20], U=rows[20].U * (1.0 + 2e-8))]
+    with pytest.raises(AssertionError, match="mismatch.*M=21, N=22"):
+        experiments._cross_check("fermion", 22, (2, 21), [(spec, corner, skewed)] + held[1:])
 
 
 def _perfbench(module_name):

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qotto import kernels
-from qotto.manybody import EnsembleSpec, state_energy_coefficients
+from qotto.manybody import (EnsembleSpec, enumeration_log_z_and_u, enumeration_rows,
+                            state_energy_coefficients)
 from qotto.spectrum import KINDS, SpectrumSpec
 
 
@@ -103,6 +104,20 @@ def test_batched_log_z_and_mean_equals_one_temperature_calls_bit_for_bit():
         assert list(zip(lz.tolist(), mean.tolist())) == ref
 
 
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 3), (5, 4), (6, 6), (10, 4)])
+@pytest.mark.parametrize("statistics, tuples", [
+    ("boson", itertools.combinations_with_replacement), ("fermion", itertools.combinations),
+    ("distinguishable", lambda levels, k: itertools.product(levels, repeat=k))])
+def test_state_table_rows_are_every_complete_k_table(n, m, statistics, tuples):
+    # each k-table of a rows build is the k-table of its own build, bit for bit
+    w = np.sqrt(np.arange(1, n + 1, dtype=float))
+    tables = list(kernels.state_tables(w, m, statistics, rows=True))
+    assert len(tables) == m
+    for k, table in enumerate(tables, 1):
+        assert table.tolist() == left_to_right_sums(w, tuples(range(n), k))
+        assert table.tolist() == next(kernels.state_tables(w, k, statistics)).tolist()
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("statistics", ["boson", "fermion"])
 def test_multiplicities_reduce_distinct_energies_like_the_full_table(kind, statistics):
@@ -111,9 +126,39 @@ def test_multiplicities_reduce_distinct_energies_like_the_full_table(kind, stati
     table = state_energy_coefficients(ens, SpectrumSpec(kind))
     levels, counts = np.unique(table, return_counts=True)
     assert levels.size < table.size
+    # the histogram of the exact integer table, dense here, is np.unique's
+    got_levels, got_counts = kernels.distinct_counts(table.astype(np.int64))
+    assert table.max() < 4 * table.size
+    assert got_levels.tolist() == levels.tolist() and got_counts.tolist() == counts.tolist()
     betas = np.array([0.0, 0.01, 1.0, 200.0, 1e8])
     lz, mean = kernels.log_z_and_mean(levels, betas, counts)
     lz_ref, mean_ref = kernels.log_z_and_mean(table, betas)
     np.testing.assert_allclose(lz, lz_ref, rtol=1e-13, atol=0.0)
     np.testing.assert_allclose(mean, mean_ref, rtol=1e-13, atol=0.0)
     assert lz[0] == math.log(ens.state_count)
+    # every row of one oracle build against the full float table of its k
+    for k, (log_zs, us) in enumerate(enumeration_rows(ens, SpectrumSpec(kind),
+                                                      [(b, 1.0) for b in betas]), 1):
+        full = state_energy_coefficients(EnsembleSpec(statistics, k, 12), SpectrumSpec(kind))
+        lz_ref, mean_ref = kernels.log_z_and_mean(full, betas)
+        np.testing.assert_allclose(log_zs, lz_ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(us, mean_ref, rtol=1e-13, atol=0.0)
+
+
+def test_distinct_counts_never_allocates_a_sparse_range(monkeypatch):
+    # 2999 box fermions on 3000 levels: 3000 states whose energies reach 9e9,
+    # and one box particle on the same levels: 3000 states up to 9e6
+    def dense(*args, **kwargs):
+        pytest.fail("np.bincount ran over a sparse range")
+
+    monkeypatch.setattr(np, "bincount", dense)
+    g = np.arange(1, 3001, dtype=float) ** 2
+    for ens, sign, offset in ((EnsembleSpec("fermion", 2999, 3000), -1.0, g.sum()),
+                              (EnsembleSpec("boson", 1, 3000), 1.0, 0.0)):
+        # one hole, or one particle, per state: a direct sum over the levels
+        (log_z,), (u,) = enumeration_log_z_and_u(ens, SpectrumSpec("box"), [(1e-6, 1.0)])
+        lz_ref, mean_ref = kernels.log_z_and_mean(offset + sign * g, np.array([1e-6]))
+        assert (log_z, u) == pytest.approx((lz_ref[0], mean_ref[0]), rel=1e-13)
+    table = np.array([0, 7, 7, 30_000_000], dtype=np.int64)
+    levels, counts = kernels.distinct_counts(table)
+    assert levels.tolist() == [0, 7, 30_000_000] and counts.tolist() == [1, 2, 1]

@@ -13,8 +13,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qotto import (KINDS, EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
-                   enumeration_log_z_and_u, level_coefficients, recursion_rows,
-                   state_energy_coefficients)
+                   enumeration_log_z_and_u, enumeration_rows, level_coefficients,
+                   recursion_rows, state_energy_coefficients)
 from qotto import kernels, manybody
 from qotto.manybody import internal_energies
 
@@ -303,7 +303,7 @@ def test_internal_energy_rejects_points_that_break_the_boltzmann_sum(monkeypatch
 
 def test_partition_backends_reject_non_finite_beta_and_width():
     ens = EnsembleSpec("fermion", 2, 4)
-    for backend in (enumeration_log_z_and_u, recursion_rows):
+    for backend in (enumeration_log_z_and_u, enumeration_rows, recursion_rows):
         for beta, L in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 backend(ens, BOX, [(beta, L)])
@@ -426,11 +426,47 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     def reached(*args):
         pytest.fail("the memory guard let the enumeration kernel run")
 
-    monkeypatch.setattr(kernels, "multiset_sums", reached)
+    monkeypatch.setattr(kernels, "state_tables", reached)
     ens = EnsembleSpec("boson", 5, 70)
     assert ens.state_count == 16_108_764
-    with pytest.raises(ValueError, match="table entries; use the recursion backend"):
-        enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])
+    for backend in (enumeration_log_z_and_u, enumeration_rows):
+        with pytest.raises(ValueError, match="table entries; use the recursion backend"):
+            backend(ens, BOX, [(1.0 / 2.0, 1.0)])
+
+
+def test_fermions_past_half_filling_enumerate_their_m_table_alone(monkeypatch):
+    # 38 fermions on 40 levels are 780 states, but the 20-fermion table of a
+    # rows build would hold 1.4e11: the M-table alone is built, and a rows
+    # build is refused by the guard before any table is made
+    ens = EnsembleSpec("fermion", 38, 40)
+    points = [(beta, 1.0) for beta in (0.0, 1e-3, 0.1)]
+    log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
+    got_log_zs, got_us = manybody._recursion_levels(level_coefficients(BOX, 40), 38,
+                                                    np.array([b for b, _ in points]), True)
+    assert log_zs[0] == math.log(780)
+    assert log_zs == pytest.approx(got_log_zs[-1], rel=1e-13)
+    assert us == pytest.approx(got_us[-1], rel=1e-13)
+
+    def reached(*args):
+        pytest.fail("the memory guard let a rows build run")
+
+    monkeypatch.setattr(kernels, "state_tables", reached)
+    with pytest.raises(ValueError, match="table entries"):
+        enumeration_rows(ens, BOX, points)
+
+
+def test_enumeration_with_any_prefactor_matches_the_float_table():
+    # the oracle reduces exact integer shapes at c * g; the table of float
+    # coefficients c * g(n), summed per state, gives the same to 1e-13
+    betas = np.array([0.0, 0.01, 0.3, 2.0, 50.0])
+    for kind, c, statistics, M, N in itertools.product(
+            KINDS, (0.05, 3.7, 20.0), ("boson", "fermion", "distinguishable"), (1, 3), (4, 9)):
+        ens, spec = EnsembleSpec(statistics, M, N), SpectrumSpec(kind, scale_c=c)
+        log_zs, us = enumeration_log_z_and_u(ens, spec, [(b, 1.0) for b in betas])
+        lz_ref, mean_ref = kernels.log_z_and_mean(state_energy_coefficients(ens, spec), betas)
+        # log Z to 1e-13 of max(1, |log Z|): near log Z = 0 both round log(Z) alike
+        assert all(abs(a - b) <= 1e-13 * max(1.0, abs(b)) for a, b in zip(log_zs, lz_ref))
+        np.testing.assert_allclose(us, mean_ref, rtol=1e-13, atol=0.0)
 
 
 @given(statistics=st.sampled_from(["boson", "fermion", "distinguishable"]),
@@ -456,22 +492,25 @@ def test_backends_check_every_point_of_a_batch_before_any_kernel_runs(monkeypatc
     ens = EnsembleSpec("boson", 2, 4)
     points = [(0.0, 1.0), (0.3, 2.0), (1.0, 1.0), (7.5, 0.8), (1e3, 1.5), (0.01, 3.0)]
     log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
+    tables = enumeration_rows(ens, BOX, points)
     passes = recursion_rows(ens, BOX, points)
     for i, point in enumerate(points):
         assert enumeration_log_z_and_u(ens, BOX, [point]) == ([log_zs[i]], [us[i]])
+        assert enumeration_rows(ens, BOX, [point]) == [([z[i]], [u[i]]) for z, u in tables]
         assert recursion_rows(ens, BOX, [point]) == [passes[i]]
+    assert tables[-1] == (log_zs, us)
 
     def reached(*args):
         pytest.fail("a kernel ran before every point was checked")
 
-    for name in ("log_z_and_mean", "multiset_sums", "subset_sums"):
+    for name in ("log_z_and_mean", "state_tables", "distinct_counts"):
         monkeypatch.setattr(kernels, name, reached)
     # the enumeration backend took the first five silently: [nan], log Z = 32,
     # U = 0, ZeroDivisionError and a RuntimeWarning; the last three leave
     # L^p = 0, beta/L^p = inf and beta/L^p = 0 at beta > 0
     bad_points = [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, 0.0),
                   (math.inf, 1.0), (1.0, 1e-200), (1.0, 1e-160), (1e-300, 1e100)]
-    for backend in (enumeration_log_z_and_u, recursion_rows):
+    for backend in (enumeration_log_z_and_u, enumeration_rows, recursion_rows):
         for bad in bad_points:
             for at in (0, 3, len(points)):
                 with pytest.raises(ValueError):
