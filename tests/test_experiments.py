@@ -2,6 +2,7 @@
 
 import decimal
 import importlib.util
+import itertools
 import math
 import os
 from dataclasses import replace
@@ -336,24 +337,22 @@ def test_cross_check_builds_one_column_and_compares_both_values(monkeypatch):
                                              held[:i] + [(spec, corner, skewed)] + held[i + 1:])
 
 
-@pytest.mark.parametrize("field", ["log_Z", "U"])
-@pytest.mark.parametrize("lam", [0.05, 1.0])
-@pytest.mark.parametrize("corner", [0, 1])
-def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch, field, lam, corner):
-    # the middle M of a column, at one lambda and one corner only
+def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch):
+    # the middle M of a column, at one lambda and one corner only, for each
+    # field, lambda and corner in turn
     original = experiments.recursion_rows
+    shifts = {"log_Z": lambda v: v + 2e-8, "U": lambda v: v * (1.0 + 2e-8)}
+    for field, lam, corner in itertools.product(shifts, (0.05, 1.0), (0, 1)):
+        def skewed(ens, spec, beta_points, field=field, lam=lam, corner=corner):
+            passes = original(ens, spec, beta_points)
+            if spec.scale_c == lam:
+                rows = passes[corner]
+                rows[2] = replace(rows[2], **{field: shifts[field](getattr(rows[2], field))})
+            return passes
 
-    def skewed(ens, spec, beta_points):
-        passes = original(ens, spec, beta_points)
-        if spec.scale_c == lam:
-            rows = passes[corner]
-            shift = {"log_Z": lambda v: v + 2e-8, "U": lambda v: v * (1.0 + 2e-8)}[field]
-            rows[2] = replace(rows[2], **{field: shift(getattr(rows[2], field))})
-        return passes
-
-    monkeypatch.setattr(experiments, "recursion_rows", skewed)
-    with pytest.raises(AssertionError, match="mismatch.*M=3, N=10"):
-        sweep_fig67(m_values=(2, 3, 4), n_values=(10,))
+        monkeypatch.setattr(experiments, "recursion_rows", skewed)
+        with pytest.raises(AssertionError, match="mismatch.*M=3, N=10"):
+            sweep_fig67(m_values=(2, 3, 4), n_values=(10,))
 
 
 def test_fig67_cross_checks_every_ensemble_under_the_cap(monkeypatch):
