@@ -16,8 +16,8 @@ import argparse
 import sys
 
 from .errors import EmptyStateSpaceError
-from .experiments import (make_record, make_series, sweep_fig2, sweep_fig3,
-                          sweep_fig45, sweep_fig67, th_range, write_csv)
+from .experiments import (fig2_series, fig3_series, fig45_series, fig67_series, make_record,
+                          sweep_series, th_range, write_series)
 from .manybody import STATISTICS, EnsembleSpec
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import CycleConfig, positive_work_threshold, run_cycle
@@ -158,21 +158,20 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if fixed:
             raise ValueError(f"--figure {figure} is a preset sweep; it takes no "
                              f"{', '.join(fixed)}")
-        presets = {2: sweep_fig2, 3: sweep_fig3,
-                   4: sweep_fig45, 5: sweep_fig45,
-                   6: sweep_fig67, 7: sweep_fig67}
+        presets = {2: fig2_series, 3: fig3_series,
+                   4: fig45_series, 5: fig45_series,
+                   6: fig67_series, 7: fig67_series}
         if figure not in presets:
             raise ValueError(f"--figure must be one of {sorted(presets)}, got {figure}")
-        records = presets[figure]()
+        series = presets[figure]()
     else:
         if params["th_min"] is None or params["th_max"] is None:
             raise ValueError("explicit sweeps need --th-min and --th-max "
                              "(or --figure for a preset)")
         grid = th_range(params["th_min"], params["th_max"], params["th_steps"])
         cfg = _build_cycle_config(params)
-        records = make_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, grid)
-    write_csv(records, args.output)
-    print(f"wrote {len(records)} rows to {args.output}")
+        series = [sweep_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, grid)]
+    print(f"wrote {write_series(series, args.output)} rows to {args.output}")
     return EXIT_OK
 
 

@@ -18,6 +18,12 @@ Sweep presets:
 
 The other presets take U from ``internal_energies``: the level recursion.
 
+A sweep is built as series: constant cells (spectrum, statistics, M, N, L1,
+R, Tc, lambda, U1, U4, eta) plus varying columns. ``figN_series`` build the
+presets, which the CLI writes; ``sweep_figN`` return their rows. The one CSV
+writer formats each series' constant cells once, into a row template;
+``records_to_csv`` is that writer with every cell varying.
+
 For the harmonic spectrum with infinitely many levels, the two-particle
 partition functions close to
 
@@ -33,6 +39,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -40,13 +47,16 @@ import numpy as np
 from . import manybody
 from .manybody import EnsembleSpec, recursion_rows
 from .spectrum import SpectrumSpec
-from .thermo import CycleConfig, cycles_from_corners
+from .thermo import CycleConfig, cycle_columns
 
 CSV_COLUMNS = ("spectrum", "statistics", "M", "N", "L1", "R", "Tc", "Th",
                "lambda", "U1", "U2", "U3", "U4", "Qh", "Qc", "W", "eta",
                "Ws", "ratio", "positive_work")
-# one row: str() of the four leading columns, .17g of the 15 floats, then _fmt's positive_work
-_CSV_ROW = ",".join(["%s"] * 4 + ["%.17g"] * 15 + ["%s"])
+# one cell per column: str() of the four leading columns, .17g of the 15 floats, then
+# _fmt's positive_work
+_CSV_CELLS = ("%s",) * 4 + ("%.17g",) * 15 + ("%s",)
+# the columns a sweep series holds constant: spectrum..Tc, lambda, U1, U4 and eta
+_CONSTANT = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16)
 
 # |W_s| below this makes a work ratio meaningless; NaN is returned instead
 UNDEFINED_RATIO_GUARD = 1e-14
@@ -88,15 +98,35 @@ def _fmt(flag) -> str:
     return str(flag)  # a numpy bool, from the float recursion, prints True/False
 
 
-def records_to_csv(records: list[RatioRecord]) -> str:
+def _csv(series) -> str:
+    """The one CSV writer, over (constant cells, rows of the varying cells) pairs. Each
+    series' constant cells are formatted once, `%` escaped, into its row template."""
     lines = [",".join(CSV_COLUMNS)]
-    lines += [_CSV_ROW % (*rec[:-1], _fmt(rec[-1])) for rec in records]
+    for const, rows in series:
+        cells = list(_CSV_CELLS)
+        for i, value in zip(_CONSTANT, const):
+            cells[i] = (cells[i] % value).replace("%", "%%")
+        template = ",".join(cells)
+        lines += [template % (*row[:-1], _fmt(row[-1])) for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records: list[RatioRecord]) -> str:
+    return _csv([((), records)])
 
 
 def write_csv(records: list[RatioRecord], path: str) -> None:
     """Write atomically: a temp file in the target directory, then rename."""
-    text = records_to_csv(records)
+    _write(records_to_csv(records), path)
+
+
+def write_series(series, path: str) -> int:
+    """Write ``sweep_series`` series as ``write_csv`` writes their rows; the row count."""
+    _write(_csv((const, zip(*cols)) for const, cols in series), path)
+    return sum(len(cols[0]) for _, cols in series)
+
+
+def _write(text: str, path: str) -> None:
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0o077)  # os.umask is the only way to read it
@@ -116,22 +146,39 @@ def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
                 Tc: float, Th_values) -> list[RatioRecord]:
     """M- and single-particle cycles over a Th series, each ensemble built once:
     up to the state cap, one level pass gives both (row 1 is the single particle)."""
-    if len(Th_values) == 0:
-        return []
+    return _records([sweep_series(spec, ens, L1, R, Tc, Th_values)]) if len(Th_values) else []
+
+
+def sweep_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float, Tc: float,
+                 Th_values) -> tuple:
+    """The series behind ``make_series``: constant cells and varying columns (``_assemble``)."""
     cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc)
-    singles, results = (cycles_from_corners(cfg, U4, U2s) for U4, *U2s in manybody._energy_rows(
-        ens, spec, [(Tc, cfg.L2)] + [(Th, L1) for Th in Th_values], True))
-    return _records(cfg, Th_values, results, singles)
+    (U4_1, *U2s_1), corners = manybody._energy_rows(
+        ens, spec, [(Tc, cfg.L2)] + [(Th, L1) for Th in Th_values], True)
+    return _assemble(cfg, Th_values, cycle_columns(cfg, U4_1, U2s_1)[4], corners)
 
 
-def _records(cfg: CycleConfig, Th_values, results, singles) -> list[RatioRecord]:
-    """One record per Th: the cycle result of ``cfg`` against the single particle's."""
-    head = (cfg.spec.kind, cfg.ens.statistics, cfg.ens.M, cfg.ens.N, cfg.L1, cfg.R, cfg.T_c)
-    lam = cfg.regime_lambda
-    return [RatioRecord(*head, Th, lam, *res[:8], single.W,
-                        res.W / single.W if abs(single.W) >= UNDEFINED_RATIO_GUARD else math.nan,
-                        res.positive_work)
-            for Th, res, single in zip(Th_values, results, singles)]
+def _assemble(cfg: CycleConfig, Th_values, Ws, corners) -> tuple:
+    """The series of ``cfg`` from the single-particle work Ws and the (U4, *U2s) corners
+    of M particles: its constant cells, in _CONSTANT order, and its varying columns, in
+    CSV order."""
+    U4, *U2s = corners
+    U1, U3s, Q_hs, Q_cs, Ws_M, eta, flags = cycle_columns(cfg, U4, U2s)
+    ratios = [W / w if abs(w) >= UNDEFINED_RATIO_GUARD else math.nan for W, w in zip(Ws_M, Ws)]
+    return ((cfg.spec.kind, cfg.ens.statistics, cfg.ens.M, cfg.ens.N, cfg.L1, cfg.R, cfg.T_c,
+             cfg.regime_lambda, U1, U4, eta),
+            (Th_values, U2s, U3s, Q_hs, Q_cs, Ws_M, Ws, ratios, flags))
+
+
+def _records(series) -> list[RatioRecord]:
+    """The rows of a list of series; a series' constant cells fill the first of _CONSTANT."""
+    rows = []
+    for const, cols in series:
+        cells = list(cols)
+        for i, value in zip(_CONSTANT, const):  # ascending: each lands at its CSV column
+            cells.insert(i, repeat(value))
+        rows += map(RatioRecord._make, zip(*cells))
+    return rows
 
 
 def make_record(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
@@ -158,13 +205,6 @@ def work_ratio_two_particle(spec: SpectrumSpec, N: int, statistics: str,
     return work_ratio_multiparticle(spec, N, statistics, 2, L1, R, T_c, T_h) * 2.0
 
 
-def evaluate_series(kind: str, statistics: str, M: int, N: int, lam: float,
-                    R: float, Th_values) -> list[RatioRecord]:
-    """One sweep series under the L1=1, Tc=1, scale_c=lam convention."""
-    return make_series(SpectrumSpec(kind, scale_c=lam), EnsembleSpec(statistics, M, N),
-                       1.0, R, 1.0, Th_values)
-
-
 def default_th_grid(R: float, power_p: float, steps: int = 200,
                     top: float = 20.0) -> tuple[float, ...]:
     """steps values in (R^p, top], open at the positive-work threshold."""
@@ -188,12 +228,14 @@ def th_range(lo: float, hi: float, steps: int) -> tuple[float, ...]:
 
 def sweep_fig2(steps: int = 200) -> list[RatioRecord]:
     """Two three-level particles, lam=1, R in {2,3,4}, both statistics."""
-    records = []
-    for R in (2.0, 3.0, 4.0):
-        grid = default_th_grid(R, 2.0, steps)
-        for statistics in ("boson", "fermion"):
-            records += evaluate_series("box", statistics, 2, 3, 1.0, R, grid)
-    return records
+    return _records(fig2_series(steps))
+
+
+def fig2_series(steps: int = 200) -> list[tuple]:
+    """``sweep_fig2`` as series."""
+    return [sweep_series(SpectrumSpec("box", scale_c=1.0), EnsembleSpec(statistics, 2, 3), 1.0,
+                         R, 1.0, default_th_grid(R, 2.0, steps))
+            for R in (2.0, 3.0, 4.0) for statistics in ("boson", "fermion")]
 
 
 def sweep_fig3(steps: int = 200) -> list[RatioRecord]:
@@ -202,25 +244,30 @@ def sweep_fig3(steps: int = 200) -> list[RatioRecord]:
     The grid stays within (4, 12]*T_c; by 20*T_c the hot bath already
     reaches beta*E ~ 1 and the regime assumption breaks down.
     """
+    return _records(fig3_series(steps))
+
+
+def fig3_series(steps: int = 200) -> list[tuple]:
+    """``sweep_fig3`` as series."""
     grid = tuple(np.linspace(4.0, 12.0, steps + 1)[1:].tolist())
-    records = []
-    for N in (3, 4):
-        for statistics in ("boson", "fermion"):
-            records += evaluate_series("box", statistics, 2, N, 20.0, 2.0, grid)
-    return records
+    return [sweep_series(SpectrumSpec("box", scale_c=20.0), EnsembleSpec(statistics, 2, N), 1.0,
+                         2.0, 1.0, grid) for N in (3, 4) for statistics in ("boson", "fermion")]
 
 
 def sweep_fig45(steps: int = 200,
                 n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
                 ) -> list[RatioRecord]:
     """High (lam=0.05) and intermediate (lam=1) regimes, R=2, N swept."""
+    return _records(fig45_series(steps, n_values))
+
+
+def fig45_series(steps: int = 200, n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
+                 ) -> list[tuple]:
+    """``sweep_fig45`` as series."""
     grid = default_th_grid(2.0, 2.0, steps)
-    records = []
-    for lam in (0.05, 1.0):
-        for N in n_values:
-            for statistics in ("boson", "fermion"):
-                records += evaluate_series("box", statistics, 2, N, lam, 2.0, grid)
-    return records
+    return [sweep_series(SpectrumSpec("box", scale_c=lam), EnsembleSpec(statistics, 2, N), 1.0,
+                         2.0, 1.0, grid)
+            for lam in (0.05, 1.0) for N in n_values for statistics in ("boson", "fermion")]
 
 
 def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
@@ -232,6 +279,13 @@ def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     largest M gives every M and the single particle; where the state space is
     small enough, each M is cross-checked against enumeration at both corners.
     """
+    return _records(fig67_series(m_values, n_values))
+
+
+def fig67_series(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
+                 n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)) -> list[tuple]:
+    """``sweep_fig67`` as series: one with no constant cell, as its rows share none, and
+    one row template for all its rows costs less than a template per row."""
     L1, R, Tc, Th = 1.0, 2.0, 1.0, 5.0
     corners = ((1.0 / Tc, R * L1), (1.0 / Th, L1))
     records, held = [], {}
@@ -243,18 +297,18 @@ def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
                 if not ms:
                     continue
                 cold, hot = recursion_rows(EnsembleSpec(statistics, max(ms), N), spec, corners)
-                for M in ms:
-                    cfg = CycleConfig(spec, EnsembleSpec(statistics, M, N), L1, R, Tc)
-                    # row 1 is the single particle; the corner arithmetic ignores M
-                    single, res = (cycles_from_corners(cfg, cold[k].U, [hot[k].U])
-                                   for k in (0, M - 1))
-                    records += _records(cfg, [Th], res, single)
+                cfgs = [CycleConfig(spec, EnsembleSpec(statistics, M, N), L1, R, Tc) for M in ms]
+                # row 1 is the single particle; the corner arithmetic ignores M
+                Ws = cycle_columns(cfgs[0], cold[0].U, [hot[0].U])[4]
+                records += _records([_assemble(cfg, [Th], Ws, (cold[cfg.ens.M - 1].U,
+                                                               hot[cfg.ens.M - 1].U))
+                                     for cfg in cfgs])
                 held.setdefault((statistics, N, tuple(ms)), []).extend(
                     zip((spec, spec), corners, (cold, hot)))
     # checked after every row: a column's rows at both lambda share one enumeration
     for column, passes in held.items():
         _cross_check(*column, passes)
-    return records
+    return [((), list(zip(*records)))] if records else []
 
 
 def _cross_check(statistics: str, N: int, ms, held) -> None:

@@ -106,8 +106,10 @@ def _check_table_entries(ens: EnsembleSpec, rows: bool) -> None:
            > HARD_ENUMERATION_LIMIT for k in (range(1, ens.M + 1) if rows else [ens.M])):
         advice = ("internal_energies (M times the single-particle energy)"
                   if distinguishable else "the recursion backend")
+        count = ens.state_count  # str() refuses an int past 4300 digits; log10 takes it
+        named = count if count < 10**15 else f"about 10^{math.log10(count):.0f}"
         raise ValueError(
-            f"enumerating {ens.state_count} configurations of {ens.M} particles"
+            f"enumerating {named} configurations of {ens.M} particles"
             f"{' and every table below' if rows else ''} exceeds the limit of "
             f"{HARD_ENUMERATION_LIMIT} table entries; use {advice}")
 

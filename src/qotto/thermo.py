@@ -16,15 +16,18 @@ U3 = U2 * (L1/L2)^p and U1 = U4 * (L2/L1)^p, hence
 the efficiency depending only on the geometry, never on statistics,
 particle number or temperatures. Net work is positive exactly when
 T_h > R^p * T_c. The cycle needs nothing but the two thermal corner
-energies U2 and U4: ``run_cycle`` takes them from ``internal_energies``,
-``cycles_from_corners`` from a backend called by name. A cycle is a
-``CycleResult`` named tuple: U1..U4, Q_h, Q_c, W, eta and positive_work.
+energies U2 and U4. ``cycle_columns`` is the one assembly: from U4 and a
+list of U2 it gives U1, eta and the U3, Q_h, Q_c, W and positive_work
+columns, which a sweep writes as they are. ``cycles_from_corners`` zips
+them into ``CycleResult`` named tuples (U1..U4, Q_h, Q_c, W, eta and
+positive_work); ``run_cycle`` takes its corners from ``internal_energies``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import NamedTuple
 
 from .manybody import EnsembleSpec, effective_betas, internal_energies, inverse_temperature
@@ -78,19 +81,24 @@ def run_cycle_series(cfg: CycleConfig, T_h_values) -> list[CycleResult]:
     return cycles_from_corners(cfg, U4, U2s)
 
 
-def cycles_from_corners(cfg: CycleConfig, U4: float, U2s) -> list[CycleResult]:
-    """Cycles of ``cfg`` from the cold corner U4 and each hot corner in U2s."""
+def cycle_columns(cfg: CycleConfig, U4: float, U2s) -> tuple:
+    """The cycles of ``cfg`` from the cold corner U4 and each hot corner in the list U2s,
+    as columns: U1, the lists of U3, Q_h, Q_c and W, eta, and the positive_work flags.
+    Scalar arithmetic per element keeps each value's type (a numpy float stays one)."""
     shrink = adiabatic_energy_ratio(cfg.spec, cfg.L1, cfg.L2)
-    grow = adiabatic_energy_ratio(cfg.spec, cfg.L2, cfg.L1)
-    U1, eta = U4 * grow, 1.0 - shrink
-    results = []
-    for U2 in U2s:
-        U3 = U2 * shrink
-        Q_h = U2 - U1
-        Q_c = U3 - U4
-        W = Q_h - Q_c
-        results.append(CycleResult(U1, U2, U3, U4, Q_h, Q_c, W, eta, W > 0))
-    return results
+    U1 = U4 * adiabatic_energy_ratio(cfg.spec, cfg.L2, cfg.L1)
+    U3s = [U2 * shrink for U2 in U2s]
+    Q_hs = [U2 - U1 for U2 in U2s]
+    Q_cs = [U3 - U4 for U3 in U3s]
+    Ws = [Q_h - Q_c for Q_h, Q_c in zip(Q_hs, Q_cs)]
+    return U1, U3s, Q_hs, Q_cs, Ws, 1.0 - shrink, [W > 0 for W in Ws]
+
+
+def cycles_from_corners(cfg: CycleConfig, U4: float, U2s) -> list[CycleResult]:
+    """Cycles of ``cfg`` from the cold corner U4 and each hot corner in the list U2s."""
+    U1, U3s, Q_hs, Q_cs, Ws, eta, flags = cycle_columns(cfg, U4, U2s)
+    return list(map(CycleResult._make, zip(repeat(U1), U2s, U3s, repeat(U4), Q_hs, Q_cs, Ws,
+                                           repeat(eta), flags)))
 
 
 def run_cycle(cfg: CycleConfig, T_h: float) -> CycleResult:

@@ -1,5 +1,6 @@
 """Sweeps, CSV serialization, and the untruncated harmonic validators."""
 
+import collections
 import decimal
 import importlib.util
 import itertools
@@ -11,13 +12,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qotto import experiments, manybody
+from qotto import cli, experiments, manybody
 from qotto import (CycleConfig, EnsembleSpec, SpectrumSpec,
                    enumeration_log_z_and_u, harmonic_closed_form_W,
-                   harmonic_closed_form_Z, make_record, recursion_rows, records_to_csv, run_cycle, sweep_fig2, sweep_fig3,
+                   harmonic_closed_form_Z, make_record, make_series, recursion_rows,
+                   records_to_csv, run_cycle, sweep_fig2, sweep_fig3,
                    sweep_fig45, sweep_fig67, work_ratio_multiparticle,
                    write_csv)
-from qotto.experiments import CSV_COLUMNS, evaluate_series, th_range
+from qotto.experiments import CSV_COLUMNS, th_range
+
+
+def evaluate_series(kind, statistics, M, N, lam, R, Th_values):
+    """One sweep series under the L1=1, Tc=1, scale_c=lam convention of the presets."""
+    return make_series(SpectrumSpec(kind, scale_c=lam), EnsembleSpec(statistics, M, N),
+                       1.0, R, 1.0, Th_values)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +213,58 @@ def test_csv_row_template_matches_per_cell_formatting(monkeypatch):
         "inf,-inf,2,0.10000000000000001,1e+17,123456789,-3,nan,true")
     assert [rec.split(",")[-1] for rec in records_to_csv(hand).splitlines()[1:]] == \
         ["true", "false", "True", "False"]
+
+
+@pytest.mark.parametrize("argv, rows", [
+    (["--figure", "2"], sweep_fig2), (["--figure", "3"], sweep_fig3),
+    (["--figure", "4"], sweep_fig45), (["--figure", "6"], sweep_fig67),
+    (["--stats", "fermion", "--particles", "3", "--levels", "12", "--lambda", "0.05",
+      "--th-min", "4.5", "--th-max", "20", "--th-steps", "40"],
+     lambda: evaluate_series("box", "fermion", 3, 12, 0.05, 2.0, th_range(4.5, 20.0, 40)))],
+    ids=["fig2", "fig3", "fig45", "fig67", "grid"])
+def test_cli_sweep_writes_the_per_cell_csv_of_the_library_rows(tmp_path, capsys, argv, rows):
+    # the CLI writes from series, the library returns rows; the per-cell writer of
+    # those rows is the reference for both
+    out = tmp_path / "sweep.csv"
+    assert cli.main(["sweep", *argv, "--output", str(out)]) == 0
+    records = rows()
+    assert capsys.readouterr().out == f"wrote {len(records)} rows to {out}\n"
+    text = out.read_text(encoding="utf-8")
+    assert text == _per_cell_csv(records)
+    if argv[1:] == ["6"]:  # numpy flags of the particle recursion print True/False
+        assert collections.Counter(line.rsplit(",", 1)[1] for line in text.splitlines()[1:]) \
+            == {"True": 155, "False": 3, "true": 20}
+
+
+def test_series_writer_formats_constant_cells_as_the_per_cell_writer(tmp_path, monkeypatch):
+    # constant U1 and U4 of -0.0, nan, +-inf and numpy floats, a `%` in constant
+    # cells, numpy-bool flags of the capped recursion, and a one-row series
+    cols = ((4.5, 5.0), (np.float64(1.0), -0.0), (0.25, math.inf), (-0.0, np.float64(0.1)),
+            (0.5, math.nan), (1e-300, 2.0), (np.float64(-3.0), 0.0), (math.nan, 1.0),
+            (np.True_, False))
+    series = [(("box", "boson", 2, np.int64(3), 1.0, 2.0, 1.0, 0.05, u1, u4, 0.75), cols)
+              for u1, u4 in ((-0.0, 0.0), (math.nan, math.inf), (-math.inf, np.float64(-0.0)),
+                             (np.float64(1.5), math.nan))]
+    series.append((("50%s", "%%boson", 2, 3, 1.0, 2.0, 1.0, 0.05, 1.0, 2.0, 0.75),
+                   [col[:1] for col in cols]))
+    monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
+    series.append(experiments.sweep_series(SpectrumSpec("box", scale_c=0.05),
+                                           EnsembleSpec("boson", 4, 6), 1.0, 2.0, 1.0,
+                                           (4.5, 5.0, 12.0)))
+    monkeypatch.undo()
+    rows = experiments._records(series)
+    assert len(rows) == 4 * 2 + 1 + 3
+    assert {rec.positive_work.__class__ for rec in rows[-3:]} == {np.bool_}
+    path = tmp_path / "series.csv"
+    assert experiments.write_series(series, str(path)) == len(rows)
+    text = path.read_text(encoding="utf-8")
+    assert text == _per_cell_csv(rows) == records_to_csv(rows)
+    lines = text.splitlines()
+    assert lines[1] == "box,boson,2,3,1,2,1,4.5,0.050000000000000003,-0,1,0.25,0,-0,0.5,1e-300," \
+                       "0.75,-3,nan,True"
+    assert lines[9] == "50%s,%%boson,2,3,1,2,1,4.5,0.050000000000000003,1,1,0.25,2,-0,0.5," \
+                       "1e-300,0.75,-3,nan,True"
+    assert [line.rsplit(",", 1)[1] for line in lines[-3:]] == ["True"] * 3
 
 
 def test_records_are_immutable_named_tuples():

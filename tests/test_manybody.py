@@ -434,6 +434,17 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
             backend(ens, BOX, [(1.0 / 2.0, 1.0)])
 
 
+def test_enumeration_guard_names_a_count_past_4300_digits():
+    # 100000 bosons on 20000 levels are C(119999, 100000) states, 23479 digits: the
+    # refusal formatted that count with {} and raised Python's "Exceeds the limit
+    # (4300 digits) for integer string conversion" in place of its own message
+    ens = EnsembleSpec("boson", 100000, 20000)
+    for backend in (enumeration_log_z_and_u, enumeration_rows):
+        with pytest.raises(ValueError, match=r"^enumerating about 10\^23478 configurations of "
+                                             r"100000 particles.* table entries; use the recursion"):
+            backend(ens, BOX, [(1.0, 1.0)])
+
+
 def test_fermions_past_half_filling_enumerate_their_m_table_alone(monkeypatch):
     # 38 fermions on 40 levels are 780 states, but the 20-fermion table of a
     # rows build would hold 1.4e11: the M-table alone is built, and a rows

@@ -11,7 +11,7 @@ from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
                    positive_work_threshold, run_cycle, work_ratio_multiparticle,
                    work_ratio_two_particle)
 from qotto import manybody
-from qotto.thermo import cycles_from_corners, run_cycle_series
+from qotto.thermo import CycleResult, cycles_from_corners, run_cycle_series
 
 BOX = SpectrumSpec("box")
 HARM = SpectrumSpec("harmonic")
@@ -252,3 +252,36 @@ def test_cycle_series_equals_single_cycles(monkeypatch):
 def test_regime_lambda():
     spec = SpectrumSpec("box", scale_c=20.0)
     assert cfg(spec=spec, Tc=2.0, L1=1.0).regime_lambda == 10.0
+
+
+def _scalar_loop(cfg, U4, U2s):
+    """The per-row cycle assembly that ``cycle_columns`` replaced: the reference."""
+    shrink = adiabatic_energy_ratio(cfg.spec, cfg.L1, cfg.L2)
+    grow = adiabatic_energy_ratio(cfg.spec, cfg.L2, cfg.L1)
+    U1, eta = U4 * grow, 1.0 - shrink
+    results = []
+    for U2 in U2s:
+        U3 = U2 * shrink
+        Q_h = U2 - U1
+        Q_c = U3 - U4
+        W = Q_h - Q_c
+        results.append(CycleResult(U1, U2, U3, U4, Q_h, Q_c, W, eta, W > 0))
+    return results
+
+
+def test_cycles_from_corners_equal_the_scalar_loop_value_and_type():
+    # Python floats from the level path, numpy floats from the particle recursion
+    # (whose flags are numpy bools), mixed, signed zeros and non-finite corners
+    corners = [(0.49, [2.2, 0.5, 1.96, 3.0]),
+               (np.float64(0.49), [np.float64(2.2), np.float64(0.1), np.float64(1.96)]),
+               (0.49, [np.float64(2.2), 0.1]), (np.float64(-0.0), [0.0, -0.0, 5e-324]),
+               (math.inf, [math.inf, 1.0]), (math.nan, [1.0, math.nan]),
+               (np.float64(math.inf), [np.float64(math.nan), np.float64(-math.inf)]), (1.0, [])]
+    for kind, R in itertools.product(KINDS, (2.0, 3.5)):
+        c = cfg(spec=SpectrumSpec(kind), R=R)
+        for U4, U2s in corners:
+            with np.errstate(invalid="ignore"):  # inf - inf in numpy floats
+                got, want = cycles_from_corners(c, U4, U2s), _scalar_loop(c, U4, U2s)
+            assert [[type(v) for v in row] for row in got] == \
+                [[type(v) for v in row] for row in want]
+            assert repr(got) == repr(want)  # nan, -0.0 and every digit
