@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -57,6 +57,9 @@ CSV_COLUMNS = ("spectrum", "statistics", "M", "N", "L1", "R", "Tc", "Th",
 _CSV_CELLS = ("%s",) * 4 + ("%.17g",) * 15 + ("%s",)
 # the columns a sweep series holds constant: spectrum..Tc, lambda, U1, U4 and eta
 _CONSTANT = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16)
+_VARYING = tuple(i for i in range(len(CSV_COLUMNS)) if i not in _CONSTANT)
+# a series row, its constant cells and then its varying cells, in CSV order
+_ROW = itemgetter(*map((_CONSTANT + _VARYING).index, range(len(CSV_COLUMNS))))
 
 # |W_s| below this makes a work ratio meaningless; NaN is returned instead
 UNDEFINED_RATIO_GUARD = 1e-14
@@ -171,13 +174,11 @@ def _assemble(cfg: CycleConfig, Th_values, Ws, corners) -> tuple:
 
 
 def _records(series) -> list[RatioRecord]:
-    """The rows of a list of series; a series' constant cells fill the first of _CONSTANT."""
+    """The rows of a list of series: constant cells, if any, then varying, in CSV order."""
     rows = []
     for const, cols in series:
-        cells = list(cols)
-        for i, value in zip(_CONSTANT, const):  # ascending: each lands at its CSV column
-            cells.insert(i, repeat(value))
-        rows += map(RatioRecord._make, zip(*cells))
+        cells = zip(*cols)
+        rows += map(RatioRecord._make, map(_ROW, map(const.__add__, cells)) if const else cells)
     return rows
 
 

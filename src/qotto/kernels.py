@@ -4,8 +4,8 @@ numpy only. ``log_z_and_mean`` reduces energy coefficients, with optional
 multiplicities, at an array of inverse temperatures, in blocks of at most 2^16
 temperature x state elements: the enumeration oracle's tables and the particle
 recursion's single-particle sums. Sweeps take the level recursion in ``manybody``.
-``state_tables`` builds the oracle's tables one particle at a time from running
-sums, and ``distinct_counts`` reduces an integer table to its distinct values.
+``state_tables`` builds the oracle's tables in colexicographic order, each level's block
+from a slice of the last, and ``distinct_counts`` reduces a table to its distinct values.
 
 Conventions: ``w`` is a float64 array of energy coefficients (energy times
 L^p, so E = w / L^p; the oracle builds on the exact integer level shapes
@@ -21,6 +21,8 @@ import numpy as np
 
 # elements of the temperature x state block log_z_and_mean holds at once
 _BLOCK_ELEMENTS = 1 << 16
+# mean states per level below which one gather beats state_tables' numpy add per level
+_SLICE_BLOCK = 256
 
 
 def log_z_and_mean(w: np.ndarray, beta_effs: np.ndarray,
@@ -47,23 +49,30 @@ def log_z_and_mean(w: np.ndarray, beta_effs: np.ndarray,
 
 
 def state_tables(w: np.ndarray, m: int, statistics: str, rows: bool = False):
-    """Sums of w over every k-particle index tuple, lexicographic (bosons nondecreasing,
-    fermions increasing, distinguishable any), each k-table from the (k-1)-table by
-    running sums: a generator of the tables k = 1..m if ``rows``, else of the m-table
-    alone, whose fermion prefixes keep only the levels that leave room for the rest."""
+    """Sums of w, added left to right, over every k-particle index tuple (bosons
+    nondecreasing, m <= w.size fermions increasing, distinguishable any), colexicographic
+    (last index first): the tables k = 1..m if ``rows``, else the m-table alone, whose
+    fermion tuples keep only the levels that leave room for the rest. Tuples ending at level
+    j are a prefix of the (k-1)-table plus w[j]: one add per level, or one gather if small."""
     n, spare = w.size, (m if statistics == "fermion" and not rows else 0)
-    last = np.arange(n - max(spare - 1, 0))  # each prefix keeps its last level and its sum
-    s = w[last]
+    s = w[:n - max(spare - 1, 0)]
+    ends = np.arange(1, s.size + 1)  # states of the table that end at a level <= j
     for k in range(2, m + 1):
         if rows:
             yield s
         if statistics == "distinguishable":
-            s = np.add.outer(s, w).ravel()
+            s = np.add.outer(w, s).ravel()  # w[j] + s equals s + w[j]: addition commutes
             continue
-        lo = last + 1 if statistics == "fermion" else last
-        counts = n - max(spare - k, 0) - lo
-        last = np.repeat(lo - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
-        s = np.repeat(s, counts) + w[last]  # added left to right
+        # block j takes the prefix that ends at a level <= j, at a level < j for fermions
+        blocks = ends if statistics == "boson" else np.concatenate(([0], ends))[:n - max(spare - k, 0)]
+        ends = np.cumsum(blocks)
+        if ends[-1] < _SLICE_BLOCK * blocks.size:
+            starts = np.repeat(ends - blocks, blocks)  # the start of each state's block
+            s = s[np.arange(ends[-1]) - starts] + np.repeat(w[:blocks.size], blocks)
+            continue
+        prev, s = s, np.empty(ends[-1], dtype=s.dtype)
+        for x, size, end in zip(w.tolist(), blocks.tolist(), ends.tolist()):
+            np.add(prev[:size], x, s[end - size:end])
     yield s
 
 
@@ -75,13 +84,3 @@ def distinct_counts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     counts = np.bincount(table)
     levels = np.flatnonzero(counts)
     return levels, counts[levels]
-
-
-def multiset_sums(w: np.ndarray, m: int) -> np.ndarray:
-    """Sum of w over every nondecreasing index m-tuple, lexicographic order."""
-    return next(state_tables(w, m, "boson"))
-
-
-def subset_sums(w: np.ndarray, m: int) -> np.ndarray:
-    """Sum of w over every strictly increasing index m-tuple, lexicographic order."""
-    return next(state_tables(w, m, "fermion"))

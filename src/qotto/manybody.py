@@ -115,8 +115,8 @@ def _check_table_entries(ens: EnsembleSpec, rows: bool) -> None:
 
 
 def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarray:
-    """Total energy coefficient of every many-body configuration, in
-    deterministic (lexicographic) generation order, not sorted by energy."""
+    """Total energy coefficient of every many-body configuration, not sorted by energy: in
+    colexicographic order, where those ending at a level extend a prefix of the M-1 table."""
     _check_table_entries(ens, False)
     return next(kernels.state_tables(level_coefficients(spec, ens.N), ens.M, ens.statistics))
 

@@ -40,27 +40,31 @@ def test_log_z_survives_huge_exponents():
 
 
 def left_to_right_sums(w, combos):
-    # Python's sum adds left to right, the order every state energy must keep
-    return [sum(w[i] for i in c) for c in combos]
+    # Python's sum adds left to right, the order every state energy must keep, over
+    # the tuples in colexicographic order: by last index, then the one before
+    return [sum(w[i] for i in c) for c in sorted(combos, key=lambda c: c[::-1])]
 
 
 # irrational coefficients and m >= 8 expose any other order of addition, such
-# as numpy's pairwise row sum, in the last bits
+# as numpy's pairwise row sum, in the last bits; (80, 2) averages 41 states per
+# level (one gather), (25, 4) 819 (one slice per level)
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (3, 2), (5, 3), (6, 4),
-                                 (3, 8), (5, 9), (4, 12)])
+                                 (3, 8), (5, 9), (4, 12), (80, 2), (25, 4)])
 def test_multiset_sums_match_itertools(n, m):
     w = np.sqrt(np.arange(1, n + 1, dtype=float))
-    got = kernels.multiset_sums(w, m)
+    got = next(kernels.state_tables(w, m, "boson"))
     ref = left_to_right_sums(w, itertools.combinations_with_replacement(range(n), m))
     assert got.tolist() == ref
 
 
-# (25, 6) is 177 100 states, above 2^16 rows
+# (25, 6) is 177 100 states, above 2^16 rows, added by slices; (80, 2) gathers.
+# Past half filling the m-table keeps only the levels that leave room for the rest:
+# (14, 12) gathers every table, (20, 12) up to its 6-table and slices the rest
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (5, 3), (6, 6), (8, 4),
-                                 (10, 8), (12, 9), (14, 12), (25, 6)])
+                                 (10, 8), (12, 9), (14, 12), (25, 6), (80, 2), (20, 12)])
 def test_subset_sums_match_itertools(n, m):
     w = np.log1p(np.arange(0, n, dtype=float))
-    got = kernels.subset_sums(w, m)
+    got = next(kernels.state_tables(w, m, "fermion"))
     ref = left_to_right_sums(w, itertools.combinations(range(n), m))
     assert got.tolist() == ref
 
@@ -73,13 +77,10 @@ def test_subset_sums_match_itertools(n, m):
 def test_state_sums_match_itertools_for_any_coefficients(w, m, fermion):
     n = len(w)
     assume(not fermion or m <= n)
-    if fermion:
-        got = kernels.subset_sums(np.array(w), m)
-        combos = itertools.combinations(range(n), m)
-    else:
-        got = kernels.multiset_sums(np.array(w), m)
-        combos = itertools.combinations_with_replacement(range(n), m)
-    assert got.tolist() == left_to_right_sums(w, combos)
+    statistics, tuples = (("fermion", itertools.combinations) if fermion
+                          else ("boson", itertools.combinations_with_replacement))
+    got = next(kernels.state_tables(np.array(w), m, statistics))
+    assert got.tolist() == left_to_right_sums(w, tuples(range(n), m))
 
 
 def shifted_log_z_mean(w, beta_eff):
@@ -104,7 +105,8 @@ def test_batched_log_z_and_mean_equals_one_temperature_calls_bit_for_bit():
         assert list(zip(lz.tolist(), mean.tolist())) == ref
 
 
-@pytest.mark.parametrize("n,m", [(1, 1), (3, 3), (5, 4), (6, 6), (10, 4)])
+# (80, 2) gathers every table; (25, 4) adds its boson and fermion 4-tables by slices
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 3), (5, 4), (6, 6), (10, 4), (80, 2), (25, 4)])
 @pytest.mark.parametrize("statistics, tuples", [
     ("boson", itertools.combinations_with_replacement), ("fermion", itertools.combinations),
     ("distinguishable", lambda levels, k: itertools.product(levels, repeat=k))])
