@@ -8,10 +8,9 @@ oracle that cross-validates both.
 """
 
 from .errors import EmptyStateSpaceError
-from .experiments import (RatioRecord, harmonic_closed_form_W,
+from .experiments import (PRESETS, RatioRecord, harmonic_closed_form_W,
                           harmonic_closed_form_Z, make_record, make_series,
-                          records_to_csv, sweep_fig2, sweep_fig3, sweep_fig45,
-                          sweep_fig67, work_ratio_multiparticle,
+                          records_to_csv, sweep, work_ratio_multiparticle,
                           work_ratio_two_particle, write_csv)
 from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, PartitionEvaluation,
                        enumeration_log_z_and_u, enumeration_rows, recursion_rows,
@@ -25,12 +24,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycleConfig", "CycleResult", "DEFAULT_STATE_CAP", "EmptyStateSpaceError",
-    "EnsembleSpec", "KINDS", "PartitionEvaluation", "RatioRecord",
+    "EnsembleSpec", "KINDS", "PRESETS", "PartitionEvaluation", "RatioRecord",
     "SpectrumSpec", "adiabatic_energy_ratio", "enumeration_log_z_and_u",
     "enumeration_rows", "harmonic_closed_form_W", "harmonic_closed_form_Z", "level_coefficients",
     "make_record", "make_series", "positive_work_threshold", "recursion_rows",
     "records_to_csv", "run_cycle",
-    "single_particle_energies", "state_energy_coefficients", "sweep_fig2",
-    "sweep_fig3", "sweep_fig45", "sweep_fig67", "work_ratio_multiparticle",
+    "single_particle_energies", "state_energy_coefficients", "sweep",
+    "work_ratio_multiparticle",
     "work_ratio_two_particle", "write_csv", "__version__",
 ]

@@ -16,8 +16,7 @@ import argparse
 import sys
 
 from .errors import EmptyStateSpaceError
-from .experiments import (fig2_series, fig3_series, fig45_series, fig67_series, make_record,
-                          sweep_series, th_range, write_series)
+from .experiments import PRESETS, make_record, sweep_series, th_range, write_series
 from .manybody import STATISTICS, EnsembleSpec
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import CycleConfig, positive_work_threshold, run_cycle
@@ -45,9 +44,12 @@ _PHYSICS_PARAMS = {
     "lam": (float, None, {"help": "regime parameter c/(L1^p Tc); implies L1=1, Tc=1"}),
 }
 
+# figure number -> preset name: each digit after "fig" (fig45 serves figures 4 and 5)
+_FIGURES = {int(digit): name for name in PRESETS for digit in name.removeprefix("fig")}
+
 _SWEEP_EXTRA = {
-    "figure": (int, None, {"help": "preset sweep (2,3,4,5,6,7); takes no "
-                                   "physics or grid parameters"}),
+    "figure": (int, None, {"help": f"preset sweep ({','.join(map(str, sorted(_FIGURES)))}); "
+                                   "takes no physics or grid parameters"}),
     "th_min": (float, None, {}),
     "th_max": (float, None, {}),
     "th_steps": (int, 200, {}),
@@ -158,12 +160,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if fixed:
             raise ValueError(f"--figure {figure} is a preset sweep; it takes no "
                              f"{', '.join(fixed)}")
-        presets = {2: fig2_series, 3: fig3_series,
-                   4: fig45_series, 5: fig45_series,
-                   6: fig67_series, 7: fig67_series}
-        if figure not in presets:
-            raise ValueError(f"--figure must be one of {sorted(presets)}, got {figure}")
-        series = presets[figure]()
+        if figure not in _FIGURES:
+            raise ValueError(f"--figure must be one of {sorted(_FIGURES)}, got {figure}")
+        series = PRESETS[_FIGURES[figure]]()
     else:
         if params["th_min"] is None or params["th_max"] is None:
             raise ValueError("explicit sweeps need --th-min and --th-max "

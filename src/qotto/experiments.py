@@ -6,7 +6,8 @@ The parameterization follows the dimensionless convention: L1 = 1,
 T_c = 1, and the spectrum prefactor carries the regime parameter
 lam = scale_c / (L1^p * T_c), so hot-bath temperatures are in units of T_c.
 
-Sweep presets:
+Sweep presets, the table ``PRESETS`` of series builders; ``sweep(name)``
+gives a preset's rows:
 
     fig2    intermediate regime, lam=1, N=3, R in {2,3,4}, T_h swept
     fig3    low-temperature regime, lam=20, R=2, N in {3,4}, T_h swept
@@ -17,12 +18,6 @@ Sweep presets:
             against one enumeration of its k-particle tables
 
 The other presets take U from ``internal_energies``: the level recursion.
-
-A sweep is built as series: constant cells (spectrum, statistics, M, N, L1,
-R, Tc, lambda, U1, U4, eta) plus varying columns. ``figN_series`` build the
-presets, which the CLI writes; ``sweep_figN`` return their rows. The one CSV
-writer formats each series' constant cells once, into a row template;
-``records_to_csv`` is that writer with every cell varying.
 
 For the harmonic spectrum with infinitely many levels, the two-particle
 partition functions close to
@@ -158,17 +153,17 @@ def sweep_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float, Tc:
     cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc)
     (U4_1, *U2s_1), corners = manybody._energy_rows(
         ens, spec, [(Tc, cfg.L2)] + [(Th, L1) for Th in Th_values], True)
-    return _assemble(cfg, Th_values, cycle_columns(cfg, U4_1, U2s_1)[4], corners)
+    return _assemble(cfg, ens.M, Th_values, cycle_columns(cfg, U4_1, U2s_1)[4], corners)
 
 
-def _assemble(cfg: CycleConfig, Th_values, Ws, corners) -> tuple:
-    """The series of ``cfg`` from the single-particle work Ws and the (U4, *U2s) corners
-    of M particles: its constant cells, in _CONSTANT order, and its varying columns, in
-    CSV order."""
+def _assemble(cfg: CycleConfig, M: int, Th_values, Ws, corners) -> tuple:
+    """The series of M particles in ``cfg``'s spectrum, statistics, N and cycle, from the
+    single-particle work Ws and the (U4, *U2s) corners of M particles: its constant cells,
+    in _CONSTANT order, and its varying columns, in CSV order."""
     U4, *U2s = corners
     U1, U3s, Q_hs, Q_cs, Ws_M, eta, flags = cycle_columns(cfg, U4, U2s)
     ratios = [W / w if abs(w) >= UNDEFINED_RATIO_GUARD else math.nan for W, w in zip(Ws_M, Ws)]
-    return ((cfg.spec.kind, cfg.ens.statistics, cfg.ens.M, cfg.ens.N, cfg.L1, cfg.R, cfg.T_c,
+    return ((cfg.spec.kind, cfg.ens.statistics, M, cfg.ens.N, cfg.L1, cfg.R, cfg.T_c,
              cfg.regime_lambda, U1, U4, eta),
             (Th_values, U2s, U3s, Q_hs, Q_cs, Ws_M, Ws, ratios, flags))
 
@@ -227,66 +222,43 @@ def th_range(lo: float, hi: float, steps: int) -> tuple[float, ...]:
     return values
 
 
-def sweep_fig2(steps: int = 200) -> list[RatioRecord]:
+def fig2(steps: int = 200) -> list[tuple]:
     """Two three-level particles, lam=1, R in {2,3,4}, both statistics."""
-    return _records(fig2_series(steps))
-
-
-def fig2_series(steps: int = 200) -> list[tuple]:
-    """``sweep_fig2`` as series."""
     return [sweep_series(SpectrumSpec("box", scale_c=1.0), EnsembleSpec(statistics, 2, 3), 1.0,
                          R, 1.0, default_th_grid(R, 2.0, steps))
             for R in (2.0, 3.0, 4.0) for statistics in ("boson", "fermion")]
 
 
-def sweep_fig3(steps: int = 200) -> list[RatioRecord]:
+def fig3(steps: int = 200) -> list[tuple]:
     """Low-temperature regime: lam=20, R=2, N in {3,4}.
 
     The grid stays within (4, 12]*T_c; by 20*T_c the hot bath already
     reaches beta*E ~ 1 and the regime assumption breaks down.
     """
-    return _records(fig3_series(steps))
-
-
-def fig3_series(steps: int = 200) -> list[tuple]:
-    """``sweep_fig3`` as series."""
     grid = tuple(np.linspace(4.0, 12.0, steps + 1)[1:].tolist())
     return [sweep_series(SpectrumSpec("box", scale_c=20.0), EnsembleSpec(statistics, 2, N), 1.0,
                          2.0, 1.0, grid) for N in (3, 4) for statistics in ("boson", "fermion")]
 
 
-def sweep_fig45(steps: int = 200,
-                n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
-                ) -> list[RatioRecord]:
+def fig45(steps: int = 200, n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
+          ) -> list[tuple]:
     """High (lam=0.05) and intermediate (lam=1) regimes, R=2, N swept."""
-    return _records(fig45_series(steps, n_values))
-
-
-def fig45_series(steps: int = 200, n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
-                 ) -> list[tuple]:
-    """``sweep_fig45`` as series."""
     grid = default_th_grid(2.0, 2.0, steps)
     return [sweep_series(SpectrumSpec("box", scale_c=lam), EnsembleSpec(statistics, 2, N), 1.0,
                          2.0, 1.0, grid)
             for lam in (0.05, 1.0) for N in n_values for statistics in ("boson", "fermion")]
 
 
-def sweep_fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
-                n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
-                ) -> list[RatioRecord]:
+def fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
+          n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)) -> list[tuple]:
     """Multiparticle ratios at T_h = 5*T_c, R=2, recursion backend.
 
     Fermion rows are restricted to M <= N. One pass per corner to a column's
     largest M gives every M and the single particle; where the state space is
     small enough, each M is cross-checked against enumeration at both corners.
+    One series with no constant cell, as its rows share none: one row template
+    for all its rows costs less than a template per row.
     """
-    return _records(fig67_series(m_values, n_values))
-
-
-def fig67_series(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
-                 n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)) -> list[tuple]:
-    """``sweep_fig67`` as series: one with no constant cell, as its rows share none, and
-    one row template for all its rows costs less than a template per row."""
     L1, R, Tc, Th = 1.0, 2.0, 1.0, 5.0
     corners = ((1.0 / Tc, R * L1), (1.0 / Th, L1))
     records, held = [], {}
@@ -297,19 +269,28 @@ def fig67_series(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
                 ms = [M for M in m_values if statistics == "boson" or M <= N]
                 if not ms:
                     continue
-                cold, hot = recursion_rows(EnsembleSpec(statistics, max(ms), N), spec, corners)
-                cfgs = [CycleConfig(spec, EnsembleSpec(statistics, M, N), L1, R, Tc) for M in ms]
-                # row 1 is the single particle; the corner arithmetic ignores M
-                Ws = cycle_columns(cfgs[0], cold[0].U, [hot[0].U])[4]
-                records += _records([_assemble(cfg, [Th], Ws, (cold[cfg.ens.M - 1].U,
-                                                               hot[cfg.ens.M - 1].U))
-                                     for cfg in cfgs])
+                top = EnsembleSpec(statistics, max(ms), N)
+                cold, hot = recursion_rows(top, spec, corners)
+                # one config per column: the largest M's top energy bounds every smaller
+                # M's, the cycle arithmetic ignores M, and row 1 is the single particle
+                cfg = CycleConfig(spec, top, L1, R, Tc)
+                Ws = cycle_columns(cfg, cold[0].U, [hot[0].U])[4]
+                records += _records([_assemble(cfg, M, [Th], Ws, (cold[M - 1].U, hot[M - 1].U))
+                                     for M in ms])
                 held.setdefault((statistics, N, tuple(ms)), []).extend(
                     zip((spec, spec), corners, (cold, hot)))
     # checked after every row: a column's rows at both lambda share one enumeration
     for column, passes in held.items():
         _cross_check(*column, passes)
     return [((), list(zip(*records)))] if records else []
+
+
+PRESETS = {"fig2": fig2, "fig3": fig3, "fig45": fig45, "fig67": fig67}
+
+
+def sweep(preset: str, **params) -> list[RatioRecord]:
+    """The rows of the preset named ``preset``, its builder called with ``params``."""
+    return _records(PRESETS[preset](**params))
 
 
 def _cross_check(statistics: str, N: int, ms, held) -> None:

@@ -36,7 +36,7 @@ import time
 
 from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
                    enumeration_log_z_and_u, harmonic_closed_form_W,
-                   harmonic_closed_form_Z, recursion_rows, run_cycle, sweep_fig3, work_ratio_multiparticle,
+                   harmonic_closed_form_Z, recursion_rows, run_cycle, sweep, work_ratio_multiparticle,
                    work_ratio_two_particle)
 from qotto.cli import main
 from qotto.thermo import cycles_from_corners
@@ -267,7 +267,7 @@ def test_criterion_06_low_temperature_regime():
     for N in (3, 4):
         ratios[N] = {s: work_ratio_two_particle(spec, N, s, 1.0, 2.0, 1.0, 4.2)
                      for s in ("boson", "fermion")}
-    records = sweep_fig3(steps=200)
+    records = sweep("fig3", steps=200)
     boson3 = sorted((r for r in records if r.statistics == "boson" and r.N == 3),
                     key=lambda r: r.Th)
     boson4 = sorted((r for r in records if r.statistics == "boson" and r.N == 4),

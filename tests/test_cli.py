@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import qotto
+from qotto import cli
 from qotto.cli import main
 
 # child interpreters import the same qotto source tree as this process
@@ -159,9 +160,30 @@ def test_config_file_rejects_malformed_lines(tmp_path):
     ["sweep", "--figure", "2", "--th-min", "1", "--th-max", "3", "--output", "x.csv"],
     ["sweep", "--figure", "6", "--th-steps", "10", "--output", "x.csv"],
     ["sweep", "--figure", "4", "--lambda", "1", "--output", "x.csv"],
+    # figure numbers outside the preset table, fig45's name run together among them
+    ["sweep", "--figure", "1", "--output", "x.csv"],
+    ["sweep", "--figure", "8", "--output", "x.csv"],
+    ["sweep", "--figure", "45", "--output", "x.csv"],
 ])
 def test_bad_arguments_exit_two(argv):
     assert main(argv) == 2
+
+
+def test_figure_numbers_map_onto_the_preset_table(tmp_path, capsys, monkeypatch):
+    # the map derives from the digits after "fig" in each preset name
+    assert cli._FIGURES == {2: "fig2", 3: "fig3", 4: "fig45", 5: "fig45", 6: "fig67",
+                            7: "fig67"}
+    built = []
+    for name in qotto.PRESETS:
+        monkeypatch.setitem(qotto.PRESETS, name, lambda name=name: built.append(name) or [])
+    for figure in range(2, 8):
+        assert main(["sweep", "--figure", str(figure), "--output", str(tmp_path / "x.csv")]) == 0
+    assert built == ["fig2", "fig3", "fig45", "fig45", "fig67", "fig67"]
+    capsys.readouterr()
+    for figure in (1, 8, 9, 45):
+        assert main(["sweep", "--figure", str(figure), "--output", str(tmp_path / "x.csv")]) == 2
+        assert capsys.readouterr().err == \
+            f"error: --figure must be one of [2, 3, 4, 5, 6, 7], got {figure}\n"
 
 
 # accepted inputs whose derived energies leave the float range printed NaN

@@ -13,11 +13,10 @@ import numpy as np
 import pytest
 
 from qotto import cli, experiments, manybody
-from qotto import (CycleConfig, EnsembleSpec, SpectrumSpec,
+from qotto import (PRESETS, CycleConfig, EnsembleSpec, SpectrumSpec,
                    enumeration_log_z_and_u, harmonic_closed_form_W,
                    harmonic_closed_form_Z, make_record, make_series, recursion_rows,
-                   records_to_csv, run_cycle, sweep_fig2, sweep_fig3,
-                   sweep_fig45, sweep_fig67, work_ratio_multiparticle,
+                   records_to_csv, run_cycle, sweep, work_ratio_multiparticle,
                    write_csv)
 from qotto.experiments import CSV_COLUMNS, th_range
 
@@ -159,7 +158,7 @@ def test_evaluate_series_is_lambda_convention_record():
 
 
 def test_record_invariants_on_fig2():
-    records = sweep_fig2(steps=25)
+    records = sweep("fig2", steps=25)
     assert len(records) == 3 * 2 * 25
     for rec in records:
         assert rec.W == rec.Qh - rec.Qc
@@ -169,7 +168,7 @@ def test_record_invariants_on_fig2():
 
 
 def test_csv_header_and_roundtrip():
-    records = sweep_fig2(steps=5)
+    records = sweep("fig2", steps=5)
     text = records_to_csv(records)
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -206,7 +205,7 @@ def test_csv_row_template_matches_per_cell_formatting(monkeypatch):
     recursion = evaluate_series("box", "boson", 4, 6, 0.05, 2.0, (4.5, 5.0, 12.0))
     assert {rec.positive_work.__class__ for rec in recursion} == {np.bool_}
     monkeypatch.undo()
-    for records in (sweep_fig2(steps=10), sweep_fig67(), recursion, hand):
+    for records in (sweep("fig2", steps=10), sweep("fig67"), recursion, hand):
         assert records_to_csv(records) == _per_cell_csv(records)
     assert records_to_csv(hand).splitlines()[1] == (
         "harmonic,fermion,3,7,1,2.5,1e-300,5,0.050000000000000003,-0,0,"
@@ -215,13 +214,17 @@ def test_csv_row_template_matches_per_cell_formatting(monkeypatch):
         ["true", "false", "True", "False"]
 
 
+def _figure_argv(name):
+    """``--figure`` with the first figure number of the preset ``name``."""
+    return ["--figure", str(min(n for n, preset in cli._FIGURES.items() if preset == name))]
+
+
 @pytest.mark.parametrize("argv, rows", [
-    (["--figure", "2"], sweep_fig2), (["--figure", "3"], sweep_fig3),
-    (["--figure", "4"], sweep_fig45), (["--figure", "6"], sweep_fig67),
+    *((_figure_argv(name), lambda name=name: sweep(name)) for name in PRESETS),
     (["--stats", "fermion", "--particles", "3", "--levels", "12", "--lambda", "0.05",
       "--th-min", "4.5", "--th-max", "20", "--th-steps", "40"],
      lambda: evaluate_series("box", "fermion", 3, 12, 0.05, 2.0, th_range(4.5, 20.0, 40)))],
-    ids=["fig2", "fig3", "fig45", "fig67", "grid"])
+    ids=[*PRESETS, "grid"])
 def test_cli_sweep_writes_the_per_cell_csv_of_the_library_rows(tmp_path, capsys, argv, rows):
     # the CLI writes from series, the library returns rows; the per-cell writer of
     # those rows is the reference for both
@@ -231,7 +234,7 @@ def test_cli_sweep_writes_the_per_cell_csv_of_the_library_rows(tmp_path, capsys,
     assert capsys.readouterr().out == f"wrote {len(records)} rows to {out}\n"
     text = out.read_text(encoding="utf-8")
     assert text == _per_cell_csv(records)
-    if argv[1:] == ["6"]:  # numpy flags of the particle recursion print True/False
+    if argv == _figure_argv("fig67"):  # numpy flags of the particle recursion print True/False
         assert collections.Counter(line.rsplit(",", 1)[1] for line in text.splitlines()[1:]) \
             == {"True": 155, "False": 3, "true": 20}
 
@@ -270,7 +273,7 @@ def test_series_writer_formats_constant_cells_as_the_per_cell_writer(tmp_path, m
 def test_records_are_immutable_named_tuples():
     assert [{"lam": "lambda"}.get(f, f) for f in experiments.RatioRecord._fields] == \
         list(CSV_COLUMNS)
-    rec = sweep_fig2(steps=2)[0]
+    rec = sweep("fig2", steps=2)[0]
     res = run_cycle(CycleConfig(SpectrumSpec("box"), EnsembleSpec("boson", 2, 3), 1.0, 2.0, 1.0),
                     8.0)
     for record, name in ((rec, "W"), (res, "W"), (rec, "positive_work")):
@@ -283,8 +286,8 @@ def test_records_are_immutable_named_tuples():
 
 def test_csv_output_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(sweep_fig3(steps=10), str(p1))
-    write_csv(sweep_fig3(steps=10), str(p2))
+    write_csv(sweep("fig3", steps=10), str(p1))
+    write_csv(sweep("fig3", steps=10), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -293,7 +296,7 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
     blocker.write_text("not a directory")
     target = blocker / "out.csv"
     with pytest.raises(OSError):
-        write_csv(sweep_fig2(steps=2), str(target))
+        write_csv(sweep("fig2", steps=2), str(target))
     assert list(tmp_path.iterdir()) == [blocker]
 
 
@@ -308,20 +311,20 @@ def test_write_csv_gives_the_mode_open_would(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         for path in (fresh, existing):
-            write_csv(sweep_fig2(steps=2), str(path))
+            write_csv(sweep("fig2", steps=2), str(path))
             assert path.stat().st_mode & 0o777 == mode
     finally:
         os.umask(old)
 
 
 def test_sweep_is_deterministic():
-    assert sweep_fig2(steps=10) == sweep_fig2(steps=10)
+    assert sweep("fig2", steps=10) == sweep("fig2", steps=10)
 
 
 def test_series_rows_equal_per_point_records(monkeypatch):
     grid = (4.5, 5.0, 7.25, 12.0)
     # cap 1 sends both series to the recursion
-    cases = [(manybody.DEFAULT_STATE_CAP, lambda: sweep_fig2(steps=10)),
+    cases = [(manybody.DEFAULT_STATE_CAP, lambda: sweep("fig2", steps=10)),
              (1, lambda: evaluate_series("box", "fermion", 3, 8, 1.0, 2.0, grid)
               + evaluate_series("box", "boson", 4, 6, 0.05, 2.0, grid))]
     for cap, series in cases:
@@ -349,7 +352,7 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
 
     monkeypatch.setattr(manybody, "_recursion_levels", counted)
     monkeypatch.setattr(manybody, "state_energy_coefficients", built)
-    records = sweep_fig45(steps=5)
+    records = sweep("fig45", steps=5)
     # 2 regimes x 7 truncations x 2 statistics: one level pass per series over
     # the cold corner and all 5 Th, whose row 1 is the single-particle twin
     assert len(records) == 28 * 5
@@ -412,7 +415,7 @@ def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch):
 
         monkeypatch.setattr(experiments, "recursion_rows", skewed)
         with pytest.raises(AssertionError, match="mismatch.*M=3, N=10"):
-            sweep_fig67(m_values=(2, 3, 4), n_values=(10,))
+            sweep("fig67", m_values=(2, 3, 4), n_values=(10,))
 
 
 def test_fig67_cross_checks_every_ensemble_under_the_cap(monkeypatch):
@@ -435,7 +438,7 @@ def test_fig67_cross_checks_every_ensemble_under_the_cap(monkeypatch):
 
     monkeypatch.setattr(experiments, "recursion_rows", watched)
     calls = _count_oracle_calls(monkeypatch)
-    sweep_fig67()
+    sweep("fig67")
     assert compared == {(statistics, M, N) for statistics in ("boson", "fermion")
                         for N in (3, 4, 10, 25, 50, 100, 150) for M in range(2, 9)
                         if (statistics == "boson" or M <= N)
@@ -477,14 +480,14 @@ def _points_seed1():
             for p in _perfbench("points").generate(1)]
 
 
-@pytest.mark.parametrize("name, sweep", [("fig45", sweep_fig45),
-                                         ("fig67", sweep_fig67),
-                                         ("points-seed1", _points_seed1)])
-def test_preset_matches_stored_reference(name, sweep):
+@pytest.mark.parametrize("name", [
+    *(name for name in PRESETS if _perfbench("check").reference_path(name).exists()),
+    "points-seed1"])
+def test_preset_matches_stored_reference(name):
     # the behaviour contract: every row within 1e-11 of the recorded output
     check = _perfbench("check")
     ref = check.read_reference(name)
-    got = records_to_csv(sweep()).encode("utf-8")
+    got = records_to_csv(_points_seed1() if name == "points-seed1" else sweep(name)).encode("utf-8")
     assert len(got.splitlines()) == len(ref.splitlines())
     assert check.failed_against_reference(got, ref) == 0
 
@@ -494,7 +497,7 @@ def test_preset_matches_stored_reference(name, sweep):
 
 
 def test_fig2_boson_exceeds_classical_almost_everywhere():
-    records = sweep_fig2(steps=50)
+    records = sweep("fig2", steps=50)
     bosons = [r for r in records if r.statistics == "boson"]
     fermions = [r for r in records if r.statistics == "fermion"]
     assert all(math.isfinite(r.ratio) for r in records)
@@ -508,7 +511,7 @@ def test_fig2_boson_exceeds_classical_almost_everywhere():
 
 
 def test_fig3_low_temperature_content():
-    records = sweep_fig3(steps=40)
+    records = sweep("fig3", steps=40)
     boson3 = sorted((r for r in records if r.statistics == "boson" and r.N == 3),
                     key=lambda r: r.Th)
     boson4 = sorted((r for r in records if r.statistics == "boson" and r.N == 4),
@@ -522,7 +525,7 @@ def test_fig3_low_temperature_content():
 
 
 def test_fig45_truncation_sensitivity():
-    records = sweep_fig45(steps=10, n_values=(3, 4, 100, 150))
+    records = sweep("fig45", steps=10, n_values=(3, 4, 100, 150))
     hot = [r for r in records if r.lam == 0.05]
     assert min(r.ratio for r in hot if r.statistics == "boson" and r.N <= 4) > 2.0
     assert max(r.ratio for r in hot if r.statistics == "fermion" and r.N <= 4) < 2.0
@@ -536,7 +539,7 @@ def test_fig45_truncation_sensitivity():
 
 
 def test_fig67_multiparticle_content():
-    records = sweep_fig67(m_values=(2, 3, 4, 5), n_values=(4, 10, 25))
+    records = sweep("fig67", m_values=(2, 3, 4, 5), n_values=(4, 10, 25))
     assert all(r.M <= r.N for r in records if r.statistics == "fermion")
     per_particle = {}
     for r in records:
@@ -577,7 +580,12 @@ def test_fig67_makes_one_recursion_call_per_column(monkeypatch):
         calls.append(len(beta_points))
         return original(ens, spec, beta_points)
 
+    configs = []
     monkeypatch.setattr(experiments, "recursion_rows", counted)
-    sweep_fig67()
-    # 2 regimes x 7 truncations x 2 statistics, both corners in each call
+    monkeypatch.setattr(experiments, "CycleConfig",
+                        lambda *args: configs.append(CycleConfig(*args)) or configs[-1])
+    sweep("fig67")
+    # 2 regimes x 7 truncations x 2 statistics, both corners in each call, and one
+    # cycle config per column, at its largest M
     assert calls == [2] * 28
+    assert [cfg.ens.M for cfg in configs] == [8, 3, 8, 4, *[8, 8] * 5] * 2
