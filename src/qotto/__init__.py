@@ -3,7 +3,7 @@
 Work, heat and efficiency of the four-stroke Otto cycle for M bosons,
 fermions or distinguishable particles on N truncated single-particle
 levels. The sign-free recursion over levels gives every live number (the
-identical-particle recursion above 2M states); direct enumeration is the
+identical-particle recursion above 2 million states); direct enumeration is the
 oracle that cross-validates both.
 """
 
@@ -13,8 +13,7 @@ from .experiments import (PRESETS, RatioRecord, harmonic_closed_form_W,
                           records_to_csv, sweep, work_ratio_multiparticle,
                           work_ratio_two_particle, write_csv)
 from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, PartitionEvaluation,
-                       enumeration_log_z_and_u, enumeration_rows, recursion_rows,
-                       state_energy_coefficients)
+                       enumeration_log_z_and_u, enumeration_rows, recursion_rows)
 from .spectrum import (KINDS, SpectrumSpec, adiabatic_energy_ratio,
                        level_coefficients, single_particle_energies)
 from .thermo import (CycleConfig, CycleResult, positive_work_threshold,
@@ -29,7 +28,7 @@ __all__ = [
     "enumeration_rows", "harmonic_closed_form_W", "harmonic_closed_form_Z", "level_coefficients",
     "make_record", "make_series", "positive_work_threshold", "recursion_rows",
     "records_to_csv", "run_cycle",
-    "single_particle_energies", "state_energy_coefficients", "sweep",
+    "single_particle_energies", "sweep",
     "work_ratio_multiparticle",
     "work_ratio_two_particle", "write_csv", "__version__",
 ]

@@ -15,7 +15,7 @@ gives a preset's rows:
             several truncations N, T_h swept
     fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
             by ``recursion_rows``, each (statistics, N) column checked
-            against one enumeration of its k-particle tables
+            against one enumeration of its k-particle state counts
 
 The other presets take U from ``internal_energies``: the level recursion.
 
@@ -297,8 +297,8 @@ def _cross_check(statistics: str, N: int, ms, held) -> None:
     """Compare rows M in ``ms`` of the (spectrum, (beta, L), rows) recursion passes in
     ``held``, one spectrum kind, with the enumeration oracle on the c = 1 shapes:
     Z(beta; c) = Z(beta*c; 1). One oracle call gives every row up to the largest M whose
-    k-tables, k <= M, all hold at most _CROSS_CHECK_CAP states; a larger M under the cap
-    (fermions past N/2) takes its own table."""
+    k-particle ensembles, k <= M, all hold at most _CROSS_CHECK_CAP states; a larger M under
+    the cap (fermions past N/2) takes its own call."""
     sizes = [EnsembleSpec(statistics, k, N).state_count for k in range(1, max(ms) + 1)]
     top = max((M for M in ms if max(sizes[:M]) <= _CROSS_CHECK_CAP), default=0)
     unit = SpectrumSpec(held[0][0].kind)

@@ -1,11 +1,11 @@
-"""Hot numerical kernels: the Boltzmann reduction and the state-energy tables.
+"""Hot numerical kernels: the Boltzmann reduction and the oracle's state counts.
 
 numpy only. ``log_z_and_mean`` reduces energy coefficients, with optional
 multiplicities, at an array of inverse temperatures, in blocks of at most 2^16
-temperature x state elements: the enumeration oracle's tables and the particle
-recursion's single-particle sums. Sweeps take the level recursion in ``manybody``.
-``state_tables`` builds the oracle's tables in colexicographic order, each level's block
-from a slice of the last, and ``distinct_counts`` reduces a table to its distinct values.
+temperature x state elements: the enumeration oracle's distinct energies and the
+particle recursion's single-particle sums. Sweeps take the level recursion in
+``manybody``. ``energy_histograms`` counts the oracle's k-particle states by their
+exact integer energy, one level at a time, without listing them.
 
 Conventions: ``w`` is a float64 array of energy coefficients (energy times
 L^p, so E = w / L^p; the oracle builds on the exact integer level shapes
@@ -21,8 +21,6 @@ import numpy as np
 
 # elements of the temperature x state block log_z_and_mean holds at once
 _BLOCK_ELEMENTS = 1 << 16
-# mean states per level below which one gather beats state_tables' numpy add per level
-_SLICE_BLOCK = 256
 
 
 def log_z_and_mean(w: np.ndarray, beta_effs: np.ndarray,
@@ -48,39 +46,21 @@ def log_z_and_mean(w: np.ndarray, beta_effs: np.ndarray,
     return log_z, mean
 
 
-def state_tables(w: np.ndarray, m: int, statistics: str, rows: bool = False):
-    """Sums of w, added left to right, over every k-particle index tuple (bosons
-    nondecreasing, m <= w.size fermions increasing, distinguishable any), colexicographic
-    (last index first): the tables k = 1..m if ``rows``, else the m-table alone, whose
-    fermion tuples keep only the levels that leave room for the rest. Tuples ending at level
-    j are a prefix of the (k-1)-table plus w[j]: one add per level, or one gather if small."""
-    n, spare = w.size, (m if statistics == "fermion" and not rows else 0)
-    s = w[:n - max(spare - 1, 0)]
-    ends = np.arange(1, s.size + 1)  # states of the table that end at a level <= j
-    for k in range(2, m + 1):
-        if rows:
-            yield s
-        if statistics == "distinguishable":
-            s = np.add.outer(w, s).ravel()  # w[j] + s equals s + w[j]: addition commutes
-            continue
-        # block j takes the prefix that ends at a level <= j, at a level < j for fermions
-        blocks = ends if statistics == "boson" else np.concatenate(([0], ends))[:n - max(spare - k, 0)]
-        ends = np.cumsum(blocks)
-        if ends[-1] < _SLICE_BLOCK * blocks.size:
-            starts = np.repeat(ends - blocks, blocks)  # the start of each state's block
-            s = s[np.arange(ends[-1]) - starts] + np.repeat(w[:blocks.size], blocks)
-            continue
-        prev, s = s, np.empty(ends[-1], dtype=s.dtype)
-        for x, size, end in zip(w.tolist(), blocks.tolist(), ends.tolist()):
-            np.add(prev[:size], x, s[end - size:end])
-    yield s
-
-
-def distinct_counts(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(table, return_counts=True) of a nonnegative integer table, by
-    np.bincount where 0..max spans at most 4 values per entry (never a sparse range)."""
-    if table.max() >= 4 * table.size:
-        return np.unique(table, return_counts=True)
-    counts = np.bincount(table)
-    levels = np.flatnonzero(counts)
-    return levels, counts[levels]
+def energy_histograms(g: np.ndarray, m: int, statistics: str) -> list[np.ndarray]:
+    """Row k of the m int64 rows counts the k-particle states by total shape: entry E the
+    index tuples (bosons nondecreasing, fermions increasing, distinguishable any) whose
+    shapes g, nonnegative integers ascending, sum to E. Each level adds, per row, the
+    row one particle smaller shifted by its shape: P_k[x:] += P_{k-1}, k from m down
+    for fermions (each level once), up for bosons (any number of times); distinguishable
+    particles add every level once per particle. Slices span only each row's support."""
+    xs = g.tolist()
+    hist = [np.zeros(k * xs[-1] + 1, dtype=np.int64) for k in range(m + 1)]
+    hist[0][0] = 1
+    tops = [0] + [-1] * m  # each row's highest energy so far; -1 while it is empty
+    order = range(m, 0, -1) if statistics == "fermion" else range(1, m + 1)
+    for k, x in ([(k, x) for k in order for x in xs] if statistics == "distinguishable"
+                 else [(k, x) for x in xs for k in order]):
+        if tops[k - 1] >= 0:
+            hist[k][x:x + tops[k - 1] + 1] += hist[k - 1][:tops[k - 1] + 1]
+            tops[k] = tops[k - 1] + x  # x is the largest shape added to row k so far
+    return hist[1:]

@@ -19,13 +19,13 @@
   the log-domain terms few digits in their differences); rows past either
   limit come from the level recursion instead (``method`` "levels").
 
-* Enumeration is the oracle only: ``state_energy_coefficients`` lists the
-  total energy of every symmetrized configuration (multisets for bosons,
-  strictly increasing level tuples for fermions, ordered tuples for
-  distinguishable particles). ``enumeration_rows`` builds the exact integer
-  table of every k <= M, each from the last, and reduces each over its
-  distinct energies at a list of (beta, L) points; ``enumeration_log_z_and_u``
-  does so for the M-table alone. ``validate``, fig67 and the tests call them.
+* Enumeration is the oracle only: it counts every symmetrized configuration
+  (multisets for bosons, strictly increasing level tuples for fermions, ordered
+  tuples for distinguishable particles) by its exact integer energy, in
+  ``kernels.energy_histograms``. ``enumeration_rows`` counts every k <= M, each
+  row from the last, and reduces each over its distinct energies at a list of
+  (beta, L) points; ``enumeration_log_z_and_u`` does so for M alone, fermions
+  past half filling as holes. ``validate``, fig67 and the tests call them.
 
 The routes share nothing but Z_1's level coefficients, so they check each
 other. Each checks every point through ``effective_betas`` before any sum
@@ -52,9 +52,8 @@ STATISTICS = ("boson", "fermion", "distinguishable")
 # points seed 1); the split stays until they store exact values instead
 DEFAULT_STATE_CAP = 2_000_000
 
-# memory guard of the enumeration oracle: it refuses a build whose largest
-# table has more entries, states x k for k bosons or fermions (their builders
-# hold a few state-length arrays while they place the k-th particle), else states
+# memory guard of the enumeration oracle: it refuses a build whose histogram
+# rows hold more entries in all, sum_k (k g_max + 1) for rows k = 1..m
 HARD_ENUMERATION_LIMIT = 50_000_000
 
 # beyond this cancellation loss, or this |log Z|, the particle recursion hands
@@ -99,26 +98,20 @@ class PartitionEvaluation:
     method: str
 
 
-def _check_table_entries(ens: EnsembleSpec, rows: bool) -> None:
-    """The oracle's memory guard on the largest table one build holds."""
-    distinguishable = ens.statistics == "distinguishable"
-    if any(EnsembleSpec(ens.statistics, k, ens.N).state_count * (1 if distinguishable else k)
-           > HARD_ENUMERATION_LIMIT for k in (range(1, ens.M + 1) if rows else [ens.M])):
+def _check_histogram_entries(ens: EnsembleSpec, m: int, top: int, rows: bool) -> None:
+    """The oracle's memory guard on one build of m histogram rows, row k spanning
+    shapes 0..k*top, whose int64 counts must hold every row's number of states."""
+    if top * m * (m + 1) // 2 + m > HARD_ENUMERATION_LIMIT or any(
+            EnsembleSpec(ens.statistics, k, ens.N).state_count >= 2**63
+            for k in (range(1, ens.M + 1) if rows else [ens.M])):
         advice = ("internal_energies (M times the single-particle energy)"
-                  if distinguishable else "the recursion backend")
+                  if ens.statistics == "distinguishable" else "the recursion backend")
         count = ens.state_count  # str() refuses an int past 4300 digits; log10 takes it
         named = count if count < 10**15 else f"about 10^{math.log10(count):.0f}"
         raise ValueError(
             f"enumerating {named} configurations of {ens.M} particles"
-            f"{' and every table below' if rows else ''} exceeds the limit of "
+            f"{' and every table below' if rows else ''} exceeds 2^63 states or the limit of "
             f"{HARD_ENUMERATION_LIMIT} table entries; use {advice}")
-
-
-def state_energy_coefficients(ens: EnsembleSpec, spec: SpectrumSpec) -> np.ndarray:
-    """Total energy coefficient of every many-body configuration, not sorted by energy: in
-    colexicographic order, where those ending at a level extend a prefix of the M-1 table."""
-    _check_table_entries(ens, False)
-    return next(kernels.state_tables(level_coefficients(spec, ens.N), ens.M, ens.statistics))
 
 
 def inverse_temperature(T: float) -> float:
@@ -167,15 +160,26 @@ def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec,
 def _enumerate(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]],
                rows: bool) -> list[tuple[list[float], list[float]]]:
     """(log Z, U) over ``beta_points`` of k = 1..M particles (``rows``) or M alone, each
-    from one table of the exact integer shapes g(n), reduced over its distinct energies."""
+    reduced over the distinct energies of its states, counted on the exact integer shapes
+    g(n). M fermions past half filling alone are counted as N - M holes on the reversed
+    ladder g_max - g: holes of energy E' leave particles of energy sum(g) - (N-M) g_max + E'."""
     points = effective_betas(ens, spec, beta_points)
-    _check_table_entries(ens, rows)
+    holes = ens.statistics == "fermion" and not rows and 2 * ens.M > ens.N
+    m = ens.N - ens.M if holes else ens.M
+    g_min, g_max = (spec.level_shape(spec.n_min + n) for n in (0, ens.N - 1))
+    _check_histogram_entries(ens, m, g_max - g_min if holes else g_max, rows)
     g = level_coefficients(SpectrumSpec(spec.kind), ens.N).astype(np.int64)  # exact: c = 1
+    if holes:  # M = N is the one state, of no holes
+        shift = int(g.sum()) - m * g_max
+        hists = kernels.energy_histograms(g_max - g[::-1], m, "fermion")[-1:] or [np.ones(1, np.int64)]
+    else:
+        shift, hists = 0, kernels.energy_histograms(g, m, ens.statistics)[0 if rows else -1:]
     beta_effs = np.array([beta_eff for beta_eff, _ in points])
     out = []
-    for table in kernels.state_tables(g, ens.M, ens.statistics, rows):
-        levels, counts = kernels.distinct_counts(table)
-        log_zs, means = kernels.log_z_and_mean(spec.scale_c * levels, beta_effs, counts)
+    for hist in hists:
+        levels = np.flatnonzero(hist)
+        log_zs, means = kernels.log_z_and_mean(spec.scale_c * (levels + shift), beta_effs,
+                                               hist[levels])
         out.append((log_zs.tolist(), [mean / scale for mean, (_, scale) in zip(means.tolist(), points)]))
     return out
 
@@ -189,7 +193,7 @@ def enumeration_rows(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tu
 def enumeration_log_z_and_u(ens: EnsembleSpec, spec: SpectrumSpec,
                             beta_points: list[tuple[float, float]]
                             ) -> tuple[list[float], list[float]]:
-    """log Z and U at every (beta, L) in ``beta_points`` from the M-table alone."""
+    """log Z and U at every (beta, L) in ``beta_points`` from the M-particle counts alone."""
     return _enumerate(ens, spec, beta_points, False)[0]
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qotto import cli, experiments, manybody
+from qotto import cli, experiments, kernels, manybody
 from qotto import (PRESETS, CycleConfig, EnsembleSpec, SpectrumSpec,
                    enumeration_log_z_and_u, harmonic_closed_form_W,
                    harmonic_closed_form_Z, make_record, make_series, recursion_rows,
@@ -347,11 +347,11 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
         calls.append((w.size, w[0], M, fermion, beta_effs.size))
         return original(w, M, beta_effs, fermion)
 
-    def built(ens, spec):
-        pytest.fail("a sweep built a state table")
+    def built(*args):
+        pytest.fail("a sweep counted states")
 
     monkeypatch.setattr(manybody, "_recursion_levels", counted)
-    monkeypatch.setattr(manybody, "state_energy_coefficients", built)
+    monkeypatch.setattr(kernels, "energy_histograms", built)
     records = sweep("fig45", steps=5)
     # 2 regimes x 7 truncations x 2 statistics: one level pass per series over
     # the cold corner and all 5 Th, whose row 1 is the single-particle twin

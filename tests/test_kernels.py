@@ -1,16 +1,16 @@
-"""Kernel-level checks: the Boltzmann reduction and the enumeration kernels
-match brute force, and the batched reduction equals one-temperature calls."""
+"""Kernel-level checks: the Boltzmann reduction and the state counts match
+brute force, and the batched reduction equals one-temperature calls."""
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from qotto import kernels
-from qotto.manybody import (EnsembleSpec, enumeration_log_z_and_u, enumeration_rows,
-                            state_energy_coefficients)
+from qotto.manybody import EnsembleSpec, enumeration_log_z_and_u, enumeration_rows
 from qotto.spectrum import KINDS, SpectrumSpec
 
 
@@ -39,48 +39,77 @@ def test_log_z_survives_huge_exponents():
     assert mean == pytest.approx(100.0, rel=1e-12)
 
 
-def left_to_right_sums(w, combos):
-    # Python's sum adds left to right, the order every state energy must keep, over
-    # the tuples in colexicographic order: by last index, then the one before
-    return [sum(w[i] for i in c) for c in sorted(combos, key=lambda c: c[::-1])]
+TUPLES = {"boson": itertools.combinations_with_replacement,
+          "fermion": itertools.combinations,
+          "distinguishable": lambda levels, k: itertools.product(levels, repeat=k)}
 
 
-# irrational coefficients and m >= 8 expose any other order of addition, such
-# as numpy's pairwise row sum, in the last bits; (80, 2) averages 41 states per
-# level (one gather), (25, 4) 819 (one slice per level)
+def brute_histogram(g, tuples):
+    # {E: number of index tuples whose shapes sum to E}, the row energy_histograms counts
+    return Counter(sum(g[i] for i in c) for c in tuples)
+
+
+def brute_table(kind, statistics, k, n):
+    # the float energy of every k-particle state on n levels of shape g
+    g = shapes(kind, n).tolist()
+    return np.array(sorted(brute_histogram(g, TUPLES[statistics](range(n), k)).elements()),
+                    dtype=float)
+
+
+def nonzero(row):
+    return {e: c for e, c in enumerate(row.tolist()) if c}
+
+
+def shapes(kind, n):
+    spec = SpectrumSpec(kind)
+    return spec.level_shape(np.arange(spec.n_min, spec.n_min + n, dtype=np.int64))
+
+
+# each row of one build against brute force: (80, 2) and (25, 4) are 3240 and
+# 20 475 multisets, (3, 8) to (4, 12) many particles on few levels
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (3, 2), (5, 3), (6, 4),
                                  (3, 8), (5, 9), (4, 12), (80, 2), (25, 4)])
 def test_multiset_sums_match_itertools(n, m):
-    w = np.sqrt(np.arange(1, n + 1, dtype=float))
-    got = next(kernels.state_tables(w, m, "boson"))
-    ref = left_to_right_sums(w, itertools.combinations_with_replacement(range(n), m))
-    assert got.tolist() == ref
+    g = shapes("box", n)
+    rows = kernels.energy_histograms(g, m, "boson")
+    assert [row.dtype for row in rows] == [np.int64] * m
+    for k, row in enumerate(rows, 1):
+        assert nonzero(row) == brute_histogram(g.tolist(), TUPLES["boson"](range(n), k))
 
 
-# (25, 6) is 177 100 states, above 2^16 rows, added by slices; (80, 2) gathers.
-# Past half filling the m-table keeps only the levels that leave room for the rest:
-# (14, 12) gathers every table, (20, 12) up to its 6-table and slices the rest
+# (25, 6) is 177 100 states; past half filling, (14, 12) to (40, 38), the m-row is
+# also the n - m holes on the reversed ladder g_max - g, shifted by sum(g) - (n - m) g_max
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 2), (5, 3), (6, 6), (8, 4),
-                                 (10, 8), (12, 9), (14, 12), (25, 6), (80, 2), (20, 12)])
+                                 (10, 8), (12, 9), (14, 12), (25, 6), (80, 2), (20, 12),
+                                 (22, 21), (40, 38)])
 def test_subset_sums_match_itertools(n, m):
-    w = np.log1p(np.arange(0, n, dtype=float))
-    got = next(kernels.state_tables(w, m, "fermion"))
-    ref = left_to_right_sums(w, itertools.combinations(range(n), m))
-    assert got.tolist() == ref
+    g = shapes("box", n)
+    rows = kernels.energy_histograms(g, m, "fermion")
+    for k, row in enumerate(rows, 1):
+        if math.comb(n, k) <= 200_000:
+            assert nonzero(row) == brute_histogram(g.tolist(), itertools.combinations(range(n), k))
+    if 2 * m <= n:
+        return
+    holes = kernels.energy_histograms(g[-1] - g[::-1], n - m, "fermion")
+    shift = int(g.sum()) - (n - m) * int(g[-1])
+    assert ({e + shift: c for e, c in nonzero(holes[-1]).items()} if holes
+            else {int(g.sum()): 1}) == nonzero(rows[-1])
 
 
-@given(w=st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=12),
-       m=st.integers(1, 10), fermion=st.booleans())
-@example(w=[0.5, 1.25, 2.0, 3.5], m=4, fermion=True)
-@example(w=[2.5], m=10, fermion=False)
+@given(g=st.lists(st.integers(0, 40), min_size=1, max_size=12),
+       m=st.integers(1, 10), statistics=st.sampled_from(sorted(TUPLES)))
+@example(g=[0, 0, 3, 3], m=4, statistics="fermion")
+@example(g=[5], m=10, statistics="boson")
 @settings(max_examples=60, deadline=None)
-def test_state_sums_match_itertools_for_any_coefficients(w, m, fermion):
-    n = len(w)
-    assume(not fermion or m <= n)
-    statistics, tuples = (("fermion", itertools.combinations) if fermion
-                          else ("boson", itertools.combinations_with_replacement))
-    got = next(kernels.state_tables(np.array(w), m, statistics))
-    assert got.tolist() == left_to_right_sums(w, tuples(range(n), m))
+def test_state_sums_match_itertools_for_any_coefficients(g, m, statistics):
+    # any nonnegative integer shapes, ascending, repeats included
+    n, g = len(g), sorted(g)
+    assume(statistics != "fermion" or m <= n)
+    assume(EnsembleSpec(statistics, m, n).state_count <= 20_000)
+    rows = kernels.energy_histograms(np.array(g, dtype=np.int64), m, statistics)
+    assert len(rows) == m
+    for k, row in enumerate(rows, 1):
+        assert nonzero(row) == brute_histogram(g, TUPLES[statistics](range(n), k))
 
 
 def shifted_log_z_mean(w, beta_eff):
@@ -105,19 +134,16 @@ def test_batched_log_z_and_mean_equals_one_temperature_calls_bit_for_bit():
         assert list(zip(lz.tolist(), mean.tolist())) == ref
 
 
-# (80, 2) gathers every table; (25, 4) adds its boson and fermion 4-tables by slices
+# every row of one build, for every kind, against brute force; M = N and M = N - 1
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 3), (5, 4), (6, 6), (10, 4), (80, 2), (25, 4)])
-@pytest.mark.parametrize("statistics, tuples", [
-    ("boson", itertools.combinations_with_replacement), ("fermion", itertools.combinations),
-    ("distinguishable", lambda levels, k: itertools.product(levels, repeat=k))])
+@pytest.mark.parametrize("statistics, tuples", list(TUPLES.items()))
 def test_state_table_rows_are_every_complete_k_table(n, m, statistics, tuples):
-    # each k-table of a rows build is the k-table of its own build, bit for bit
-    w = np.sqrt(np.arange(1, n + 1, dtype=float))
-    tables = list(kernels.state_tables(w, m, statistics, rows=True))
-    assert len(tables) == m
-    for k, table in enumerate(tables, 1):
-        assert table.tolist() == left_to_right_sums(w, tuples(range(n), k))
-        assert table.tolist() == next(kernels.state_tables(w, k, statistics)).tolist()
+    for kind in KINDS:
+        g = shapes(kind, n)
+        rows = kernels.energy_histograms(g, m, statistics)
+        assert len(rows) == m
+        for k, row in enumerate(rows, 1):
+            assert nonzero(row) == brute_histogram(g.tolist(), tuples(range(n), k))
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -125,13 +151,13 @@ def test_state_table_rows_are_every_complete_k_table(n, m, statistics, tuples):
 def test_multiplicities_reduce_distinct_energies_like_the_full_table(kind, statistics):
     # every level shape is an integer, so a table has far fewer distinct energies
     ens = EnsembleSpec(statistics, 4, 12)
-    table = state_energy_coefficients(ens, SpectrumSpec(kind))
+    table = brute_table(kind, statistics, 4, 12)
     levels, counts = np.unique(table, return_counts=True)
     assert levels.size < table.size
-    # the histogram of the exact integer table, dense here, is np.unique's
-    got_levels, got_counts = kernels.distinct_counts(table.astype(np.int64))
-    assert table.max() < 4 * table.size
-    assert got_levels.tolist() == levels.tolist() and got_counts.tolist() == counts.tolist()
+    # the nonzero entries of the exact integer histogram are np.unique's
+    row = kernels.energy_histograms(shapes(kind, 12), 4, statistics)[-1]
+    got_levels = np.flatnonzero(row)
+    assert got_levels.tolist() == levels.tolist() and row[got_levels].tolist() == counts.tolist()
     betas = np.array([0.0, 0.01, 1.0, 200.0, 1e8])
     lz, mean = kernels.log_z_and_mean(levels, betas, counts)
     lz_ref, mean_ref = kernels.log_z_and_mean(table, betas)
@@ -141,19 +167,15 @@ def test_multiplicities_reduce_distinct_energies_like_the_full_table(kind, stati
     # every row of one oracle build against the full float table of its k
     for k, (log_zs, us) in enumerate(enumeration_rows(ens, SpectrumSpec(kind),
                                                       [(b, 1.0) for b in betas]), 1):
-        full = state_energy_coefficients(EnsembleSpec(statistics, k, 12), SpectrumSpec(kind))
+        full = brute_table(kind, statistics, k, 12)
         lz_ref, mean_ref = kernels.log_z_and_mean(full, betas)
         np.testing.assert_allclose(log_zs, lz_ref, rtol=1e-13, atol=0.0)
         np.testing.assert_allclose(us, mean_ref, rtol=1e-13, atol=0.0)
 
 
-def test_distinct_counts_never_allocates_a_sparse_range(monkeypatch):
+def test_one_hole_or_one_particle_on_a_sparse_energy_range():
     # 2999 box fermions on 3000 levels: 3000 states whose energies reach 9e9,
     # and one box particle on the same levels: 3000 states up to 9e6
-    def dense(*args, **kwargs):
-        pytest.fail("np.bincount ran over a sparse range")
-
-    monkeypatch.setattr(np, "bincount", dense)
     g = np.arange(1, 3001, dtype=float) ** 2
     for ens, sign, offset in ((EnsembleSpec("fermion", 2999, 3000), -1.0, g.sum()),
                               (EnsembleSpec("boson", 1, 3000), 1.0, 0.0)):
@@ -161,6 +183,3 @@ def test_distinct_counts_never_allocates_a_sparse_range(monkeypatch):
         (log_z,), (u,) = enumeration_log_z_and_u(ens, SpectrumSpec("box"), [(1e-6, 1.0)])
         lz_ref, mean_ref = kernels.log_z_and_mean(offset + sign * g, np.array([1e-6]))
         assert (log_z, u) == pytest.approx((lz_ref[0], mean_ref[0]), rel=1e-13)
-    table = np.array([0, 7, 7, 30_000_000], dtype=np.int64)
-    levels, counts = kernels.distinct_counts(table)
-    assert levels.tolist() == [0, 7, 30_000_000] and counts.tolist() == [1, 2, 1]

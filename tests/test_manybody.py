@@ -14,7 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from qotto import (KINDS, EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
                    enumeration_log_z_and_u, enumeration_rows, level_coefficients,
-                   recursion_rows, state_energy_coefficients)
+                   recursion_rows)
 from qotto import kernels, manybody
 from qotto.manybody import internal_energies
 
@@ -44,24 +44,20 @@ def brute_log_z_u(coeffs, beta, L, p):
 
 
 def test_boson_pair_coefficients_two_five_eight_ten_thirteen_eighteen():
-    coeffs = state_energy_coefficients(EnsembleSpec("boson", 2, 3), BOX)
-    assert sorted(coeffs.tolist()) == [2, 5, 8, 10, 13, 18]
+    assert brute_coeffs("boson", 2, 3, BOX) == [2, 5, 8, 10, 13, 18]
 
 
 def test_fermion_pair_coefficients_five_ten_thirteen():
-    coeffs = state_energy_coefficients(EnsembleSpec("fermion", 2, 3), BOX)
-    assert sorted(coeffs.tolist()) == [5, 10, 13]
+    assert brute_coeffs("fermion", 2, 3, BOX) == [5, 10, 13]
 
 
 def test_two_fermions_on_two_levels_single_state():
-    coeffs = state_energy_coefficients(EnsembleSpec("fermion", 2, 2), BOX)
-    assert coeffs.tolist() == [5]
+    assert brute_coeffs("fermion", 2, 2, BOX) == [5]
 
 
 def test_harmonic_occupation_indices_start_at_zero():
     # g(n) = n from n = 0: the pairs (0,1), (0,2), (1,2)
-    coeffs = state_energy_coefficients(EnsembleSpec("fermion", 2, 3), HARM)
-    assert sorted(coeffs.tolist()) == [1, 2, 3]
+    assert brute_coeffs("fermion", 2, 3, HARM) == [1, 2, 3]
 
 
 @given(statistics=st.sampled_from(["boson", "fermion", "distinguishable"]),
@@ -77,7 +73,9 @@ def test_state_counts(statistics, M, N):
                 "fermion": math.comb(N, M),
                 "distinguishable": N**M}[statistics]
     assert ens.state_count == expected
-    assert state_energy_coefficients(ens, BOX).shape == (expected,)
+    assert len(brute_coeffs(statistics, M, N, BOX)) == expected
+    g = level_coefficients(BOX, N).astype(np.int64)
+    assert kernels.energy_histograms(g, M, statistics)[-1].sum() == expected
 
 
 def test_enumeration_counts_states_at_beta_zero():
@@ -232,10 +230,10 @@ def test_internal_energy_monotone_in_temperature():
 
 def test_internal_energy_bounded_by_spectrum():
     ens = EnsembleSpec("boson", 3, 4)
-    ws = state_energy_coefficients(ens, BOX)
+    ws = brute_coeffs("boson", 3, 4, BOX)
     for T in (0.1, 1.0, 100.0):
         u = internal_energies(ens, BOX, [(T, 1.0)])[0]
-        assert ws.min() - 1e-12 <= u <= ws.max() + 1e-12
+        assert ws[0] - 1e-12 <= u <= ws[-1] + 1e-12
 
 
 def test_single_level_internal_energy():
@@ -325,9 +323,9 @@ def test_tiny_accepted_temperature_gives_ground_state_energy():
 
 
 def test_level_recursion_matches_enumeration():
-    # every kind, regime and statistics up to 3M states, from beta = 0 to
-    # the ground state; the full enumerated table and the level recursion
-    # each take all betas in one call
+    # every kind, regime and statistics up to 3 million states, from beta = 0
+    # to the ground state; the oracle and the level recursion each take all
+    # betas in one call
     betas = np.array([0.0, 0.01, 0.2, 1.0, 10.0, 200.0, 1e8])
     cases = 0
     for kind, lam, statistics, M, N in itertools.product(
@@ -339,7 +337,7 @@ def test_level_recursion_matches_enumeration():
         if ens.state_count > 3_000_000:
             continue
         spec = SpectrumSpec(kind, scale_c=lam)
-        log_zs, means = kernels.log_z_and_mean(state_energy_coefficients(ens, spec), betas)
+        log_zs, means = enumeration_log_z_and_u(ens, spec, [(b, 1.0) for b in betas])
         w = level_coefficients(spec, N)
         got_log_zs, got_us = manybody._recursion_levels(w, M, betas, statistics == "fermion")
         for log_z, u, got in zip(log_zs, means, zip(got_log_zs[-1], got_us[-1])):
@@ -388,12 +386,12 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
     # particle) of the level recursion and never builds their N^M table
     points = [(3.0, 1.0), (0.7, 1.5)]
     beta_points = [(1.0 / T, L) for T, L in points]
-    build = manybody.state_energy_coefficients
+    build = kernels.energy_histograms
 
-    def one_particle_only(ens, spec):
-        if ens.statistics == "distinguishable" and ens.M >= 2:
-            pytest.fail(f"auto enumerated {ens.M} distinguishable particles")
-        return build(ens, spec)
+    def one_particle_only(g, m, statistics):
+        if statistics == "distinguishable" and m >= 2:
+            pytest.fail(f"auto enumerated {m} distinguishable particles")
+        return build(g, m, statistics)
 
     for ens in (EnsembleSpec("distinguishable", 3, 4), EnsembleSpec("distinguishable", 2, 7)):
         single = manybody._recursion_levels(level_coefficients(BOX, ens.N), 1,
@@ -402,7 +400,7 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
         direct = enumeration_log_z_and_u(ens, BOX, beta_points)[1]
         for cap in (manybody.DEFAULT_STATE_CAP, 1):
             monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
-            monkeypatch.setattr(manybody, "state_energy_coefficients", one_particle_only)
+            monkeypatch.setattr(kernels, "energy_histograms", one_particle_only)
             via_auto = internal_energies(ens, BOX, points)
             monkeypatch.undo()
             assert via_auto == [ens.M * (u / L**2.0) for u, (_, L) in zip(single, beta_points)]
@@ -414,21 +412,31 @@ def test_enumeration_guard_advises_auto_for_distinguishable_particles(monkeypatc
         pytest.fail("the memory guard let the enumeration run")
 
     monkeypatch.setattr(manybody, "level_coefficients", reached)
-    ens = EnsembleSpec("distinguishable", 12, 10)
-    with pytest.raises(ValueError, match=r"table entries; use internal_energies \(M times"):
-        enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])
+    # 3 on 4000 box levels: 3 rows of 16e6 k + 1 entries, 96M in all; 30 on 10
+    # harmonic levels: 4215 entries, but 1e30 states overflow an int64 count
+    for ens, spec in ((EnsembleSpec("distinguishable", 3, 4000), BOX),
+                      (EnsembleSpec("distinguishable", 30, 10), HARM)):
+        with pytest.raises(ValueError, match=r"table entries; use internal_energies \(M times"):
+            enumeration_log_z_and_u(ens, spec, [(1.0 / 2.0, 1.0)])
 
 
 def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
-    # 16.1M states of 5 bosons, below the 50M limit, but 80.5M table entries
-    # (states x particles) by the guard's measure; the builder would hold a
-    # few 16.1M-long arrays while it places the last boson
+    # 16.1M states of 5 bosons on 70 box levels are 73 505 histogram entries
+    # (sum_k 4900 k + 1), and the oracle counts them
+    ens = EnsembleSpec("boson", 5, 70)
+    assert ens.state_count == 16_108_764
+    (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])
+    levels = manybody._recursion_levels(level_coefficients(BOX, 70), 5, np.array([0.5]), False)
+    assert (log_z, u) == pytest.approx((levels[0][-1][0], levels[1][-1][0]), rel=1e-13)
+
+    # 8.8M states of 2 bosons on 4200 box levels, below the 50M limit, but
+    # 52.9M histogram entries (sum_k 17.64M k + 1) by the guard's measure
     def reached(*args):
         pytest.fail("the memory guard let the enumeration kernel run")
 
-    monkeypatch.setattr(kernels, "state_tables", reached)
-    ens = EnsembleSpec("boson", 5, 70)
-    assert ens.state_count == 16_108_764
+    monkeypatch.setattr(kernels, "energy_histograms", reached)
+    ens = EnsembleSpec("boson", 2, 4200)
+    assert ens.state_count == 8_822_100
     for backend in (enumeration_log_z_and_u, enumeration_rows):
         with pytest.raises(ValueError, match="table entries; use the recursion backend"):
             backend(ens, BOX, [(1.0 / 2.0, 1.0)])
@@ -445,10 +453,10 @@ def test_enumeration_guard_names_a_count_past_4300_digits():
             backend(ens, BOX, [(1.0, 1.0)])
 
 
-def test_fermions_past_half_filling_enumerate_their_m_table_alone(monkeypatch):
-    # 38 fermions on 40 levels are 780 states, but the 20-fermion table of a
-    # rows build would hold 1.4e11: the M-table alone is built, and a rows
-    # build is refused by the guard before any table is made
+def test_fermions_past_half_filling_enumerate_their_m_table_alone():
+    # 38 fermions on 40 levels are 780 states, but the 20-fermion row of a rows
+    # build counts 1.4e11: M alone is counted as 2 holes, and a rows build,
+    # 1.2M histogram entries, gives its row 38 bit for bit
     ens = EnsembleSpec("fermion", 38, 40)
     points = [(beta, 1.0) for beta in (0.0, 1e-3, 0.1)]
     log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
@@ -457,24 +465,24 @@ def test_fermions_past_half_filling_enumerate_their_m_table_alone(monkeypatch):
     assert log_zs[0] == math.log(780)
     assert log_zs == pytest.approx(got_log_zs[-1], rel=1e-13)
     assert us == pytest.approx(got_us[-1], rel=1e-13)
-
-    def reached(*args):
-        pytest.fail("the memory guard let a rows build run")
-
-    monkeypatch.setattr(kernels, "state_tables", reached)
-    with pytest.raises(ValueError, match="table entries"):
-        enumeration_rows(ens, BOX, points)
+    assert enumeration_rows(ens, BOX, points)[-1] == (log_zs, us)
 
 
 def test_enumeration_with_any_prefactor_matches_the_float_table():
     # the oracle reduces exact integer shapes at c * g; the table of float
-    # coefficients c * g(n), summed per state, gives the same to 1e-13
+    # coefficients c * g(n), summed per state, gives the same to 1e-13. M = N,
+    # M = N - 1 and, for fermions past half filling, the hole form
     betas = np.array([0.0, 0.01, 0.3, 2.0, 50.0])
-    for kind, c, statistics, M, N in itertools.product(
-            KINDS, (0.05, 3.7, 20.0), ("boson", "fermion", "distinguishable"), (1, 3), (4, 9)):
+    sizes = [(1, 4), (3, 4), (4, 4), (1, 9), (3, 9)]
+    for kind, c, statistics, (M, N) in itertools.product(
+            KINDS, (0.05, 3.7, 20.0), ("boson", "fermion", "distinguishable"),
+            sizes + [(21, 22), (38, 40)]):
+        if statistics != "fermion" and (M, N) not in sizes:
+            continue
         ens, spec = EnsembleSpec(statistics, M, N), SpectrumSpec(kind, scale_c=c)
         log_zs, us = enumeration_log_z_and_u(ens, spec, [(b, 1.0) for b in betas])
-        lz_ref, mean_ref = kernels.log_z_and_mean(state_energy_coefficients(ens, spec), betas)
+        lz_ref, mean_ref = kernels.log_z_and_mean(np.array(brute_coeffs(statistics, M, N, spec)),
+                                                  betas)
         # log Z to 1e-13 of max(1, |log Z|): near log Z = 0 both round log(Z) alike
         assert all(abs(a - b) <= 1e-13 * max(1.0, abs(b)) for a, b in zip(log_zs, lz_ref))
         np.testing.assert_allclose(us, mean_ref, rtol=1e-13, atol=0.0)
@@ -514,7 +522,7 @@ def test_backends_check_every_point_of_a_batch_before_any_kernel_runs(monkeypatc
     def reached(*args):
         pytest.fail("a kernel ran before every point was checked")
 
-    for name in ("log_z_and_mean", "state_tables", "distinct_counts"):
+    for name in ("log_z_and_mean", "energy_histograms"):
         monkeypatch.setattr(kernels, name, reached)
     # the enumeration backend took the first five silently: [nan], log Z = 32,
     # U = 0, ZeroDivisionError and a RuntimeWarning; the last three leave
