@@ -12,8 +12,8 @@ from .experiments import (PRESETS, RatioRecord, harmonic_closed_form_W,
                           harmonic_closed_form_Z, make_record, make_series,
                           records_to_csv, sweep, work_ratio_multiparticle,
                           work_ratio_two_particle, write_csv)
-from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, PartitionEvaluation,
-                       enumeration_log_z_and_u, enumeration_rows, recursion_rows)
+from .manybody import (DEFAULT_STATE_CAP, EnsembleSpec, enumeration_log_z_and_u,
+                       enumeration_rows, recursion_rows)
 from .spectrum import (KINDS, SpectrumSpec, adiabatic_energy_ratio,
                        level_coefficients, single_particle_energies)
 from .thermo import (CycleConfig, CycleResult, positive_work_threshold,
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CycleConfig", "CycleResult", "DEFAULT_STATE_CAP", "EmptyStateSpaceError",
-    "EnsembleSpec", "KINDS", "PRESETS", "PartitionEvaluation", "RatioRecord",
+    "EnsembleSpec", "KINDS", "PRESETS", "RatioRecord",
     "SpectrumSpec", "adiabatic_energy_ratio", "enumeration_log_z_and_u",
     "enumeration_rows", "harmonic_closed_form_W", "harmonic_closed_form_Z", "level_coefficients",
     "make_record", "make_series", "positive_work_threshold", "recursion_rows",

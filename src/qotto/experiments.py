@@ -152,7 +152,7 @@ def sweep_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float, Tc:
     """The series behind ``make_series``: constant cells and varying columns (``_assemble``)."""
     cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc)
     (U4_1, *U2s_1), corners = manybody._energy_rows(
-        ens, spec, [(Tc, cfg.L2)] + [(Th, L1) for Th in Th_values], True)
+        ens, spec, [(Tc, cfg.L2)] + [(Th, L1) for Th in Th_values])
     return _assemble(cfg, ens.M, Th_values, cycle_columns(cfg, U4_1, U2s_1)[4], corners)
 
 
@@ -270,18 +270,17 @@ def fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
                 if not ms:
                     continue
                 top = EnsembleSpec(statistics, max(ms), N)
-                cold, hot = recursion_rows(top, spec, corners)
+                rows = recursion_rows(top, spec, corners)
                 # one config per column: the largest M's top energy bounds every smaller
                 # M's, the cycle arithmetic ignores M, and row 1 is the single particle
                 cfg = CycleConfig(spec, top, L1, R, Tc)
-                Ws = cycle_columns(cfg, cold[0].U, [hot[0].U])[4]
-                records += _records([_assemble(cfg, M, [Th], Ws, (cold[M - 1].U, hot[M - 1].U))
-                                     for M in ms])
-                held.setdefault((statistics, N, tuple(ms)), []).extend(
-                    zip((spec, spec), corners, (cold, hot)))
+                U4_1, U2_1 = rows[0][1]
+                Ws = cycle_columns(cfg, U4_1, [U2_1])[4]
+                records += _records([_assemble(cfg, M, [Th], Ws, rows[M - 1][1]) for M in ms])
+                held.setdefault((statistics, N, tuple(ms)), []).append((spec, rows))
     # checked after every row: a column's rows at both lambda share one enumeration
     for column, passes in held.items():
-        _cross_check(*column, passes)
+        _cross_check(*column, corners, passes)
     return [((), list(zip(*records)))] if records else []
 
 
@@ -293,29 +292,31 @@ def sweep(preset: str, **params) -> list[RatioRecord]:
     return _records(PRESETS[preset](**params))
 
 
-def _cross_check(statistics: str, N: int, ms, held) -> None:
-    """Compare rows M in ``ms`` of the (spectrum, (beta, L), rows) recursion passes in
-    ``held``, one spectrum kind, with the enumeration oracle on the c = 1 shapes:
-    Z(beta; c) = Z(beta*c; 1). One oracle call gives every row up to the largest M whose
-    k-particle ensembles, k <= M, all hold at most _CROSS_CHECK_CAP states; a larger M under
-    the cap (fermions past N/2) takes its own call."""
+def _cross_check(statistics: str, N: int, ms, corners, held) -> None:
+    """Compare rows M in ``ms`` of the (spectrum, rows) recursion passes in ``held``, one
+    spectrum kind, each at every (beta, L) in ``corners``, with the enumeration oracle on the
+    c = 1 shapes: Z(beta; c) = Z(beta*c; 1). One oracle call gives every row up to the largest
+    M whose k-particle ensembles, k <= M, all hold at most _CROSS_CHECK_CAP states; a larger
+    M under the cap (fermions past N/2) takes its own call."""
     sizes = [EnsembleSpec(statistics, k, N).state_count for k in range(1, max(ms) + 1)]
     top = max((M for M in ms if max(sizes[:M]) <= _CROSS_CHECK_CAP), default=0)
     unit = SpectrumSpec(held[0][0].kind)
-    points = [(beta * spec.scale_c, L) for spec, (beta, L), _ in held]
+    at = [(spec, beta, L) for spec, _ in held for beta, L in corners]
+    points = [(beta * spec.scale_c, L) for spec, beta, L in at]
     column = manybody.enumeration_rows(EnsembleSpec(statistics, top, N), unit, points) if top else []
     for M in ms:
         ens = EnsembleSpec(statistics, M, N)
         if M > top and ens.state_count > _CROSS_CHECK_CAP:
             continue
         log_zs, us = column[M - 1] if M <= top else manybody.enumeration_log_z_and_u(ens, unit, points)
-        for (spec, (beta, L), rows), log_z, u in zip(held, log_zs, us):
-            a, u = rows[M - 1], u * spec.scale_c  # U(beta; c) = c U(beta*c; 1)
-            if abs(a.log_Z - log_z) > _CROSS_CHECK_TOL or \
-                    abs(a.U - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
+        got = [pair for _, rows in held for pair in zip(*rows[M - 1])]
+        for (spec, beta, L), (got_z, got_u), log_z, u in zip(at, got, log_zs, us):
+            u *= spec.scale_c  # U(beta; c) = c U(beta*c; 1)
+            if abs(got_z - log_z) > _CROSS_CHECK_TOL or \
+                    abs(got_u - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
                 raise AssertionError(
                     f"recursion/enumeration mismatch for {ens} on {spec} at "
-                    f"beta={beta}, L={L}: dlogZ={a.log_Z - log_z:.3g} dU={a.U - u:.3g}")
+                    f"beta={beta}, L={L}: dlogZ={got_z - log_z:.3g} dU={got_u - u:.3g}")
 
 
 def harmonic_closed_form_Z(statistics: str, T: float, L: float,

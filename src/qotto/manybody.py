@@ -17,7 +17,7 @@
   every k <= M, and U comes from the differentiated recursion. Its float
   path tracks the fermionic sign cancellation and |log Z| (large, it leaves
   the log-domain terms few digits in their differences); rows past either
-  limit come from the level recursion instead (``method`` "levels").
+  limit come from the level recursion instead.
 
 * Enumeration is the oracle only: it counts every symmetrized configuration
   (multisets for bosons, strictly increasing level tuples for fermions, ordered
@@ -28,7 +28,8 @@
   past half filling as holes. ``validate``, fig67 and the tests call them.
 
 The routes share nothing but Z_1's level coefficients, so they check each
-other. Each checks every point through ``effective_betas`` before any sum
+other, and all give one shape: a list over k = 1..M of (log Z at every point, U at
+every point). Each checks every point through ``effective_betas`` before any sum
 runs. ``_energy_rows``, behind ``internal_energies``, is the one place that
 chooses a route.
 """
@@ -91,13 +92,6 @@ class EnsembleSpec:
         return self.N**self.M
 
 
-@dataclass(frozen=True)
-class PartitionEvaluation:
-    log_Z: float
-    U: float
-    method: str
-
-
 def _check_histogram_entries(ens: EnsembleSpec, m: int, top: int, rows: bool) -> None:
     """The oracle's memory guard on one build of m histogram rows, row k spanning
     shapes 0..k*top, whose int64 counts must hold every row's number of states."""
@@ -123,21 +117,23 @@ def inverse_temperature(T: float) -> float:
     return 1.0 / T
 
 
-def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec,
-                    beta_points: list[tuple[float, float]]) -> list[tuple[float, float]]:
-    """(beta/L^p, L^p) at every (beta, L) in ``beta_points``, all checked before
-    any sum runs: beta finite and >= 0, L^p and beta/L^p finite and nonzero
-    (beta/L^p is 0 at beta = 0 only), and the largest many-body energy finite."""
+def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays of beta/L^p and of L^p over the (beta, L) in ``beta_points``, all checked
+    before any sum runs: beta finite and >= 0, L^p and beta/L^p finite and nonzero
+    (beta/L^p is 0 at beta = 0 only), and the largest many-body energy finite. The
+    checks run point by point: numpy's per-call cost exceeds the loop's on the two-point
+    lists of a cycle."""
     n_top, M = spec.n_min + int(ens.N) - 1, int(ens.M)  # exact ints; no numpy overflow warning
     top = spec.scale_c * (sum(map(spec.level_shape, range(n_top - M + 1, n_top + 1)))
                           if ens.statistics == "fermion" else M * spec.level_shape(n_top))
-    out, scales = [], {}  # L -> L^p: each distinct width is checked once
+    beta_effs, scales, checked = [], [], {}  # L -> L^p: each distinct width is checked once
     for beta, L in beta_points:
         if not (0 <= beta < math.inf):
             raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
-        known = L in scales
+        known = L in checked
         if known:
-            scale = scales[L]
+            scale = checked[L]
         else:
             try:
                 scale = L**spec.power_p
@@ -152,9 +148,10 @@ def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec,
             if not top / scale < math.inf:
                 raise ValueError(
                     f"the largest many-body energy, {top:g}/L^p at L = {L}, is not finite")
-            scales[L] = scale
-        out.append((beta_eff, scale))
-    return out
+            checked[L] = scale
+        beta_effs.append(beta_eff)
+        scales.append(scale)
+    return np.array(beta_effs), np.array(scales)
 
 
 def _enumerate(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]],
@@ -163,7 +160,7 @@ def _enumerate(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[fl
     reduced over the distinct energies of its states, counted on the exact integer shapes
     g(n). M fermions past half filling alone are counted as N - M holes on the reversed
     ladder g_max - g: holes of energy E' leave particles of energy sum(g) - (N-M) g_max + E'."""
-    points = effective_betas(ens, spec, beta_points)
+    beta_effs, scales = effective_betas(ens, spec, beta_points)
     holes = ens.statistics == "fermion" and not rows and 2 * ens.M > ens.N
     m = ens.N - ens.M if holes else ens.M
     g_min, g_max = (spec.level_shape(spec.n_min + n) for n in (0, ens.N - 1))
@@ -174,13 +171,12 @@ def _enumerate(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[fl
         hists = kernels.energy_histograms(g_max - g[::-1], m, "fermion")[-1:] or [np.ones(1, np.int64)]
     else:
         shift, hists = 0, kernels.energy_histograms(g, m, ens.statistics)[0 if rows else -1:]
-    beta_effs = np.array([beta_eff for beta_eff, _ in points])
     out = []
     for hist in hists:
         levels = np.flatnonzero(hist)
         log_zs, means = kernels.log_z_and_mean(spec.scale_c * (levels + shift), beta_effs,
                                                hist[levels])
-        out.append((log_zs.tolist(), [mean / scale for mean, (_, scale) in zip(means.tolist(), points)]))
+        out.append((log_zs.tolist(), (means / scales).tolist()))
     return out
 
 
@@ -246,9 +242,9 @@ def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
 
 
 def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
-                      fermion: bool) -> tuple[list[list[float]], list[list[float]]]:
-    """Sign-free recursion over levels: log Z_k and U_k in coefficient units,
-    k = 1..M, as lists of M rows with one value per beta_eff in ``beta_effs``.
+                      fermion: bool) -> list[tuple[list[float], list[float]]]:
+    """Sign-free recursion over levels: (log Z_k, U_k in coefficient units) at every
+    beta_eff in ``beta_effs``, for k = 1..M.
 
     Adding level n to the first n levels gives, for k = 1..M,
 
@@ -291,60 +287,60 @@ def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
     with np.errstate(over="ignore"):  # a ground energy past the float range is log Z = -inf
         log_zs = -beta_effs * ground_sums
     log_zs += np.log1p(excited)
-    us = [[math.fsum(ground[:k] + [q]) for q in row]
-          for k, row in enumerate((numer / (1.0 + excited)).tolist(), 1)]
-    return log_zs.tolist(), us
+    return [(log_z, [math.fsum(ground[:k] + [q]) for q in row])
+            for k, (log_z, row) in enumerate(zip(log_zs.tolist(),
+                                                 (numer / (1.0 + excited)).tolist()), 1)]
 
 
-def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec,
-                   beta_points: list[tuple[float, float]]) -> list[list[PartitionEvaluation]]:
-    """log Z and U of k = 1..M particles at every (beta, L), one recursion pass per
-    point; rows the float recursion cannot hold come from the level recursion ("levels").
+def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]]
+                   ) -> list[tuple[list[float], list[float]]]:
+    """(log Z, U) at every (beta, L) of k = 1..M particles, one recursion pass per point;
+    rows the float recursion cannot hold come from the level recursion.
 
     Bosons and fermions only: distinguishable particles factorize as Z_1^M.
     """
     if ens.statistics == "distinguishable":
         raise ValueError("recursion backend supports boson/fermion statistics only; "
                          "distinguishable particles factorize as Z_1^M")
-    points = effective_betas(ens, spec, beta_points)
+    beta_effs, scales = effective_betas(ens, spec, beta_points)
     w = level_coefficients(spec, ens.N)
     fermion = ens.statistics == "fermion"
-    out = []
-    for beta_eff, scale in points:
+    rows = [([], []) for _ in range(ens.M)]
+    for beta_eff, scale in zip(beta_effs.tolist(), scales.tolist()):
         log_zs, us, bad = _recursion_float(w, ens.M, beta_eff, fermion)
         levels = _recursion_levels(w, ens.M, np.array([beta_eff]), fermion) if bad.any() else None
-        rows = [(levels[0][k][0], levels[1][k][0], "levels") if bad[k] else (log_z, u, "recursion")
-                for k, (log_z, u) in enumerate(zip(log_zs, us))]
-        out.append([PartitionEvaluation(log_Z=log_z, U=u / scale, method=method)
-                    for log_z, u, method in rows])
-    return out
+        for k, (log_z, u) in enumerate(zip(log_zs, us)):
+            if bad[k]:
+                (log_z,), (u,) = levels[k]
+            rows[k][0].append(log_z)
+            rows[k][1].append(u / scale)
+    return rows
 
 
 def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
                       points: list[tuple[float, float]]) -> list[float]:
     """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``."""
-    return _energy_rows(ens, spec, points, False)[-1]
+    return _energy_rows(ens, spec, points)[-1]
 
 
-def _energy_rows(ens: EnsembleSpec, spec: SpectrumSpec, points: list[tuple[float, float]],
-                 single: bool) -> list[list[float]]:
-    """U at every (T, L) in ``points`` of M particles, after that of one if ``single``.
+def _energy_rows(ens: EnsembleSpec, spec: SpectrumSpec,
+                 points: list[tuple[float, float]]) -> list[list[float]]:
+    """U at every (T, L) in ``points`` of one particle, then of M.
 
     The one backend dispatcher. One level recursion over all points gives bosons
     and fermions up to ``DEFAULT_STATE_CAP`` configurations rows 1 (the single
     particle) and M, and distinguishable particles, at any M, row 1 and M times
-    row 1. Bosons and fermions beyond the cap take ``recursion_rows``, and their
-    single particle its own call."""
+    row 1. Bosons and fermions beyond the cap take row M of ``recursion_rows``, and
+    their single particle its own call."""
     beta_points = [(inverse_temperature(T), L) for T, L in points]
     distinguishable = ens.statistics == "distinguishable"
     if not distinguishable and ens.state_count > DEFAULT_STATE_CAP:
-        many = [[rows[-1].U for rows in recursion_rows(ens, spec, beta_points)]]
-        return ([internal_energies(EnsembleSpec(ens.statistics, 1, ens.N), spec, points)]
-                if single else []) + many
-    points = effective_betas(ens, spec, beta_points)  # M times the single particle's range
-    M, factor = (1, ens.M) if distinguishable else (ens.M, 1)
-    us = _recursion_levels(level_coefficients(spec, ens.N), M,
-                           np.array([beta_eff for beta_eff, _ in points]),
-                           ens.statistics == "fermion")[1]
-    return [[f * (u / scale) for u, (_, scale) in zip(row, points)]
-            for row, f in [(us[0], 1), (us[-1], factor)][not single:]]
+        many = recursion_rows(ens, spec, beta_points)[-1][1]
+        return [internal_energies(EnsembleSpec(ens.statistics, 1, ens.N), spec, points)
+                if ens.M > 1 else many, many]  # one particle is its own single particle
+    # M times the single particle's range
+    beta_effs, scales = effective_betas(ens, spec, beta_points)
+    rows = _recursion_levels(level_coefficients(spec, ens.N), 1 if distinguishable else ens.M,
+                             beta_effs, ens.statistics == "fermion")
+    single, many = ((np.array(us) / scales).tolist() for _, us in (rows[0], rows[-1]))
+    return [single, [ens.M * u for u in single] if distinguishable else many]

@@ -73,14 +73,6 @@ class CycleResult(NamedTuple):
     positive_work: bool
 
 
-def run_cycle_series(cfg: CycleConfig, T_h_values) -> list[CycleResult]:
-    """Cycles of ``cfg`` at every hot-bath temperature in ``T_h_values``:
-    U4 once, all corners from one ``internal_energies``."""
-    U4, *U2s = internal_energies(
-        cfg.ens, cfg.spec, [(cfg.T_c, cfg.L2)] + [(T_h, cfg.L1) for T_h in T_h_values])
-    return cycles_from_corners(cfg, U4, U2s)
-
-
 def cycle_columns(cfg: CycleConfig, U4: float, U2s) -> tuple:
     """The cycles of ``cfg`` from the cold corner U4 and each hot corner in the list U2s,
     as columns: U1, the lists of U3, Q_h, Q_c and W, eta, and the positive_work flags.
@@ -103,7 +95,8 @@ def cycles_from_corners(cfg: CycleConfig, U4: float, U2s) -> list[CycleResult]:
 
 def run_cycle(cfg: CycleConfig, T_h: float) -> CycleResult:
     """One full cycle with the hot bath at T_h. W <= 0 is flagged, not an error."""
-    return run_cycle_series(cfg, [T_h])[0]
+    U4, U2 = internal_energies(cfg.ens, cfg.spec, [(cfg.T_c, cfg.L2), (T_h, cfg.L1)])
+    return cycles_from_corners(cfg, U4, [U2])[0]
 
 
 def positive_work_threshold(cfg: CycleConfig) -> float:

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .experiments import harmonic_closed_form_W, harmonic_closed_form_Z
-from .manybody import EnsembleSpec, enumeration_log_z_and_u, recursion_rows
+from .manybody import EnsembleSpec, enumeration_log_z_and_u, internal_energies, recursion_rows
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import (CycleConfig, cycles_from_corners, positive_work_threshold,
                      run_cycle)
@@ -35,7 +35,9 @@ def _engine(spec: SpectrumSpec, ens: EnsembleSpec) -> CycleConfig:
 
 
 def check_recursion_vs_enumeration() -> CheckResult:
-    # 8 on 50 levels: 1.65e9 boson and 5.4e8 fermion states, counted by energy
+    # the particle recursion, and the live route of internal_energies (the level
+    # recursion below 2 million states), against the oracle; 8 on 50 levels:
+    # 1.65e9 boson and 5.4e8 fermion states, counted by energy
     sizes = [(M, N) for M in range(1, 5) for N in (2, 4, 8)] + [(8, 50)]
     worst = 0.0
     for kind in ("box", "harmonic"):
@@ -46,10 +48,12 @@ def check_recursion_vs_enumeration() -> CheckResult:
                     continue
                 ens = EnsembleSpec(statistics, M, N)
                 points = [(beta, 1.0) for beta in (0.0, 0.01, 0.1, 1.0, 10.0)]
-                for log_z, u, rows in zip(*enumeration_log_z_and_u(ens, spec, points),
-                                          recursion_rows(ens, spec, points)):
-                    worst = max(worst, abs(log_z - rows[-1].log_Z),
-                                abs(u - rows[-1].U) / max(1.0, abs(u)))
+                log_zs, us = enumeration_log_z_and_u(ens, spec, points)
+                got_log_zs, got_us = recursion_rows(ens, spec, points)[-1]
+                live = internal_energies(ens, spec, [(1.0 / beta, L) for beta, L in points[1:]])
+                worst = max(worst, *(abs(a - b) for a, b in zip(log_zs, got_log_zs)),
+                            *(abs(u - b) / max(1.0, abs(u))
+                              for u, b in zip(us + us[1:], got_us + live)))
     return CheckResult("recursion-vs-enumeration", worst, 1e-10)
 
 
@@ -107,13 +111,12 @@ def check_harmonic_closed_forms() -> CheckResult:
         works = {}
         for statistics in ("boson", "fermion"):
             ens = EnsembleSpec(statistics, 2, N)
-            cold, *hot = (rows[-1] for rows in recursion_rows(
-                ens, spec, [(1.0 / T, L) for T, L in points]))
-            for z, (T, L) in zip([cold, *hot], points):
+            log_zs, (cold, *hot) = recursion_rows(ens, spec, [(1.0 / T, L) for T, L in points])[-1]
+            for log_z, (T, L) in zip(log_zs, points):
                 closed = harmonic_closed_form_Z(statistics, T, L, lam)
-                worst = max(worst, abs(math.exp(z.log_Z) - closed))
-            works[statistics] = [res.W for res in cycles_from_corners(
-                _engine(spec, ens), cold.U, [z.U for z in hot])]
+                worst = max(worst, abs(math.exp(log_z) - closed))
+            works[statistics] = [res.W for res in cycles_from_corners(_engine(spec, ens),
+                                                                      cold, hot)]
             for (Th, _), w in zip(points[1:], works[statistics]):
                 worst = max(worst, abs(w - harmonic_closed_form_W(1.0, 2.0, 1.0, Th, lam)))
         worst = max(worst, *(abs(b - f) for b, f in zip(works["boson"], works["fermion"])))
@@ -155,9 +158,9 @@ def check_low_temperature_ground_energies() -> CheckResult:
     for statistics, grounds in (("boson", [1, 2, 3]),
                                 ("fermion", [1, 5, 14, 30, 55, 91, 140, 204])):
         ens = EnsembleSpec(statistics, len(grounds), 8)
-        for rows in recursion_rows(ens, SpectrumSpec("box"),
-                                   [(1.0 / T, 1.0) for T in (1e-8, 1e-15, 1e-300)]):
-            worst = max(worst, *(abs(row.U - u) for row, u in zip(rows, grounds)))
+        rows = recursion_rows(ens, SpectrumSpec("box"),
+                              [(1.0 / T, 1.0) for T in (1e-8, 1e-15, 1e-300)])
+        worst = max(worst, *(abs(u - ground) for (_, us), ground in zip(rows, grounds) for u in us))
     return CheckResult("low-temperature-ground-energies", worst, 0.0)
 
 

@@ -6,7 +6,6 @@ import importlib.util
 import itertools
 import math
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -106,9 +105,9 @@ def test_closed_form_matches_truncated_ensemble_high_temperature_regime():
     for statistics in ("boson", "fermion"):
         ens = EnsembleSpec(statistics, 2, 4800)
         points = ((8.0, 1.0), (1.0, 2.0))
-        for (T, L), rows in zip(points, recursion_rows(ens, spec,
-                                                       [(1.0 / T, L) for T, L in points])):
-            assert math.exp(rows[-1].log_Z) == pytest.approx(
+        log_zs, _ = recursion_rows(ens, spec, [(1.0 / T, L) for T, L in points])[-1]
+        for (T, L), log_z in zip(points, log_zs):
+            assert math.exp(log_z) == pytest.approx(
                 harmonic_closed_form_Z(statistics, T, L, 0.05), abs=1e-8)
         assert ens.state_count > manybody.DEFAULT_STATE_CAP  # run_cycle takes the recursion
         for Th in (5.0, 8.0):
@@ -361,13 +360,22 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
     assert {(M, size) for *_, M, _, size in calls} == {(2, 6)}
 
 
+# fig67's corners: the hot bath at L1, then the cold bath at L2
+_CORNERS = ((1.0 / 5.0, 1.0), (1.0, 2.0))
+_SHIFTS = (lambda v: v + 2e-8, lambda v: v * (1.0 + 2e-8))  # of log Z, of U
+
+
 def _column_passes(statistics, M, N):
-    """fig67's (spectrum, corner, rows) recursion passes of one column, both lambda."""
-    corners = ((1.0 / 5.0, 1.0), (1.0, 2.0))
-    return [(spec, corner, rows)
-            for spec in (SpectrumSpec("box", scale_c=0.05), SpectrumSpec("box", scale_c=1.0))
-            for corner, rows in zip(corners, recursion_rows(EnsembleSpec(statistics, M, N),
-                                                            spec, corners))]
+    """fig67's (spectrum, rows) recursion passes of one column, both lambda."""
+    return [(spec, recursion_rows(EnsembleSpec(statistics, M, N), spec, _CORNERS))
+            for spec in (SpectrumSpec("box", scale_c=0.05), SpectrumSpec("box", scale_c=1.0))]
+
+
+def _skewed(rows, M, field, corner):
+    """A copy of ``rows`` with row M's log Z (``field`` 0) or U (1) at one corner shifted."""
+    rows = [(list(log_zs), list(us)) for log_zs, us in rows]
+    rows[M - 1][field][corner] = _SHIFTS[field](rows[M - 1][field][corner])
+    return rows
 
 
 def _count_oracle_calls(monkeypatch):
@@ -383,35 +391,28 @@ def _count_oracle_calls(monkeypatch):
 def test_cross_check_builds_one_column_and_compares_both_values(monkeypatch):
     held = _column_passes("fermion", 4, 8)
     calls = _count_oracle_calls(monkeypatch)
-    experiments._cross_check("fermion", 8, (2, 3, 4), held)
+    experiments._cross_check("fermion", 8, (2, 3, 4), _CORNERS, held)
     # one enumeration serves every M, both lambda and both corners
     assert calls == [("enumeration_rows", EnsembleSpec("fermion", 4, 8))]
 
     # twice each 1e-8 tolerance: absolute in log Z, relative in U (U > 0.5
-    # here, so 2e-8 of U is above the absolute floor), at every M and lambda
-    for i, (spec, corner, rows) in enumerate(held):
-        for M in (2, 3, 4):
-            for field, shift in (("log_Z", lambda v: v + 2e-8),
-                                 ("U", lambda v: v * (1.0 + 2e-8))):
-                skewed = list(rows)
-                skewed[M - 1] = replace(rows[M - 1], **{field: shift(getattr(rows[M - 1], field))})
-                with pytest.raises(AssertionError, match="mismatch"):
-                    experiments._cross_check("fermion", 8, (2, 3, 4),
-                                             held[:i] + [(spec, corner, skewed)] + held[i + 1:])
+    # here, so 2e-8 of U is above the absolute floor), at every M, lambda and corner
+    for i, (spec, rows) in enumerate(held):
+        for M, field, corner in itertools.product((2, 3, 4), (0, 1), (0, 1)):
+            skewed = _skewed(rows, M, field, corner)
+            with pytest.raises(AssertionError, match="mismatch"):
+                experiments._cross_check("fermion", 8, (2, 3, 4), _CORNERS,
+                                         held[:i] + [(spec, skewed)] + held[i + 1:])
 
 
 def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch):
     # the middle M of a column, at one lambda and one corner only, for each
     # field, lambda and corner in turn
     original = experiments.recursion_rows
-    shifts = {"log_Z": lambda v: v + 2e-8, "U": lambda v: v * (1.0 + 2e-8)}
-    for field, lam, corner in itertools.product(shifts, (0.05, 1.0), (0, 1)):
+    for field, lam, corner in itertools.product((0, 1), (0.05, 1.0), (0, 1)):
         def skewed(ens, spec, beta_points, field=field, lam=lam, corner=corner):
-            passes = original(ens, spec, beta_points)
-            if spec.scale_c == lam:
-                rows = passes[corner]
-                rows[2] = replace(rows[2], **{field: shifts[field](getattr(rows[2], field))})
-            return passes
+            rows = original(ens, spec, beta_points)
+            return _skewed(rows, 3, field, corner) if spec.scale_c == lam else rows
 
         monkeypatch.setattr(experiments, "recursion_rows", skewed)
         with pytest.raises(AssertionError, match="mismatch.*M=3, N=10"):
@@ -422,19 +423,24 @@ def test_fig67_cross_checks_every_ensemble_under_the_cap(monkeypatch):
     compared = set()
     original = experiments.recursion_rows
 
-    class Watched:
-        # a recursion row that notes each comparison: only the cross-check reads log Z
-        def __init__(self, row, key):
-            self.U, self._row, self._key = row.U, row, key
+    class Watched(list):
+        # a recursion row's log Z values that note each read: only the cross-check
+        # reads log Z
+        def __init__(self, values, key):
+            super().__init__(values)
+            self._key = key
 
-        @property
-        def log_Z(self):
+        def __iter__(self):
             compared.add(self._key)
-            return self._row.log_Z
+            return super().__iter__()
+
+        def __getitem__(self, index):
+            compared.add(self._key)
+            return super().__getitem__(index)
 
     def watched(ens, spec, beta_points):
-        return [[Watched(row, (ens.statistics, k, ens.N)) for k, row in enumerate(rows, 1)]
-                for rows in original(ens, spec, beta_points)]
+        return [(Watched(log_zs, (ens.statistics, k, ens.N)), us)
+                for k, (log_zs, us) in enumerate(original(ens, spec, beta_points), 1)]
 
     monkeypatch.setattr(experiments, "recursion_rows", watched)
     calls = _count_oracle_calls(monkeypatch)
@@ -455,13 +461,13 @@ def test_cross_check_gives_fermions_past_half_filling_their_own_table(monkeypatc
     # build, M = 21 from its own M-table
     calls = _count_oracle_calls(monkeypatch)
     held = _column_passes("fermion", 21, 22)
-    experiments._cross_check("fermion", 22, (2, 21), held)
+    experiments._cross_check("fermion", 22, (2, 21), _CORNERS, held)
     assert calls == [("enumeration_rows", EnsembleSpec("fermion", 2, 22)),
                      ("enumeration_log_z_and_u", EnsembleSpec("fermion", 21, 22))]
-    spec, corner, rows = held[0]
-    skewed = rows[:20] + [replace(rows[20], U=rows[20].U * (1.0 + 2e-8))]
+    spec, rows = held[0]
     with pytest.raises(AssertionError, match="mismatch.*M=21, N=22"):
-        experiments._cross_check("fermion", 22, (2, 21), [(spec, corner, skewed)] + held[1:])
+        experiments._cross_check("fermion", 22, (2, 21), _CORNERS,
+                                 [(spec, _skewed(rows, 21, 1, 0))] + held[1:])
 
 
 def _perfbench(module_name):

@@ -110,11 +110,12 @@ def test_enumeration_invalid_arguments():
 def test_recursion_base_case_is_z1():
     ens = EnsembleSpec("boson", 1, 5)
     points = [(beta, 1.3) for beta in (0.0, 0.4, 3.0)]
-    for (a,), log_z, u in zip(recursion_rows(ens, BOX, points),
-                              *enumeration_log_z_and_u(ens, BOX, points)):
-        assert a.log_Z == pytest.approx(log_z, rel=1e-14)
-        assert a.U == pytest.approx(u, rel=1e-14)
-        assert a.method == "recursion"
+    [(got_log_zs, got_us)] = recursion_rows(ens, BOX, points)
+    log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
+    assert got_log_zs == pytest.approx(log_zs, rel=1e-14)
+    assert got_us == pytest.approx(us, rel=1e-14)
+    # the float path: no row was handed over to the level recursion
+    assert all(type(u) is np.float64 for u in got_us)
 
 
 def test_recursion_two_particle_unrolling():
@@ -125,16 +126,16 @@ def test_recursion_two_particle_unrolling():
     z1_2b = sum(math.exp(-2 * beta * e) for e in e1)
     for statistics, sign in (("boson", 1.0), ("fermion", -1.0)):
         expected = (z1 * z1 + sign * z1_2b) / 2.0
-        res = recursion_rows(EnsembleSpec(statistics, 2, N), BOX, [(beta, L)])[0][-1]
-        assert res.log_Z == pytest.approx(math.log(expected), rel=1e-13)
+        (log_z,), _ = recursion_rows(EnsembleSpec(statistics, 2, N), BOX, [(beta, L)])[-1]
+        assert log_z == pytest.approx(math.log(expected), rel=1e-13)
 
 
 def test_recursion_fermion_pair_matches_enumeration():
     ens = EnsembleSpec("fermion", 2, 3)
-    a = recursion_rows(ens, BOX, [(0.1, 1.0)])[0][-1]
+    (got_log_z,), (got_u,) = recursion_rows(ens, BOX, [(0.1, 1.0)])[-1]
     (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(0.1, 1.0)])
-    assert abs(a.log_Z - log_z) <= 1e-12
-    assert abs(a.U - u) <= 1e-12 * max(1.0, abs(u))
+    assert abs(got_log_z - log_z) <= 1e-12
+    assert abs(got_u - u) <= 1e-12 * max(1.0, abs(u))
 
 
 def test_ensemble_spec_rejects_invalid_arguments():
@@ -158,10 +159,20 @@ def test_recursion_survives_catastrophic_fermion_cancellation():
     # beta=10 box fermions: surviving Z is ~e^260 below the largest recursion
     # term, far beyond float64; must still match enumeration
     ens = EnsembleSpec("fermion", 4, 8)
-    a = recursion_rows(ens, BOX, [(10.0, 1.0)])[0][-1]
+    (got_log_z,), (got_u,) = recursion_rows(ens, BOX, [(10.0, 1.0)])[-1]
     (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(10.0, 1.0)])
-    assert abs(a.log_Z - log_z) <= 1e-10
-    assert abs(a.U - u) <= 1e-9 * max(1.0, abs(u))
+    assert abs(got_log_z - log_z) <= 1e-10
+    assert abs(got_u - u) <= 1e-9 * max(1.0, abs(u))
+
+
+def _handed_over(ens, spec, beta, L):
+    """Which rows of ``ens``' one pass at (beta, L) the float recursion flags as bad, and
+    the level recursion's (log Z, U) of every row, U scaled as recursion_rows scales it."""
+    w = level_coefficients(spec, ens.N)
+    fermion, scale = ens.statistics == "fermion", L**spec.power_p
+    bad = manybody._recursion_float(w, ens.M, beta / scale, fermion)[2].tolist()
+    levels = manybody._recursion_levels(w, ens.M, np.array([beta / scale]), fermion)
+    return bad, [(log_zs, [u / scale for u in us]) for log_zs, us in levels]
 
 
 def test_recursion_rows_equal_one_pass_per_particle_number():
@@ -172,27 +183,34 @@ def test_recursion_rows_equal_one_pass_per_particle_number():
                                                  (3, 8, 25, 150)):
         M = min(N, 8)
         points = [(beta, 1.3) for beta in (0.0, 1e-3, 0.2, 1.0, 10.0, 1e3, 1e8)]
-        passes = recursion_rows(EnsembleSpec(statistics, M, N), spec, points)
-        assert len(passes) == len(points)
+        rows = recursion_rows(EnsembleSpec(statistics, M, N), spec, points)
+        assert len(rows) == M
         for k in range(1, M + 1):
-            for rows, alone in zip(passes, recursion_rows(EnsembleSpec(statistics, k, N),
-                                                          spec, points)):
-                assert len(rows) == M
-                row, alone = rows[k - 1], alone[-1]
-                assert (row.log_Z, row.U, row.method) == (alone.log_Z, alone.U, alone.method)
-                assert type(row.U) is type(alone.U)
-        mixed.update(tuple(row.method for row in rows) for rows in passes)
+            alone = recursion_rows(EnsembleSpec(statistics, k, N), spec, points)[-1]
+            assert all(len(values) == len(points) for values in rows[k - 1])
+            assert rows[k - 1] == alone
+            assert [type(u) for u in rows[k - 1][1]] == [type(u) for u in alone[1]]
+        for i, (beta, L) in enumerate(points):
+            bad, levels = _handed_over(EnsembleSpec(statistics, M, N), spec, beta, L)
+            mixed.add(tuple(bad))
+            # a bad row is the level recursion's, bit for bit, and a Python float
+            for (log_zs, us), handed, ((level_log_z,), (level_u,)) in zip(rows, bad, levels):
+                assert handed == ((log_zs[i], us[i]) == (level_log_z, level_u)
+                                  and type(us[i]) is float)
     # fermions box N=8 at beta=1: rows 1-3 stay on the float path, 4-8 hand over
-    assert ("recursion",) * 3 + ("levels",) * 5 in mixed
+    assert (False,) * 3 + (True,) * 5 in mixed
     with pytest.raises(ValueError):
         recursion_rows(EnsembleSpec("distinguishable", 2, 3), BOX, [(1.0, 1.0)])
 
 
-def test_method_names_the_hand_over_to_the_level_recursion():
-    [rows] = recursion_rows(EnsembleSpec("fermion", 3, 8), BOX, [(1e4, 1.0)])
-    assert rows[-1].method == "levels"
-    [rows] = recursion_rows(EnsembleSpec("boson", 1, 8), BOX, [(1.0, 1.0)])
-    assert rows[-1].method == "recursion"
+def test_rows_the_float_recursion_flags_come_from_the_level_recursion():
+    for ens, beta, handed in ((EnsembleSpec("fermion", 3, 8), 1e4, True),
+                              (EnsembleSpec("boson", 1, 8), 1.0, False)):
+        bad, levels = _handed_over(ens, BOX, beta, 1.0)
+        assert bad[-1] is handed
+        (log_z,), (u,) = recursion_rows(ens, BOX, [(beta, 1.0)])[-1]
+        assert ((log_z, u) == (levels[-1][0][0], levels[-1][1][0])) is handed
+        assert type(u) is (float if handed else np.float64)
 
 
 @given(statistics=st.sampled_from(["boson", "fermion"]),
@@ -204,10 +222,10 @@ def test_backends_agree_property(statistics, M, N, beta, kind):
         return
     ens = EnsembleSpec(statistics, M, N)
     spec = SpectrumSpec(kind)
-    a = recursion_rows(ens, spec, [(beta, 1.0)])[0][-1]
+    (got_log_z,), (got_u,) = recursion_rows(ens, spec, [(beta, 1.0)])[-1]
     (log_z,), (u,) = enumeration_log_z_and_u(ens, spec, [(beta, 1.0)])
-    assert abs(a.log_Z - log_z) <= 1e-10
-    assert abs(a.U - u) <= 1e-9 * max(1.0, abs(u))
+    assert abs(got_log_z - log_z) <= 1e-10
+    assert abs(got_u - u) <= 1e-9 * max(1.0, abs(u))
 
 
 def test_fermion_partition_never_exceeds_boson():
@@ -266,10 +284,10 @@ def test_harmonic_pair_matches_untruncated_closed_form():
 def test_internal_energy_methods_and_cap(monkeypatch):
     ens = EnsembleSpec("boson", 3, 6)
     (u_enum,) = enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])[1]
-    u_rec = recursion_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[0][-1].U
+    (u_rec,) = recursion_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[-1][1]
     # below the cap: row M of the level recursion, bit for bit
     (u_levels,) = manybody._recursion_levels(level_coefficients(BOX, 6), 3, np.array([0.5]),
-                                             False)[1][-1]
+                                             False)[-1][1]
     assert internal_energies(ens, BOX, [(2.0, 1.0)])[0] == u_levels
     assert u_levels == pytest.approx(u_enum, rel=1e-12)
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
@@ -279,6 +297,20 @@ def test_internal_energy_methods_and_cap(monkeypatch):
     with pytest.raises(ValueError):
         internal_energies(ens, BOX, [(0.0, 1.0)])
 
+
+
+def test_energy_rows_above_the_cap(monkeypatch):
+    # row M from recursion_rows and the single particle from its own call, which
+    # takes the level recursion under the cap; one particle is its own single particle
+    points = [(2.0, 1.0), (0.7, 1.5)]
+    beta_points = [(1.0 / T, L) for T, L in points]
+    monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 10)
+    single, many = manybody._energy_rows(EnsembleSpec("fermion", 3, 6), BOX, points)  # 20 states
+    assert many == recursion_rows(EnsembleSpec("fermion", 3, 6), BOX, beta_points)[-1][1]
+    assert single == internal_energies(EnsembleSpec("fermion", 1, 6), BOX, points)
+    assert [type(u) for u in single + many] == [float] * 2 + [np.float64] * 2
+    rows = manybody._energy_rows(EnsembleSpec("boson", 1, 12), BOX, points)
+    assert rows == [recursion_rows(EnsembleSpec("boson", 1, 12), BOX, beta_points)[-1][1]] * 2
 
 # the state cap picks the route: an unbounded cap always takes the level
 # recursion, cap 1 always the particle recursion, the default the level
@@ -313,13 +345,13 @@ def test_tiny_accepted_temperature_gives_ground_state_energy():
         assert enumeration_log_z_and_u(ens, BOX, [(1.0 / 1e-300, 1.0)])[1] == [ground]
         assert internal_energies(ens, BOX, [(1e-300, 1.0)])[0] == ground
     fermions = EnsembleSpec("fermion", 3, 8)
-    passes = recursion_rows(fermions, BOX, [(1.0 / T, 1.0) for T in (1e-300, 1e-4)])
-    assert [rows[-1].U for rows in passes] == [14.0] * 2
+    assert recursion_rows(fermions, BOX, [(1.0 / T, 1.0) for T in (1e-300, 1e-4)])[-1][1] == \
+        [14.0] * 2
     # the float particle recursion gave 1.0, 2.718 and 3.00000006 here: its
     # log-domain terms of size beta*E keep no digits in their differences
     bosons = EnsembleSpec("boson", 3, 8)
-    passes = recursion_rows(bosons, BOX, [(1.0 / T, 1.0) for T in (1e-300, 1e-15, 1e-8)])
-    assert [rows[-1].U for rows in passes] == [3.0] * 3
+    assert recursion_rows(bosons, BOX, [(1.0 / T, 1.0) for T in (1e-300, 1e-15, 1e-8)])[-1][1] == \
+        [3.0] * 3
 
 
 def test_level_recursion_matches_enumeration():
@@ -339,8 +371,8 @@ def test_level_recursion_matches_enumeration():
         spec = SpectrumSpec(kind, scale_c=lam)
         log_zs, means = enumeration_log_z_and_u(ens, spec, [(b, 1.0) for b in betas])
         w = level_coefficients(spec, N)
-        got_log_zs, got_us = manybody._recursion_levels(w, M, betas, statistics == "fermion")
-        for log_z, u, got in zip(log_zs, means, zip(got_log_zs[-1], got_us[-1])):
+        got_log_zs, got_us = manybody._recursion_levels(w, M, betas, statistics == "fermion")[-1]
+        for log_z, u, got in zip(log_zs, means, zip(got_log_zs, got_us)):
             assert abs(got[0] - log_z) <= 1e-13 * max(1.0, abs(log_z))
             assert abs(got[1] - u) <= 1e-13 * max(1.0, abs(u))
             cases += 1
@@ -352,7 +384,7 @@ def test_level_recursion_keeps_log_z_near_zero_exact():
     # log(Z) lost 3.5e-12 of log Z's relative precision; against a 50-digit sum
     # over all 2925 states of the same float coefficients
     w = level_coefficients(SpectrumSpec("harmonic", scale_c=0.05), 25)
-    log_zs, us = manybody._recursion_levels(w, 3, np.array([200.0]), False)
+    (got_log_z,), (got_u,) = manybody._recursion_levels(w, 3, np.array([200.0]), False)[-1]
     with localcontext() as ctx:
         ctx.prec = 50
         z = d = Decimal(0)
@@ -362,7 +394,7 @@ def test_level_recursion_keeps_log_z_near_zero_exact():
             z, d = z + t, d + e * t
         log_z, u = z.ln(), d / z
         errors = [abs((Decimal(got) - value) / value)
-                  for got, value in ((log_zs[-1][0], log_z), (us[-1][0], u))]
+                  for got, value in ((got_log_z, log_z), (got_u, u))]
     assert float(log_z) == pytest.approx(4.5403021617690e-5, rel=1e-13)
     assert max(errors) <= Decimal("2e-15")
 
@@ -394,9 +426,9 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
         return build(g, m, statistics)
 
     for ens in (EnsembleSpec("distinguishable", 3, 4), EnsembleSpec("distinguishable", 2, 7)):
-        single = manybody._recursion_levels(level_coefficients(BOX, ens.N), 1,
-                                            np.array([b / L**2.0 for b, L in beta_points]),
-                                            False)[1][0]
+        [(_, single)] = manybody._recursion_levels(level_coefficients(BOX, ens.N), 1,
+                                                   np.array([b / L**2.0 for b, L in beta_points]),
+                                                   False)
         direct = enumeration_log_z_and_u(ens, BOX, beta_points)[1]
         for cap in (manybody.DEFAULT_STATE_CAP, 1):
             monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
@@ -426,8 +458,9 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     ens = EnsembleSpec("boson", 5, 70)
     assert ens.state_count == 16_108_764
     (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])
-    levels = manybody._recursion_levels(level_coefficients(BOX, 70), 5, np.array([0.5]), False)
-    assert (log_z, u) == pytest.approx((levels[0][-1][0], levels[1][-1][0]), rel=1e-13)
+    (level_log_z,), (level_u,) = manybody._recursion_levels(level_coefficients(BOX, 70), 5,
+                                                            np.array([0.5]), False)[-1]
+    assert (log_z, u) == pytest.approx((level_log_z, level_u), rel=1e-13)
 
     # 8.8M states of 2 bosons on 4200 box levels, below the 50M limit, but
     # 52.9M histogram entries (sum_k 17.64M k + 1) by the guard's measure
@@ -461,10 +494,10 @@ def test_fermions_past_half_filling_enumerate_their_m_table_alone():
     points = [(beta, 1.0) for beta in (0.0, 1e-3, 0.1)]
     log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
     got_log_zs, got_us = manybody._recursion_levels(level_coefficients(BOX, 40), 38,
-                                                    np.array([b for b, _ in points]), True)
+                                                    np.array([b for b, _ in points]), True)[-1]
     assert log_zs[0] == math.log(780)
-    assert log_zs == pytest.approx(got_log_zs[-1], rel=1e-13)
-    assert us == pytest.approx(got_us[-1], rel=1e-13)
+    assert log_zs == pytest.approx(got_log_zs, rel=1e-13)
+    assert us == pytest.approx(got_us, rel=1e-13)
     assert enumeration_rows(ens, BOX, points)[-1] == (log_zs, us)
 
 
@@ -516,7 +549,7 @@ def test_backends_check_every_point_of_a_batch_before_any_kernel_runs(monkeypatc
     for i, point in enumerate(points):
         assert enumeration_log_z_and_u(ens, BOX, [point]) == ([log_zs[i]], [us[i]])
         assert enumeration_rows(ens, BOX, [point]) == [([z[i]], [u[i]]) for z, u in tables]
-        assert recursion_rows(ens, BOX, [point]) == [passes[i]]
+        assert recursion_rows(ens, BOX, [point]) == [([z[i]], [u[i]]) for z, u in passes]
     assert tables[-1] == (log_zs, us)
 
     def reached(*args):
@@ -545,4 +578,19 @@ def test_effective_betas_names_an_L_whose_L_p_overflows():
     for spec, L in ((BOX, 1e200), (BOX, 1.5e154), (SpectrumSpec("quartic"), 1e240)):
         with pytest.raises(ValueError, match=r"L and L\^p must be positive and finite.*L\^p = inf"):
             manybody.effective_betas(ens, spec, [(1.0, 1.0), (1.0, L)])
-    assert manybody.effective_betas(ens, BOX, [(2.0, 1e150)]) == [(2.0 / 1e150**2, 1e150**2)]
+    beta_effs, scales = manybody.effective_betas(ens, BOX, [(2.0, 1e150)])
+    assert (beta_effs.tolist(), scales.tolist()) == ([2.0 / 1e150**2], [1e150**2])
+
+
+def test_effective_betas_raises_the_first_check_of_the_first_failing_point():
+    # point by point, check by check: beta, L and L^p, beta/L^p, the largest energy
+    ens = EnsembleSpec("boson", 2, 3)
+    huge = SpectrumSpec("box", scale_c=1e300)  # 1.8e301/L^p overflows at L = 1e-5
+    for spec, points, message in (
+            (BOX, [(1.0, 1e-160), (1.0, 1e200)], r"beta/L\^p must be finite"),
+            (BOX, [(1.0, 1e200), (1.0, 1e-160)], r"L and L\^p must be"),
+            (huge, [(1.0, 1e-5), (-1.0, 1.0)], "largest many-body energy"),
+            (huge, [(-1.0, 1.0), (1.0, 1e-5)], "inverse temperature must be"),
+            (huge, [(1.0, 1.0), (1.0, 1e-160)], r"beta/L\^p must be finite")):
+        with pytest.raises(ValueError, match=message):
+            manybody.effective_betas(ens, spec, points)

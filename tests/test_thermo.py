@@ -11,7 +11,8 @@ from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
                    positive_work_threshold, run_cycle, work_ratio_multiparticle,
                    work_ratio_two_particle)
 from qotto import manybody
-from qotto.thermo import CycleResult, cycles_from_corners, run_cycle_series
+from qotto.manybody import internal_energies
+from qotto.thermo import CycleResult, cycles_from_corners
 
 BOX = SpectrumSpec("box")
 HARM = SpectrumSpec("harmonic")
@@ -245,8 +246,9 @@ def test_cycle_series_equals_single_cycles(monkeypatch):
         monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
         base = cfg(statistics=statistics, M=M, N=N)
         grid = [4.5, 6.0, 11.0]
-        series = run_cycle_series(base, grid)
-        assert series == [run_cycle(base, Th) for Th in grid]
+        U4, *U2s = internal_energies(base.ens, base.spec,
+                                     [(base.T_c, base.L2)] + [(Th, base.L1) for Th in grid])
+        assert cycles_from_corners(base, U4, U2s) == [run_cycle(base, Th) for Th in grid]
 
 
 def test_regime_lambda():
