@@ -34,7 +34,6 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -50,11 +49,6 @@ CSV_COLUMNS = ("spectrum", "statistics", "M", "N", "L1", "R", "Tc", "Th",
 # one cell per column: str() of the four leading columns, .17g of the 15 floats, then
 # _fmt's positive_work
 _CSV_CELLS = ("%s",) * 4 + ("%.17g",) * 15 + ("%s",)
-# the columns a sweep series holds constant: spectrum..Tc, lambda, U1, U4 and eta
-_CONSTANT = (0, 1, 2, 3, 4, 5, 6, 8, 9, 12, 16)
-_VARYING = tuple(i for i in range(len(CSV_COLUMNS)) if i not in _CONSTANT)
-# a series row, its constant cells and then its varying cells, in CSV order
-_ROW = itemgetter(*map((_CONSTANT + _VARYING).index, range(len(CSV_COLUMNS))))
 
 # |W_s| below this makes a work ratio meaningless; NaN is returned instead
 UNDEFINED_RATIO_GUARD = 1e-14
@@ -97,20 +91,21 @@ def _fmt(flag) -> str:
 
 
 def _csv(series) -> str:
-    """The one CSV writer, over (constant cells, rows of the varying cells) pairs. Each
-    series' constant cells are formatted once, `%` escaped, into its row template."""
+    """The one CSV writer, over series of the CSV columns in CSV order, a list where the
+    column varies. Each constant cell is formatted once, `%` escaped, into the series' row
+    template; its rows are the zip of its list columns, positive_work always the last."""
     lines = [",".join(CSV_COLUMNS)]
-    for const, rows in series:
-        cells = list(_CSV_CELLS)
-        for i, value in zip(_CONSTANT, const):
-            cells[i] = (cells[i] % value).replace("%", "%%")
-        template = ",".join(cells)
+    for columns in series:
+        template = ",".join([cell if isinstance(col, list) else (cell % col).replace("%", "%%")
+                             for cell, col in zip(_CSV_CELLS, columns)])
+        rows = zip(*[col for col in columns if isinstance(col, list)])
         lines += [template % (*row[:-1], _fmt(row[-1])) for row in rows]
     return "\n".join(lines) + "\n"
 
 
 def records_to_csv(records: list[RatioRecord]) -> str:
-    return _csv([((), records)])
+    """The records as one series of list columns, their transpose; no records, no rows."""
+    return _csv([[list(col) for col in zip(*records)]])
 
 
 def write_csv(records: list[RatioRecord], path: str) -> None:
@@ -119,24 +114,27 @@ def write_csv(records: list[RatioRecord], path: str) -> None:
 
 
 def write_series(series, path: str) -> int:
-    """Write ``sweep_series`` series as ``write_csv`` writes their rows; the row count."""
-    _write(_csv((const, zip(*cols)) for const, cols in series), path)
-    return sum(len(cols[0]) for _, cols in series)
+    """Write series, each its CSV columns as ``sweep_series`` gives them, as ``write_csv``
+    writes their rows; the row count."""
+    _write(_csv(series), path)
+    return sum(len(columns[-1]) for columns in series)
 
 
 def _write(text: str, path: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     umask = os.umask(0o077)  # os.umask is the only way to read it
     os.umask(umask)
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
         os.chmod(tmp, 0o666 & ~umask)  # what open() gives; mkstemp gives 0o600
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except BaseException as exc:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):  # the error names the output, not the temp file
+            raise OSError(exc.errno, exc.strerror, path) from exc
         raise
 
 
@@ -144,12 +142,12 @@ def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
                 Tc: float, Th_values) -> list[RatioRecord]:
     """M- and single-particle cycles over a Th series, each ensemble built once:
     up to the state cap, one level pass gives both (row 1 is the single particle)."""
-    return _records([sweep_series(spec, ens, L1, R, Tc, Th_values)]) if len(Th_values) else []
+    return _records([sweep_series(spec, ens, L1, R, Tc, Th_values)])
 
 
 def sweep_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float, Tc: float,
                  Th_values) -> tuple:
-    """The series behind ``make_series``: constant cells and varying columns (``_assemble``)."""
+    """The series behind ``make_series``: its CSV columns, as ``_assemble`` gives them."""
     cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc)
     (U4_1, *U2s_1), corners = manybody._energy_rows(
         ens, spec, [(Tc, cfg.L2)] + [(Th, L1) for Th in Th_values])
@@ -158,22 +156,23 @@ def sweep_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float, Tc:
 
 def _assemble(cfg: CycleConfig, M: int, Th_values, Ws, corners) -> tuple:
     """The series of M particles in ``cfg``'s spectrum, statistics, N and cycle, from the
-    single-particle work Ws and the (U4, *U2s) corners of M particles: its constant cells,
-    in _CONSTANT order, and its varying columns, in CSV order."""
+    single-particle work Ws and the (U4, *U2s) corners of M particles: its 20 columns in
+    CSV order, a list where the column varies over Th_values, else its one value."""
     U4, *U2s = corners
     U1, U3s, Q_hs, Q_cs, Ws_M, eta, flags = cycle_columns(cfg, U4, U2s)
     ratios = [W / w if abs(w) >= UNDEFINED_RATIO_GUARD else math.nan for W, w in zip(Ws_M, Ws)]
-    return ((cfg.spec.kind, cfg.ens.statistics, M, cfg.ens.N, cfg.L1, cfg.R, cfg.T_c,
-             cfg.regime_lambda, U1, U4, eta),
-            (Th_values, U2s, U3s, Q_hs, Q_cs, Ws_M, Ws, ratios, flags))
+    return (cfg.spec.kind, cfg.ens.statistics, M, cfg.ens.N, cfg.L1, cfg.R, cfg.T_c,
+            list(Th_values), cfg.regime_lambda, U1, U2s, U3s, U4, Q_hs, Q_cs, Ws_M, eta, Ws,
+            ratios, flags)
 
 
 def _records(series) -> list[RatioRecord]:
-    """The rows of a list of series: constant cells, if any, then varying, in CSV order."""
+    """The rows of a list of series, each constant column repeated in every row."""
     rows = []
-    for const, cols in series:
-        cells = zip(*cols)
-        rows += map(RatioRecord._make, map(_ROW, map(const.__add__, cells)) if const else cells)
+    for columns in series:
+        n = len(columns[-1])
+        rows += map(RatioRecord._make,
+                    zip(*[col if isinstance(col, list) else [col] * n for col in columns]))
     return rows
 
 
@@ -235,7 +234,7 @@ def fig3(steps: int = 200) -> list[tuple]:
     The grid stays within (4, 12]*T_c; by 20*T_c the hot bath already
     reaches beta*E ~ 1 and the regime assumption breaks down.
     """
-    grid = tuple(np.linspace(4.0, 12.0, steps + 1)[1:].tolist())
+    grid = default_th_grid(2.0, 2.0, steps, top=12.0)
     return [sweep_series(SpectrumSpec("box", scale_c=20.0), EnsembleSpec(statistics, 2, N), 1.0,
                          2.0, 1.0, grid) for N in (3, 4) for statistics in ("boson", "fermion")]
 
@@ -256,12 +255,11 @@ def fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
     Fermion rows are restricted to M <= N. One pass per corner to a column's
     largest M gives every M and the single particle; where the state space is
     small enough, each M is cross-checked against enumeration at both corners.
-    One series with no constant cell, as its rows share none: one row template
-    for all its rows costs less than a template per row.
+    Each M is its own one-row series, holding its M, U1 and U4 constant.
     """
     L1, R, Tc, Th = 1.0, 2.0, 1.0, 5.0
     corners = ((1.0 / Tc, R * L1), (1.0 / Th, L1))
-    records, held = [], {}
+    series, held = [], {}
     for lam in (0.05, 1.0):
         spec = SpectrumSpec("box", scale_c=lam)
         for N in n_values:
@@ -276,12 +274,12 @@ def fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
                 cfg = CycleConfig(spec, top, L1, R, Tc)
                 U4_1, U2_1 = rows[0][1]
                 Ws = cycle_columns(cfg, U4_1, [U2_1])[4]
-                records += _records([_assemble(cfg, M, [Th], Ws, rows[M - 1][1]) for M in ms])
+                series += [_assemble(cfg, M, [Th], Ws, rows[M - 1][1]) for M in ms]
                 held.setdefault((statistics, N, tuple(ms)), []).append((spec, rows))
     # checked after every row: a column's rows at both lambda share one enumeration
     for column, passes in held.items():
         _cross_check(*column, corners, passes)
-    return [((), list(zip(*records)))] if records else []
+    return series
 
 
 PRESETS = {"fig2": fig2, "fig3": fig3, "fig45": fig45, "fig67": fig67}

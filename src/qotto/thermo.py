@@ -15,7 +15,8 @@ U3 = U2 * (L1/L2)^p and U1 = U4 * (L2/L1)^p, hence
 
 the efficiency depending only on the geometry, never on statistics,
 particle number or temperatures. Net work is positive exactly when
-T_h > R^p * T_c. The cycle needs nothing but the two thermal corner
+T_h > R^p * T_c in exact arithmetic; deep in the low-temperature regime W
+rounds to 0 there. The cycle needs nothing but the two thermal corner
 energies U2 and U4. ``cycle_columns`` is the one assembly: from U4 and a
 list of U2 it gives U1, eta and the U3, Q_h, Q_c, W and positive_work
 columns, which a sweep writes as they are. ``cycles_from_corners`` zips

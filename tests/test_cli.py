@@ -233,6 +233,20 @@ def test_unwritable_output_exits_four(tmp_path):
                  "--output", str(blocker / "out.csv")]) == 4
 
 
+@pytest.mark.parametrize("argv, target, message", [
+    (["sweep", "--figure", "2", "--output"], "missing/fig2.csv",
+     "[Errno 2] No such file or directory"),
+    (["sweep", "--figure", "2", "--output"], "out", "[Errno 21] Is a directory"),
+    (["cycle", "--config"], "missing.cfg", "[Errno 2] No such file or directory"),
+], ids=["missing-directory", "directory-output", "missing-config"])
+def test_io_errors_exit_four_naming_the_given_path(tmp_path, capsys, argv, target, message):
+    (tmp_path / "out").mkdir()  # an empty directory, the output of the second case
+    path = str(tmp_path / target)
+    assert main([*argv, path]) == cli.EXIT_IO == 4
+    assert capsys.readouterr().err == f"error: {message}: {path!r}\n"
+    assert [p.name for p in tmp_path.rglob("*")] == ["out"]  # no temp file left behind
+
+
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     assert "cycle" in capsys.readouterr().out

@@ -17,7 +17,7 @@ from qotto import (PRESETS, CycleConfig, EnsembleSpec, SpectrumSpec,
                    harmonic_closed_form_Z, make_record, make_series, recursion_rows,
                    records_to_csv, run_cycle, sweep, work_ratio_multiparticle,
                    write_csv)
-from qotto.experiments import CSV_COLUMNS, th_range
+from qotto.experiments import CSV_COLUMNS, default_th_grid, th_range
 
 
 def evaluate_series(kind, statistics, M, N, lam, R, Th_values):
@@ -137,6 +137,15 @@ def test_truncation_error_shrinks_monotonically():
 # sweep machinery
 
 
+def test_default_th_grid_is_open_at_the_threshold_and_closed_at_top():
+    assert default_th_grid(2.0, 2.0, 4) == (8.0, 12.0, 16.0, 20.0)
+    assert default_th_grid(2.0, 2.0, 4, top=12.0) == (6.0, 8.0, 10.0, 12.0)
+    assert default_th_grid(1.5, 1.0, 1, top=2.0) == (2.0,)
+    for R, top in ((2.0, 4.0), (4.0, 12.0)):  # R^p at or above top
+        with pytest.raises(ValueError, match="not below"):
+            default_th_grid(R, 2.0, 4, top=top)
+
+
 def test_sweep_grid_validation():
     with pytest.raises(ValueError):
         th_range(5.0, 5.0, 2)
@@ -240,15 +249,22 @@ def test_cli_sweep_writes_the_per_cell_csv_of_the_library_rows(tmp_path, capsys,
 
 def test_series_writer_formats_constant_cells_as_the_per_cell_writer(tmp_path, monkeypatch):
     # constant U1 and U4 of -0.0, nan, +-inf and numpy floats, a `%` in constant
-    # cells, numpy-bool flags of the capped recursion, and a one-row series
-    cols = ((4.5, 5.0), (np.float64(1.0), -0.0), (0.25, math.inf), (-0.0, np.float64(0.1)),
-            (0.5, math.nan), (1e-300, 2.0), (np.float64(-3.0), 0.0), (math.nan, 1.0),
-            (np.True_, False))
-    series = [(("box", "boson", 2, np.int64(3), 1.0, 2.0, 1.0, 0.05, u1, u4, 0.75), cols)
+    # cells, numpy-bool flags of the capped recursion, and a one-row series; a series
+    # is its CSV columns in CSV order, a list where the column varies over the rows
+    th, u2, u3, qh, qc, w, ws, ratio, flags = (
+        [4.5, 5.0], [np.float64(1.0), -0.0], [0.25, math.inf], [-0.0, np.float64(0.1)],
+        [0.5, math.nan], [1e-300, 2.0], [np.float64(-3.0), 0.0], [math.nan, 1.0],
+        [np.True_, False])
+
+    def columns(spectrum, statistics, N, u1, u4, rows):
+        return (spectrum, statistics, 2, N, 1.0, 2.0, 1.0, th[rows], 0.05, u1, u2[rows],
+                u3[rows], u4, qh[rows], qc[rows], w[rows], 0.75, ws[rows], ratio[rows],
+                flags[rows])
+
+    series = [columns("box", "boson", np.int64(3), u1, u4, slice(None))
               for u1, u4 in ((-0.0, 0.0), (math.nan, math.inf), (-math.inf, np.float64(-0.0)),
                              (np.float64(1.5), math.nan))]
-    series.append((("50%s", "%%boson", 2, 3, 1.0, 2.0, 1.0, 0.05, 1.0, 2.0, 0.75),
-                   [col[:1] for col in cols]))
+    series.append(columns("50%s", "%%boson", 3, 1.0, 2.0, slice(1)))
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
     series.append(experiments.sweep_series(SpectrumSpec("box", scale_c=0.05),
                                            EnsembleSpec("boson", 4, 6), 1.0, 2.0, 1.0,
@@ -267,6 +283,18 @@ def test_series_writer_formats_constant_cells_as_the_per_cell_writer(tmp_path, m
     assert lines[9] == "50%s,%%boson,2,3,1,2,1,4.5,0.050000000000000003,1,1,0.25,2,-0,0.5," \
                        "1e-300,0.75,-3,nan,True"
     assert [line.rsplit(",", 1)[1] for line in lines[-3:]] == ["True"] * 3
+
+
+def test_empty_th_list_gives_no_rows_and_still_checks_the_engine(tmp_path):
+    spec, ens = SpectrumSpec("box"), EnsembleSpec("boson", 2, 3)
+    assert make_series(spec, ens, 1.0, 2.0, 1.0, []) == []
+    path = tmp_path / "empty.csv"
+    assert experiments.write_series([experiments.sweep_series(spec, ens, 1.0, 2.0, 1.0, [])],
+                                    str(path)) == 0
+    assert path.read_text(encoding="utf-8") == records_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
+    for grid in ([], [5.0]):  # R = 1 is no engine, with or without a hot bath
+        with pytest.raises(ValueError, match="compression ratio"):
+            make_series(spec, ens, 1.0, 1.0, 1.0, grid)
 
 
 def test_records_are_immutable_named_tuples():
