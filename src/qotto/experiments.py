@@ -14,8 +14,8 @@ gives a preset's rows:
     fig45   high (lam=0.05) and intermediate (lam=1) regimes, R=2,
             several truncations N, T_h swept
     fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
-            by ``recursion_rows``, each (statistics, N) column checked
-            against one enumeration of its k-particle state counts
+            by ``recursion_rows``; ``validate`` checks every column that
+            ``fig67_columns`` names against enumeration
 
 The other presets take U from ``internal_energies``: the level recursion.
 
@@ -53,9 +53,12 @@ _CSV_CELLS = ("%s",) * 4 + ("%.17g",) * 15 + ("%s",)
 # |W_s| below this makes a work ratio meaningless; NaN is returned instead
 UNDEFINED_RATIO_GUARD = 1e-14
 
-# cross-check the recursion against enumeration up to this many states
-_CROSS_CHECK_CAP = 200_000
-_CROSS_CHECK_TOL = 1e-8
+# the truncations N of figs 4-7, and the particle numbers M of figs 6-7
+_TRUNCATIONS = (3, 4, 10, 25, 50, 100, 150)
+_FIG67_M = (2, 3, 4, 5, 6, 7, 8)
+
+# fig67's (beta, L) corners at L1 = T_c = 1, R = 2, T_h = 5: the cold bath at L2, the hot at L1
+FIG67_CORNERS = ((1.0, 2.0), (0.2, 1.0))
 
 
 class RatioRecord(NamedTuple):
@@ -239,8 +242,7 @@ def fig3(steps: int = 200) -> list[tuple]:
                          2.0, 1.0, grid) for N in (3, 4) for statistics in ("boson", "fermion")]
 
 
-def fig45(steps: int = 200, n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)
-          ) -> list[tuple]:
+def fig45(steps: int = 200, n_values: tuple[int, ...] = _TRUNCATIONS) -> list[tuple]:
     """High (lam=0.05) and intermediate (lam=1) regimes, R=2, N swept."""
     grid = default_th_grid(2.0, 2.0, steps)
     return [sweep_series(SpectrumSpec("box", scale_c=lam), EnsembleSpec(statistics, 2, N), 1.0,
@@ -248,37 +250,37 @@ def fig45(steps: int = 200, n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 
             for lam in (0.05, 1.0) for N in n_values for statistics in ("boson", "fermion")]
 
 
-def fig67(m_values: tuple[int, ...] = (2, 3, 4, 5, 6, 7, 8),
-          n_values: tuple[int, ...] = (3, 4, 10, 25, 50, 100, 150)) -> list[tuple]:
-    """Multiparticle ratios at T_h = 5*T_c, R=2, recursion backend.
-
-    Fermion rows are restricted to M <= N. One pass per corner to a column's
-    largest M gives every M and the single particle; where the state space is
-    small enough, each M is cross-checked against enumeration at both corners.
-    Each M is its own one-row series, holding its M, U1 and U4 constant.
-    """
-    L1, R, Tc, Th = 1.0, 2.0, 1.0, 5.0
-    corners = ((1.0 / Tc, R * L1), (1.0 / Th, L1))
-    series, held = [], {}
+def fig67_columns(m_values: tuple[int, ...] = _FIG67_M,
+                  n_values: tuple[int, ...] = _TRUNCATIONS):
+    """fig67's columns in row order, (spectrum, statistics, N, M values) with lam in
+    {0.05, 1}, fermions restricted to M <= N."""
     for lam in (0.05, 1.0):
         spec = SpectrumSpec("box", scale_c=lam)
         for N in n_values:
             for statistics in ("boson", "fermion"):
                 ms = [M for M in m_values if statistics == "boson" or M <= N]
-                if not ms:
-                    continue
-                top = EnsembleSpec(statistics, max(ms), N)
-                rows = recursion_rows(top, spec, corners)
-                # one config per column: the largest M's top energy bounds every smaller
-                # M's, the cycle arithmetic ignores M, and row 1 is the single particle
-                cfg = CycleConfig(spec, top, L1, R, Tc)
-                U4_1, U2_1 = rows[0][1]
-                Ws = cycle_columns(cfg, U4_1, [U2_1])[4]
-                series += [_assemble(cfg, M, [Th], Ws, rows[M - 1][1]) for M in ms]
-                held.setdefault((statistics, N, tuple(ms)), []).append((spec, rows))
-    # checked after every row: a column's rows at both lambda share one enumeration
-    for column, passes in held.items():
-        _cross_check(*column, corners, passes)
+                if ms:
+                    yield spec, statistics, N, ms
+
+
+def fig67(m_values: tuple[int, ...] = _FIG67_M,
+          n_values: tuple[int, ...] = _TRUNCATIONS) -> list[tuple]:
+    """Multiparticle ratios at T_h = 5*T_c, R=2, recursion backend.
+
+    One pass per corner to a column's largest M gives every M and the single
+    particle. Each M is its own one-row series, holding its M, U1 and U4 constant.
+    """
+    L1, R, Tc, Th = 1.0, 2.0, 1.0, 5.0
+    series = []
+    for spec, statistics, N, ms in fig67_columns(m_values, n_values):
+        top = EnsembleSpec(statistics, max(ms), N)
+        rows = recursion_rows(top, spec, FIG67_CORNERS)
+        # one config per column: the largest M's top energy bounds every smaller
+        # M's, the cycle arithmetic ignores M, and row 1 is the single particle
+        cfg = CycleConfig(spec, top, L1, R, Tc)
+        U4_1, U2_1 = rows[0][1]
+        Ws = cycle_columns(cfg, U4_1, [U2_1])[4]
+        series += [_assemble(cfg, M, [Th], Ws, rows[M - 1][1]) for M in ms]
     return series
 
 
@@ -288,33 +290,6 @@ PRESETS = {"fig2": fig2, "fig3": fig3, "fig45": fig45, "fig67": fig67}
 def sweep(preset: str, **params) -> list[RatioRecord]:
     """The rows of the preset named ``preset``, its builder called with ``params``."""
     return _records(PRESETS[preset](**params))
-
-
-def _cross_check(statistics: str, N: int, ms, corners, held) -> None:
-    """Compare rows M in ``ms`` of the (spectrum, rows) recursion passes in ``held``, one
-    spectrum kind, each at every (beta, L) in ``corners``, with the enumeration oracle on the
-    c = 1 shapes: Z(beta; c) = Z(beta*c; 1). One oracle call gives every row up to the largest
-    M whose k-particle ensembles, k <= M, all hold at most _CROSS_CHECK_CAP states; a larger
-    M under the cap (fermions past N/2) takes its own call."""
-    sizes = [EnsembleSpec(statistics, k, N).state_count for k in range(1, max(ms) + 1)]
-    top = max((M for M in ms if max(sizes[:M]) <= _CROSS_CHECK_CAP), default=0)
-    unit = SpectrumSpec(held[0][0].kind)
-    at = [(spec, beta, L) for spec, _ in held for beta, L in corners]
-    points = [(beta * spec.scale_c, L) for spec, beta, L in at]
-    column = manybody.enumeration_rows(EnsembleSpec(statistics, top, N), unit, points) if top else []
-    for M in ms:
-        ens = EnsembleSpec(statistics, M, N)
-        if M > top and ens.state_count > _CROSS_CHECK_CAP:
-            continue
-        log_zs, us = column[M - 1] if M <= top else manybody.enumeration_log_z_and_u(ens, unit, points)
-        got = [pair for _, rows in held for pair in zip(*rows[M - 1])]
-        for (spec, beta, L), (got_z, got_u), log_z, u in zip(at, got, log_zs, us):
-            u *= spec.scale_c  # U(beta; c) = c U(beta*c; 1)
-            if abs(got_z - log_z) > _CROSS_CHECK_TOL or \
-                    abs(got_u - u) > _CROSS_CHECK_TOL * max(1.0, abs(u)):
-                raise AssertionError(
-                    f"recursion/enumeration mismatch for {ens} on {spec} at "
-                    f"beta={beta}, L={L}: dlogZ={got_z - log_z:.3g} dU={got_u - u:.3g}")
 
 
 def harmonic_closed_form_Z(statistics: str, T: float, L: float,

@@ -25,7 +25,7 @@
   ``kernels.energy_histograms``. ``enumeration_rows`` counts every k <= M, each
   row from the last, and reduces each over its distinct energies at a list of
   (beta, L) points; ``enumeration_log_z_and_u`` does so for M alone, fermions
-  past half filling as holes. ``validate``, fig67 and the tests call them.
+  past half filling as holes. Only ``validate`` and the tests call them.
 
 The routes share nothing but Z_1's level coefficients, so they check each
 other, and all give one shape: a list over k = 1..M of (log Z at every point, U at

@@ -11,8 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .experiments import harmonic_closed_form_W, harmonic_closed_form_Z
-from .manybody import EnsembleSpec, enumeration_log_z_and_u, internal_energies, recursion_rows
+from .experiments import (FIG67_CORNERS, fig67_columns, harmonic_closed_form_W,
+                          harmonic_closed_form_Z)
+from .manybody import (EnsembleSpec, enumeration_log_z_and_u, enumeration_rows,
+                       internal_energies, recursion_rows)
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import (CycleConfig, cycles_from_corners, positive_work_threshold,
                      run_cycle)
@@ -55,6 +57,26 @@ def check_recursion_vs_enumeration() -> CheckResult:
                             *(abs(u - b) / max(1.0, abs(u))
                               for u, b in zip(us + us[1:], got_us + live)))
     return CheckResult("recursion-vs-enumeration", worst, 1e-10)
+
+
+def check_fig67_vs_enumeration() -> CheckResult:
+    # every k of every fig67 column, at both lambda and both corners, against one
+    # oracle call per (statistics, N) on the c = 1 shapes: Z(beta; c) = Z(beta*c; 1)
+    # and U(beta; c) = c U(beta*c; 1)
+    columns = {}
+    for spec, statistics, N, ms in fig67_columns():
+        columns.setdefault((spec.kind, statistics, N, max(ms)), []).append(spec)
+    worst = 0.0
+    for (kind, statistics, N, top), specs in columns.items():
+        ens = EnsembleSpec(statistics, top, N)
+        at = [(spec.scale_c, beta, L) for spec in specs for beta, L in FIG67_CORNERS]
+        oracle = enumeration_rows(ens, SpectrumSpec(kind), [(beta * c, L) for c, beta, L in at])
+        passes = [recursion_rows(ens, spec, FIG67_CORNERS) for spec in specs]
+        for k, (log_zs, us) in enumerate(oracle):
+            got = [pair for rows in passes for pair in zip(*rows[k])]
+            for (c, _, _), (got_z, got_u), log_z, u in zip(at, got, log_zs, us):
+                worst = max(worst, abs(got_z - log_z), abs(got_u - c * u) / max(1.0, abs(c * u)))
+    return CheckResult("fig67-vs-enumeration", worst, 1e-10)
 
 
 def check_state_counts() -> CheckResult:
@@ -166,6 +188,7 @@ def check_low_temperature_ground_energies() -> CheckResult:
 
 ALL_CHECKS = (
     check_recursion_vs_enumeration,
+    check_fig67_vs_enumeration,
     check_state_counts,
     check_efficiency_identity,
     check_positive_work_threshold,

@@ -3,7 +3,6 @@
 import collections
 import decimal
 import importlib.util
-import itertools
 import math
 import os
 from pathlib import Path
@@ -388,114 +387,14 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
     assert {(M, size) for *_, M, _, size in calls} == {(2, 6)}
 
 
-# fig67's corners: the hot bath at L1, then the cold bath at L2
-_CORNERS = ((1.0 / 5.0, 1.0), (1.0, 2.0))
-_SHIFTS = (lambda v: v + 2e-8, lambda v: v * (1.0 + 2e-8))  # of log Z, of U
+def test_fig67_runs_no_oracle(monkeypatch):
+    def oracle(*args):
+        pytest.fail("a sweep ran the oracle")
 
-
-def _column_passes(statistics, M, N):
-    """fig67's (spectrum, rows) recursion passes of one column, both lambda."""
-    return [(spec, recursion_rows(EnsembleSpec(statistics, M, N), spec, _CORNERS))
-            for spec in (SpectrumSpec("box", scale_c=0.05), SpectrumSpec("box", scale_c=1.0))]
-
-
-def _skewed(rows, M, field, corner):
-    """A copy of ``rows`` with row M's log Z (``field`` 0) or U (1) at one corner shifted."""
-    rows = [(list(log_zs), list(us)) for log_zs, us in rows]
-    rows[M - 1][field][corner] = _SHIFTS[field](rows[M - 1][field][corner])
-    return rows
-
-
-def _count_oracle_calls(monkeypatch):
-    calls = []
-    for name in ("enumeration_rows", "enumeration_log_z_and_u"):
-        def counted(ens, spec, beta_points, name=name, original=getattr(manybody, name)):
-            calls.append((name, ens))
-            return original(ens, spec, beta_points)
-        monkeypatch.setattr(manybody, name, counted)
-    return calls
-
-
-def test_cross_check_builds_one_column_and_compares_both_values(monkeypatch):
-    held = _column_passes("fermion", 4, 8)
-    calls = _count_oracle_calls(monkeypatch)
-    experiments._cross_check("fermion", 8, (2, 3, 4), _CORNERS, held)
-    # one enumeration serves every M, both lambda and both corners
-    assert calls == [("enumeration_rows", EnsembleSpec("fermion", 4, 8))]
-
-    # twice each 1e-8 tolerance: absolute in log Z, relative in U (U > 0.5
-    # here, so 2e-8 of U is above the absolute floor), at every M, lambda and corner
-    for i, (spec, rows) in enumerate(held):
-        for M, field, corner in itertools.product((2, 3, 4), (0, 1), (0, 1)):
-            skewed = _skewed(rows, M, field, corner)
-            with pytest.raises(AssertionError, match="mismatch"):
-                experiments._cross_check("fermion", 8, (2, 3, 4), _CORNERS,
-                                         held[:i] + [(spec, skewed)] + held[i + 1:])
-
-
-def test_fig67_cross_check_catches_a_wrong_recursion_row(monkeypatch):
-    # the middle M of a column, at one lambda and one corner only, for each
-    # field, lambda and corner in turn
-    original = experiments.recursion_rows
-    for field, lam, corner in itertools.product((0, 1), (0.05, 1.0), (0, 1)):
-        def skewed(ens, spec, beta_points, field=field, lam=lam, corner=corner):
-            rows = original(ens, spec, beta_points)
-            return _skewed(rows, 3, field, corner) if spec.scale_c == lam else rows
-
-        monkeypatch.setattr(experiments, "recursion_rows", skewed)
-        with pytest.raises(AssertionError, match="mismatch.*M=3, N=10"):
-            sweep("fig67", m_values=(2, 3, 4), n_values=(10,))
-
-
-def test_fig67_cross_checks_every_ensemble_under_the_cap(monkeypatch):
-    compared = set()
-    original = experiments.recursion_rows
-
-    class Watched(list):
-        # a recursion row's log Z values that note each read: only the cross-check
-        # reads log Z
-        def __init__(self, values, key):
-            super().__init__(values)
-            self._key = key
-
-        def __iter__(self):
-            compared.add(self._key)
-            return super().__iter__()
-
-        def __getitem__(self, index):
-            compared.add(self._key)
-            return super().__getitem__(index)
-
-    def watched(ens, spec, beta_points):
-        return [(Watched(log_zs, (ens.statistics, k, ens.N)), us)
-                for k, (log_zs, us) in enumerate(original(ens, spec, beta_points), 1)]
-
-    monkeypatch.setattr(experiments, "recursion_rows", watched)
-    calls = _count_oracle_calls(monkeypatch)
-    sweep("fig67")
-    assert compared == {(statistics, M, N) for statistics in ("boson", "fermion")
-                        for N in (3, 4, 10, 25, 50, 100, 150) for M in range(2, 9)
-                        if (statistics == "boson" or M <= N)
-                        and EnsembleSpec(statistics, M, N).state_count <= 200_000}
-    assert len(compared) == 52
-    # one enumeration per (statistics, N) column, shared by both lambda and corners
-    assert len(calls) == len(set(calls)) == 14
-    assert {name for name, _ in calls} == {"enumeration_rows"}
-
-
-def test_cross_check_gives_fermions_past_half_filling_their_own_table(monkeypatch):
-    # 21 fermions on 22 levels are 22 states, but the tables of 2..20 fermions
-    # pass the cap (11 of them hold 705 432 states): M = 2 comes from the column
-    # build, M = 21 from its own M-table
-    calls = _count_oracle_calls(monkeypatch)
-    held = _column_passes("fermion", 21, 22)
-    experiments._cross_check("fermion", 22, (2, 21), _CORNERS, held)
-    assert calls == [("enumeration_rows", EnsembleSpec("fermion", 2, 22)),
-                     ("enumeration_log_z_and_u", EnsembleSpec("fermion", 21, 22))]
-    spec, rows = held[0]
-    with pytest.raises(AssertionError, match="mismatch.*M=21, N=22"):
-        experiments._cross_check("fermion", 22, (2, 21), _CORNERS,
-                                 [(spec, _skewed(rows, 21, 1, 0))] + held[1:])
+    monkeypatch.setattr(manybody, "enumeration_rows", oracle)
+    monkeypatch.setattr(manybody, "enumeration_log_z_and_u", oracle)
+    monkeypatch.setattr(kernels, "energy_histograms", oracle)
+    assert len(sweep("fig67")) == 178
 
 
 def _perfbench(module_name):
