@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qotto import cli, experiments, kernels, manybody
+from qotto import cli, experiments, kernels, manybody, validate
 from qotto import (PRESETS, CycleConfig, EnsembleSpec, SpectrumSpec,
                    enumeration_log_z_and_u, harmonic_closed_form_W,
                    harmonic_closed_form_Z, make_record, make_series, recursion_rows,
@@ -395,6 +395,31 @@ def test_fig67_runs_no_oracle(monkeypatch):
     monkeypatch.setattr(manybody, "enumeration_log_z_and_u", oracle)
     monkeypatch.setattr(kernels, "energy_histograms", oracle)
     assert len(sweep("fig67")) == 178
+
+
+def test_fig67_cross_check_catches_a_wrong_recursion_row(skew_fig67_row):
+    # validate's check of fig67's own columns: log Z of 4 bosons on 150 levels, the
+    # widest oracle count, at lambda = 1 and the hot corner
+    assert validate.check_fig67_vs_enumeration().passed
+    skew_fig67_row(("boson", 150, 1.0), 4, 0, 1)
+    assert not validate.check_fig67_vs_enumeration().passed
+
+
+def test_cross_check_gives_fermions_past_half_filling_their_own_table(monkeypatch,
+                                                                       skew_fig67_row):
+    # the 8 fermions on 10 levels, past half filling, come from the fermion column's
+    # own oracle table, not the boson one, and a shift of their U fails the check
+    tables = []
+    original = validate.enumeration_rows
+
+    def noted(ens, spec, beta_points):
+        tables.append(ens)
+        return original(ens, spec, beta_points)
+
+    monkeypatch.setattr(validate, "enumeration_rows", noted)
+    skew_fig67_row(("fermion", 10, 0.05), 8, 1, 0)
+    assert not validate.check_fig67_vs_enumeration().passed
+    assert EnsembleSpec("fermion", 8, 10) in tables
 
 
 def _perfbench(module_name):
