@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -96,13 +97,16 @@ def _fmt(flag) -> str:
 def _csv(series) -> str:
     """The one CSV writer, over series of the CSV columns in CSV order, a list where the
     column varies. Each constant cell is formatted once, `%` escaped, into the series' row
-    template; its rows are the zip of its list columns, positive_work always the last."""
+    template; a series' rows are one `%` of its n joined templates over the row-major
+    chain of its list columns, positive_work always the last."""
     lines = [",".join(CSV_COLUMNS)]
     for columns in series:
         template = ",".join([cell if isinstance(col, list) else (cell % col).replace("%", "%%")
                              for cell, col in zip(_CSV_CELLS, columns)])
-        rows = zip(*[col for col in columns if isinstance(col, list)])
-        lines += [template % (*row[:-1], _fmt(row[-1])) for row in rows]
+        *lists, flags = [col for col in columns if isinstance(col, list)] or [[]]
+        if flags:
+            cells = chain.from_iterable(zip(*lists, map(_fmt, flags)))
+            lines.append("\n".join([template] * len(flags)) % tuple(cells))
     return "\n".join(lines) + "\n"
 
 

@@ -259,6 +259,8 @@ def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
     Row k's Z_k - 1 and D_k are pairwise sums of its excited terms (the ground
     term is exactly 1, hence log1p); running sums only feed row k + 1, so no row
     depends on M. Points run in blocks of at most 2^16 point x level elements.
+    U_k = G_k + D_k/Z_k, G_k the ground sum, rounded once: one vector addition where
+    the float G_k is exact, else fsum at every point.
     """
     N = w.size
     ground = w[:M].tolist() if fermion else [w[0].item()] * M
@@ -283,13 +285,22 @@ def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
             if k < M:  # row k + 1 reads no entry left of its own reference level
                 np.add.accumulate(t, axis=1, out=z[:, lo + 1:])
                 np.add.accumulate(dt, axis=1, out=d[:, lo + 1:])
-    ground_sums = np.array([[math.fsum(ground[:k])] for k in range(1, M + 1)])
+    ground_sums = [math.fsum(ground[:k]) for k in range(1, M + 1)]
     with np.errstate(over="ignore"):  # a ground energy past the float range is log Z = -inf
-        log_zs = -beta_effs * ground_sums
+        log_zs = -beta_effs * np.array(ground_sums)[:, None]
     log_zs += np.log1p(excited)
-    return [(log_z, [math.fsum(ground[:k] + [q]) for q in row])
-            for k, (log_z, row) in enumerate(zip(log_zs.tolist(),
-                                                 (numer / (1.0 + excited)).tolist()), 1)]
+    out = []
+    for k, (G, log_z, qs) in enumerate(zip(ground_sums, log_zs.tolist(),
+                                           numer / (1.0 + excited)), 1):
+        terms = ground[:k]
+        # U = G + q rounded once from the exact ground sum, as fsum does. A zero fsum
+        # residual proves the float G is that exact sum (a nonzero sum of floats is at
+        # least 2^-1074 and cannot round to 0), and then one IEEE addition G + q rounds
+        # the same exact value once
+        us = ((qs + G).tolist() if math.fsum(terms + [-G]) == 0
+              else [math.fsum(terms + [q]) for q in qs.tolist()])
+        out.append((log_z, us))
+    return out
 
 
 def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]]

@@ -248,8 +248,10 @@ def test_cli_sweep_writes_the_per_cell_csv_of_the_library_rows(tmp_path, capsys,
 
 def test_series_writer_formats_constant_cells_as_the_per_cell_writer(tmp_path, monkeypatch):
     # constant U1 and U4 of -0.0, nan, +-inf and numpy floats, a `%` in constant
-    # cells, numpy-bool flags of the capped recursion, and a one-row series; a series
-    # is its CSV columns in CSV order, a list where the column varies over the rows
+    # cells of a one-row and of a two-row series (each joined copy of the template
+    # stays escaped), an empty series between two others, and numpy-bool flags of the
+    # capped recursion; a series is its CSV columns in CSV order, a list where the
+    # column varies over the rows
     th, u2, u3, qh, qc, w, ws, ratio, flags = (
         [4.5, 5.0], [np.float64(1.0), -0.0], [0.25, math.inf], [-0.0, np.float64(0.1)],
         [0.5, math.nan], [1e-300, 2.0], [np.float64(-3.0), 0.0], [math.nan, 1.0],
@@ -264,13 +266,15 @@ def test_series_writer_formats_constant_cells_as_the_per_cell_writer(tmp_path, m
               for u1, u4 in ((-0.0, 0.0), (math.nan, math.inf), (-math.inf, np.float64(-0.0)),
                              (np.float64(1.5), math.nan))]
     series.append(columns("50%s", "%%boson", 3, 1.0, 2.0, slice(1)))
+    series.append(columns("%d%%", "100%", 3, -0.0, math.inf, slice(None)))
+    series.append(columns("box", "boson", 3, 1.0, 2.0, slice(0)))
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
     series.append(experiments.sweep_series(SpectrumSpec("box", scale_c=0.05),
                                            EnsembleSpec("boson", 4, 6), 1.0, 2.0, 1.0,
                                            (4.5, 5.0, 12.0)))
     monkeypatch.undo()
     rows = experiments._records(series)
-    assert len(rows) == 4 * 2 + 1 + 3
+    assert len(rows) == 4 * 2 + 1 + 2 + 0 + 3
     assert {rec.positive_work.__class__ for rec in rows[-3:]} == {np.bool_}
     path = tmp_path / "series.csv"
     assert experiments.write_series(series, str(path)) == len(rows)
@@ -281,6 +285,10 @@ def test_series_writer_formats_constant_cells_as_the_per_cell_writer(tmp_path, m
                        "0.75,-3,nan,True"
     assert lines[9] == "50%s,%%boson,2,3,1,2,1,4.5,0.050000000000000003,1,1,0.25,2,-0,0.5," \
                        "1e-300,0.75,-3,nan,True"
+    assert lines[10:12] == [
+        "%d%%,100%,2,3,1,2,1,4.5,0.050000000000000003,-0,1,0.25,inf,-0,0.5,1e-300,0.75,-3,nan,True",
+        "%d%%,100%,2,3,1,2,1,5,0.050000000000000003,-0,-0,inf,inf,0.10000000000000001,nan,2,"
+        "0.75,0,1,false"]
     assert [line.rsplit(",", 1)[1] for line in lines[-3:]] == ["True"] * 3
 
 

@@ -4,6 +4,7 @@ Expected values are recomputed inline by direct itertools/math sums so the
 checks stay independent of the package's kernels and recursion.
 """
 
+import collections
 import itertools
 import math
 from decimal import Decimal, localcontext
@@ -397,6 +398,75 @@ def test_level_recursion_keeps_log_z_near_zero_exact():
                   for got, value in ((got_log_z, log_z), (got_u, u))]
     assert float(log_z) == pytest.approx(4.5403021617690e-5, rel=1e-13)
     assert max(errors) <= Decimal("2e-15")
+
+
+def _level_recursion_fsum_per_point(w, M, beta_effs, fermion):
+    """The level recursion with every row's Boltzmann factors computed for that row and
+    every point's U = G + q summed by fsum: the bitwise reference for the vector route
+    that U takes where the float ground sum G is exact."""
+    N = w.size
+    ground = w[:M].tolist() if fermion else [w[0].item()] * M
+    excited = np.empty((M, beta_effs.size))
+    numer = np.empty((M, beta_effs.size))
+    rows = max(1, kernels._BLOCK_ELEMENTS // (N + 1))
+    for i in range(0, beta_effs.size, rows):
+        nb = -beta_effs[i:i + rows, None]
+        z = np.ones((nb.size, N + 1))
+        d = np.zeros((nb.size, N + 1))
+        for k in range(1, M + 1):
+            lo = k - 1 if fermion else 0
+            prev = slice(lo, N) if fermion else slice(1, N + 1)
+            e = w[lo:] - w[lo]
+            with np.errstate(over="ignore"):
+                x = np.exp(nb * e)
+            t = x * z[:, prev]
+            dt = x * d[:, prev] + e * t
+            np.add.reduce(t[:, 1:], axis=1, out=excited[k - 1, i:i + rows])
+            np.add.reduce(dt[:, 1:], axis=1, out=numer[k - 1, i:i + rows])
+            if k < M:
+                np.add.accumulate(t, axis=1, out=z[:, lo + 1:])
+                np.add.accumulate(dt, axis=1, out=d[:, lo + 1:])
+    ground_sums = np.array([[math.fsum(ground[:k])] for k in range(1, M + 1)])
+    with np.errstate(over="ignore"):
+        log_zs = -beta_effs * ground_sums
+    log_zs += np.log1p(excited)
+    return [(log_z, [math.fsum(ground[:k] + [q]) for q in row])
+            for k, (log_z, row) in enumerate(zip(log_zs.tolist(),
+                                                 (numer / (1.0 + excited)).tolist()), 1)]
+
+
+def test_level_recursion_equals_its_fsum_per_point_form_bit_for_bit():
+    # every kind, both statistics, M <= 8, lambda in {0.05, 1, 20} and 0.3, from beta = 0
+    # to a beta whose beta*e overflows to weight 0 (and log Z to -inf); then 1000 points
+    # on 150 levels, several blocks of the point loop
+    def same(w, M, betas, fermion):
+        got = manybody._recursion_levels(w, M, betas, fermion)
+        want = _level_recursion_fsum_per_point(w, M, betas, fermion)
+        assert len(got) == len(want) == M
+        for (log_z, u), (want_log_z, want_u) in zip(got, want):
+            assert {type(v) for v in log_z + u} == {float}
+            assert list(map(float.hex, log_z)) == list(map(float.hex, want_log_z))
+            assert list(map(float.hex, u)) == list(map(float.hex, want_u))
+
+    betas = np.array([0.0, 0.01, 0.2, 1.0, 10.0, 200.0, 1e8, 1e308])
+    exact = collections.Counter()  # (statistics, whether fsum proves the float G exact)
+    for kind, lam, statistics, M, N in itertools.product(
+            KINDS, (0.05, 1.0, 20.0, 0.3), ("boson", "fermion"), (1, 2, 3, 5, 8),
+            (1, 3, 8, 25)):
+        if statistics == "fermion" and M > N:
+            continue
+        w = level_coefficients(SpectrumSpec(kind, scale_c=lam), N)
+        same(w, M, betas, statistics == "fermion")
+        ground = w[:M].tolist() if statistics == "fermion" else [w[0].item()] * M
+        for k in range(1, M + 1):
+            G = math.fsum(ground[:k])
+            exact[statistics, math.fsum(ground[:k] + [-G]) == 0] += 1
+    assert set(exact) == {(s, e) for s in ("boson", "fermion") for e in (True, False)}
+    many = np.geomspace(1e-3, 1e3, 1000)
+    assert many.size > 2 * (kernels._BLOCK_ELEMENTS // 151)
+    w = level_coefficients(SpectrumSpec("box", scale_c=0.05), 150)
+    for fermion in (False, True):
+        same(w, 8, many, fermion)
 
 
 def test_internal_energies_equal_pointwise_values_on_every_route(monkeypatch):
