@@ -20,7 +20,6 @@ from .experiments import PRESETS, make_record, sweep_series, th_range, write_ser
 from .manybody import STATISTICS, EnsembleSpec
 from .spectrum import KINDS, SpectrumSpec
 from .thermo import CycleConfig, positive_work_threshold, run_cycle
-from .validate import run_all
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -175,6 +174,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    from .validate import run_all  # imported here: no other command loads the check suite
     results = run_all()
     failed = sum(not res.passed for res in results)
     for res in results:

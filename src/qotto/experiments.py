@@ -14,7 +14,7 @@ gives a preset's rows:
     fig45   high (lam=0.05) and intermediate (lam=1) regimes, R=2,
             several truncations N, T_h swept
     fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
-            by ``recursion_rows``; ``validate`` checks every column that
+            by ``recursion_columns``; ``validate`` checks every column that
             ``fig67_columns`` names against enumeration
 
 The other presets take U from ``internal_energies``: the level recursion.
@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import manybody
-from .manybody import EnsembleSpec, recursion_rows
+from .manybody import EnsembleSpec, recursion_columns
 from .spectrum import SpectrumSpec
 from .thermo import CycleConfig, cycle_columns
 
@@ -271,14 +271,15 @@ def fig67(m_values: tuple[int, ...] = _FIG67_M,
           n_values: tuple[int, ...] = _TRUNCATIONS) -> list[tuple]:
     """Multiparticle ratios at T_h = 5*T_c, R=2, recursion backend.
 
-    One pass per corner to a column's largest M gives every M and the single
-    particle. Each M is its own one-row series, holding its M, U1 and U4 constant.
+    One float recursion pass over both corners of every column, each to the column's
+    largest M, gives every M and the single particle. Each M is its own one-row series,
+    holding its M, U1 and U4 constant.
     """
     L1, R, Tc, Th = 1.0, 2.0, 1.0, 5.0
+    columns = list(fig67_columns(m_values, n_values))
+    tops = [(EnsembleSpec(statistics, max(ms), N), spec) for spec, statistics, N, ms in columns]
     series = []
-    for spec, statistics, N, ms in fig67_columns(m_values, n_values):
-        top = EnsembleSpec(statistics, max(ms), N)
-        rows = recursion_rows(top, spec, FIG67_CORNERS)
+    for (*_, ms), (top, spec), rows in zip(columns, tops, recursion_columns(tops, FIG67_CORNERS)):
         # one config per column: the largest M's top energy bounds every smaller
         # M's, the cycle arithmetic ignores M, and row 1 is the single particle
         cfg = CycleConfig(spec, top, L1, R, Tc)

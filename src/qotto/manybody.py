@@ -8,8 +8,9 @@
   comes from it: row M for bosons and fermions, M times row 1 for
   distinguishable particles (Z_M = Z_1^M).
 
-* ``recursion_rows`` takes bosons and fermions above the cap. At each
-  (beta, L) of a point list it runs the exact identical-particle recursion
+* ``recursion_rows`` takes bosons and fermions above the cap. In one float pass
+  over every (beta, L) of a point list (of every ensemble, ``recursion_columns``)
+  it runs the exact identical-particle recursion
 
       Z_M(beta) = (1/M) sum_{m=1..M} (+-1)^{m+1} Z_1(m*beta) Z_{M-m}(beta),
 
@@ -193,52 +194,45 @@ def enumeration_log_z_and_u(ens: EnsembleSpec, spec: SpectrumSpec,
     return _enumerate(ens, spec, beta_points, False)[0]
 
 
-def _signed_logsumexp(logs: np.ndarray, signs: np.ndarray) -> tuple[float, float, float]:
-    """log|sum|, sign of the sum, and cancellation loss in nats."""
-    mx = logs.max()
-    if mx == -math.inf:
-        return -math.inf, 0.0, 0.0
-    s = float((signs * np.exp(logs - mx)).sum())
-    if s == 0.0:
-        return -math.inf, 0.0, math.inf
-    return mx + math.log(abs(s)), math.copysign(1.0, s), max(0.0, -math.log(abs(s)))
-
-
-def _recursion_float(w: np.ndarray, M: int, beta_eff: float, fermion: bool):
-    """One float64 pass of the recursion: arrays of log Z_k, U_k (coefficient
-    units) and a bad flag for k = 1..M. Row k is bad once a row <= k failed or
-    the worst cancellation loss so far passed _LOSS_NATS_LIMIT, and wherever
-    |log Z_k| > _LOG_Z_LIMIT."""
-    lz1 = np.zeros(M + 1)
-    u1 = np.zeros(M + 1)
-    lz1[1:], u1[1:] = kernels.log_z_and_mean(w, beta_eff * np.arange(1, M + 1))
-
-    lz = np.zeros(M + 1)   # log Z_k (sums that survive are positive)
-    uu = np.zeros(M + 1)   # U_k in coefficient units
-    bad = np.ones(M + 1, dtype=bool)
-    loss = 0.0
-    for k in range(1, M + 1):
-        ms = np.arange(1, k + 1)
-        signs = np.ones(k) if not fermion else np.where(ms % 2 == 1, 1.0, -1.0)
-        logs = lz1[1:k + 1] + lz[k - ms]
-        lsum, ssign, lloss = _signed_logsumexp(logs, signs)
-        loss = max(loss, lloss)
-        if ssign <= 0.0:
+def _recursion_float(lz1: np.ndarray, u1: np.ndarray, tops: list[int], fermion: np.ndarray):
+    """One float64 pass of the recursion over rows, one per point, of log Z_1(m*beta_eff)
+    and U_1(m*beta_eff) for m = 1..tops[i], padded to M_max: (rows, M_max) arrays of log Z_k,
+    U_k (coefficient units) and a bad flag. Row k of a point is bad once a row <= k failed or
+    the worst cancellation loss so far passed _LOSS_NATS_LIMIT, and wherever |log Z_k| >
+    _LOG_Z_LIMIT. Each k sums the terms of every point at once; only a point's loss, sign
+    test and the math.log and math.exp of its sums (libm's rounding) run point by point."""
+    n, m_max = lz1.shape
+    signs = np.where(fermion[:, None] & (np.arange(m_max) % 2 == 1), -1.0, 1.0)
+    lz, uu = np.zeros((2, n, m_max + 1))  # log Z_k (sums that survive are positive), U_k
+    bad, loss, alive = np.ones((n, m_max), dtype=bool), [0.0] * n, range(n)
+    for k in range(1, m_max + 1):
+        if not (alive := [i for i in alive if k <= tops[i] and loss[i] < math.inf]):
             break
-        lz[k] = lsum - math.log(k)
-        # energy numerator: same terms weighted by (m*u1[m] + U_{k-m}) >= 0,
-        # and U_k = numerator / (k Z_k) = numerator / exp(lsum)
-        factors = ms * u1[1:k + 1] + uu[k - ms]
+        # terms m = 1..k, and the energy numerator's: the same terms weighted by
+        # (m*u1[m] + U_{k-m}) >= 0, so that U_k = numerator / (k Z_k)
+        logs = lz1[:, :k] + lz[:, k - 1::-1]
+        factors = np.arange(1, k + 1) * u1[:, :k] + uu[:, k - 1::-1]
         pos = factors > 0
         nlogs = np.where(pos, logs + np.log(np.where(pos, factors, 1.0)), -math.inf)
-        nlsum, nssign, nloss = _signed_logsumexp(nlogs, signs)
-        if nlsum == -math.inf:
-            uu[k] = 0.0
-        else:
-            loss = max(loss, nloss)
-            uu[k] = nssign * math.exp(nlsum - lsum)
-        bad[k] = loss > _LOSS_NATS_LIMIT or abs(lz[k]) > _LOG_Z_LIMIT
-    return lz[1:], uu[1:], bad[1:]
+        sums = []
+        with np.errstate(invalid="ignore"):  # a row of zero terms (max -inf) sums to NaN
+            for terms in (logs, nlogs):
+                mx = terms.max(axis=1)
+                sums += [mx, (signs[:, :k] * np.exp(terms - mx[:, None])).sum(axis=1)]
+        mx, s, nmx, ns = (a.tolist() for a in sums)
+        for i in alive:
+            if mx[i] == -math.inf or s[i] <= 0.0:
+                loss[i] = math.inf  # the row failed: bad from k on, log Z and U left at 0
+                continue
+            log_s = math.log(s[i])
+            lsum, loss[i] = mx[i] + log_s, max(loss[i], -log_s)
+            lz[i, k] = lsum - math.log(k)
+            if nmx[i] != -math.inf and ns[i] != 0.0:
+                log_ns = math.log(abs(ns[i]))
+                loss[i] = max(loss[i], -log_ns)
+                uu[i, k] = math.copysign(math.exp(nmx[i] + log_ns - lsum), ns[i])
+            bad[i, k - 1] = loss[i] > _LOSS_NATS_LIMIT or abs(lz[i, k]) > _LOG_Z_LIMIT
+    return lz[:, 1:], uu[:, 1:], bad
 
 
 def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
@@ -303,29 +297,47 @@ def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
     return out
 
 
-def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]]
-                   ) -> list[tuple[list[float], list[float]]]:
-    """(log Z, U) at every (beta, L) of k = 1..M particles, one recursion pass per point;
-    rows the float recursion cannot hold come from the level recursion.
+def recursion_columns(columns: list[tuple[EnsembleSpec, SpectrumSpec]],
+                      beta_points: list[tuple[float, float]]
+                      ) -> list[list[tuple[list[float], list[float]]]]:
+    """``recursion_rows`` of every (ensemble, spectrum) column at the same (beta, L) points:
+    every point of every column checked first, then one float pass over all of them; the
+    rows it cannot hold come from one level recursion per column.
 
     Bosons and fermions only: distinguishable particles factorize as Z_1^M.
     """
-    if ens.statistics == "distinguishable":
+    if any(ens.statistics == "distinguishable" for ens, _ in columns):
         raise ValueError("recursion backend supports boson/fermion statistics only; "
                          "distinguishable particles factorize as Z_1^M")
-    beta_effs, scales = effective_betas(ens, spec, beta_points)
-    w = level_coefficients(spec, ens.N)
-    fermion = ens.statistics == "fermion"
-    rows = [([], []) for _ in range(ens.M)]
-    for beta_eff, scale in zip(beta_effs.tolist(), scales.tolist()):
-        log_zs, us, bad = _recursion_float(w, ens.M, beta_eff, fermion)
-        levels = _recursion_levels(w, ens.M, np.array([beta_eff]), fermion) if bad.any() else None
-        for k, (log_z, u) in enumerate(zip(log_zs, us)):
-            if bad[k]:
-                (log_z,), (u,) = levels[k]
-            rows[k][0].append(log_z)
-            rows[k][1].append(u / scale)
-    return rows
+    checked = [effective_betas(ens, spec, beta_points) for ens, spec in columns]
+    ws = [level_coefficients(spec, ens.N) for ens, spec in columns]
+    p, tops = len(beta_points), [ens.M for ens, _ in columns]
+    singles = np.zeros((2, len(columns) * p, max(tops, default=0)))  # Z_1, U_1 at m*beta
+    for c, (M, w, (beta_effs, _)) in enumerate(zip(tops, ws, checked)):
+        singles[:, c * p:(c + 1) * p, :M] = np.reshape(kernels.log_z_and_mean(
+            w, np.outer(beta_effs, np.arange(1, M + 1)).ravel()), (2, p, M))
+    fermion = np.array([ens.statistics == "fermion" for ens, _ in columns], dtype=bool)
+    log_zs, us, bad = _recursion_float(*singles, np.repeat(tops, p).tolist(), np.repeat(fermion, p))
+    out = []
+    for c, (M, w, (beta_effs, scales)) in enumerate(zip(tops, ws, checked)):
+        at = slice(c * p, (c + 1) * p)
+        rows = [(list(log_zs[at, k]), list(us[at, k])) for k in range(M)]  # numpy float64
+        handed = np.flatnonzero(bad[at, :M].any(axis=1)).tolist()
+        levels = _recursion_levels(w, M, beta_effs[handed], fermion[c]) if handed else []
+        for j, i in enumerate(handed):  # the level recursion's values are Python floats
+            for k in np.flatnonzero(bad[c * p + i, :M]).tolist():
+                rows[k][0][i], rows[k][1][i] = levels[k][0][j], levels[k][1][j]
+        out.append([(log_z, [u / scale for u, scale in zip(u_k, scales.tolist())])
+                    for log_z, u_k in rows])
+    return out
+
+
+def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]]
+                   ) -> list[tuple[list[float], list[float]]]:
+    """(log Z, U) at every (beta, L) of k = 1..M particles, one float recursion pass over
+    every point: ``recursion_columns`` of one column. Rows the float recursion cannot hold
+    come from the level recursion."""
+    return recursion_columns([(ens, spec)], beta_points)[0]
 
 
 def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,

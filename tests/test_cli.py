@@ -286,6 +286,18 @@ def test_cli_import_loads_no_third_party_package_but_numpy():
     assert proc.stdout.strip() == "numpy,qotto"
 
 
+def test_cli_import_leaves_the_check_suite_to_the_validate_command():
+    # every sweep process imports qotto.cli; only `qotto validate` needs qotto.validate
+    probe = "import sys, qotto.cli; print('qotto.validate' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_CHILD_ENV)
+    assert (proc.returncode, proc.stdout) == (0, "False\n")
+    proc = subprocess.run([sys.executable, "-m", "qotto", "validate"], capture_output=True,
+                          text=True, env=_CHILD_ENV)
+    assert proc.returncode == 0
+    assert proc.stdout.splitlines()[-1] == "9/9 checks passed"
+
+
 def test_module_entrypoint_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "qotto", "cycle", "--levels", "2", "--Th", "8"],

@@ -538,20 +538,24 @@ def test_multiparticle_crossover_in_truncation():
     assert rb_large < 1.0 < rf_large
 
 
-def test_fig67_makes_one_recursion_call_per_column(monkeypatch):
+def test_fig67_makes_one_recursion_call_for_every_column(monkeypatch):
     calls = []
-    original = experiments.recursion_rows
+    original = experiments.recursion_columns
 
-    def counted(ens, spec, beta_points):
-        calls.append(len(beta_points))
-        return original(ens, spec, beta_points)
+    def counted(columns, beta_points):
+        calls.append((columns, beta_points))
+        return original(columns, beta_points)
 
     configs = []
-    monkeypatch.setattr(experiments, "recursion_rows", counted)
+    monkeypatch.setattr(experiments, "recursion_columns", counted)
     monkeypatch.setattr(experiments, "CycleConfig",
                         lambda *args: configs.append(CycleConfig(*args)) or configs[-1])
     sweep("fig67")
-    # 2 regimes x 7 truncations x 2 statistics, both corners in each call, and one
-    # cycle config per column, at its largest M
-    assert calls == [2] * 28
+    # one call: 2 regimes x 7 truncations x 2 statistics in row order, each at its
+    # largest M, at both corners; and one cycle config per column, at its largest M
+    [(columns, beta_points)] = calls
+    assert columns == [(EnsembleSpec(statistics, max(ms), N), spec)
+                       for spec, statistics, N, ms in experiments.fig67_columns()]
+    assert len(columns) == 28
+    assert beta_points == experiments.FIG67_CORNERS
     assert [cfg.ens.M for cfg in configs] == [8, 3, 8, 4, *[8, 8] * 5] * 2

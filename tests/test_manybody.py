@@ -171,7 +171,9 @@ def _handed_over(ens, spec, beta, L):
     the level recursion's (log Z, U) of every row, U scaled as recursion_rows scales it."""
     w = level_coefficients(spec, ens.N)
     fermion, scale = ens.statistics == "fermion", L**spec.power_p
-    bad = manybody._recursion_float(w, ens.M, beta / scale, fermion)[2].tolist()
+    singles = kernels.log_z_and_mean(w, beta / scale * np.arange(1, ens.M + 1))
+    bad = manybody._recursion_float(*(a[None] for a in singles), [ens.M],
+                                    np.array([fermion]))[2][0].tolist()
     levels = manybody._recursion_levels(w, ens.M, np.array([beta / scale]), fermion)
     return bad, [(log_zs, [u / scale for u in us]) for log_zs, us in levels]
 
@@ -212,6 +214,90 @@ def test_rows_the_float_recursion_flags_come_from_the_level_recursion():
         (log_z,), (u,) = recursion_rows(ens, BOX, [(beta, 1.0)])[-1]
         assert ((log_z, u) == (levels[-1][0][0], levels[-1][1][0])) is handed
         assert type(u) is (float if handed else np.float64)
+
+
+def _signed_logsumexp_per_point(logs, signs):
+    """log|sum|, sign of the sum, and cancellation loss in nats of one point's terms."""
+    mx = logs.max()
+    if mx == -math.inf:
+        return -math.inf, 0.0, 0.0
+    s = float((signs * np.exp(logs - mx)).sum())
+    if s == 0.0:
+        return -math.inf, 0.0, math.inf
+    return mx + math.log(abs(s)), math.copysign(1.0, s), max(0.0, -math.log(abs(s)))
+
+
+def _recursion_float_per_point(w, M, beta_eff, fermion):
+    """The float particle recursion at one point, each row's sums over that point alone."""
+    lz1, u1 = np.zeros(M + 1), np.zeros(M + 1)
+    lz1[1:], u1[1:] = kernels.log_z_and_mean(w, beta_eff * np.arange(1, M + 1))
+    lz, uu = np.zeros(M + 1), np.zeros(M + 1)
+    bad = np.ones(M + 1, dtype=bool)
+    loss = 0.0
+    for k in range(1, M + 1):
+        ms = np.arange(1, k + 1)
+        signs = np.ones(k) if not fermion else np.where(ms % 2 == 1, 1.0, -1.0)
+        logs = lz1[1:k + 1] + lz[k - ms]
+        lsum, ssign, lloss = _signed_logsumexp_per_point(logs, signs)
+        loss = max(loss, lloss)
+        if ssign <= 0.0:
+            break
+        lz[k] = lsum - math.log(k)
+        factors = ms * u1[1:k + 1] + uu[k - ms]
+        pos = factors > 0
+        nlogs = np.where(pos, logs + np.log(np.where(pos, factors, 1.0)), -math.inf)
+        nlsum, nssign, nloss = _signed_logsumexp_per_point(nlogs, signs)
+        if nlsum == -math.inf:
+            uu[k] = 0.0
+        else:
+            loss = max(loss, nloss)
+            uu[k] = nssign * math.exp(nlsum - lsum)
+        bad[k] = loss > manybody._LOSS_NATS_LIMIT or abs(lz[k]) > manybody._LOG_Z_LIMIT
+    return lz[1:], uu[1:], bad[1:]
+
+
+def _recursion_rows_per_point(ens, spec, beta_points):
+    """recursion_rows with one float pass per point and one level pass per bad point: the
+    bitwise reference for the pass over every point of every column."""
+    beta_effs, scales = manybody.effective_betas(ens, spec, beta_points)
+    w = level_coefficients(spec, ens.N)
+    fermion = ens.statistics == "fermion"
+    rows = [([], []) for _ in range(ens.M)]
+    for beta_eff, scale in zip(beta_effs.tolist(), scales.tolist()):
+        log_zs, us, bad = _recursion_float_per_point(w, ens.M, beta_eff, fermion)
+        levels = (manybody._recursion_levels(w, ens.M, np.array([beta_eff]), fermion)
+                  if bad.any() else None)
+        for k, (log_z, u) in enumerate(zip(log_zs, us)):
+            if bad[k]:
+                (log_z,), (u,) = levels[k]
+            rows[k][0].append(log_z)
+            rows[k][1].append(u / scale)
+    return rows
+
+
+def test_recursion_columns_equal_the_per_point_pass_bit_for_bit():
+    # one call over ragged columns (M = N fermions among them, one state) from beta = 0 to
+    # betas where rows hand over, and to 1e300, where Z_1(2 beta) underflows to 0 and the
+    # pass fails; every value's bits and type are the per-point pass's
+    lams = dict(zip(KINDS, (1.0, 0.05, 20.0, 0.3)))
+    columns = [(EnsembleSpec(statistics, M, N), SpectrumSpec(kind, scale_c=lams[kind]))
+               for kind, statistics, M, N in itertools.product(
+                   KINDS, ("boson", "fermion"), (1, 2, 3, 5, 8, 12), (1, 3, 8, 25, 150))
+               if statistics == "boson" or M <= N]
+    points = [(0.0, 1.0), (1e-3, 1.3), (0.2, 1.0), (1.0, 2.0), (10.0, 1.0), (1e3, 1.3),
+              (1e300, 1.0)]
+    got = manybody.recursion_columns(columns, points)
+    assert len(got) == len(columns)
+    routes = set()  # (statistics, whether U came from the level recursion, a Python float)
+    for (ens, spec), rows in zip(columns, got):
+        want = _recursion_rows_per_point(ens, spec, points)
+        assert len(rows) == ens.M
+        for (log_zs, us), (want_log_zs, want_us) in zip(rows, want):
+            for values, want_values in ((log_zs, want_log_zs), (us, want_us)):
+                assert [type(v) for v in values] == [type(v) for v in want_values]
+                assert [float(v).hex() for v in values] == [float(v).hex() for v in want_values]
+            routes.update((ens.statistics, type(u) is float) for u in us)
+    assert routes == set(itertools.product(("boson", "fermion"), (False, True)))
 
 
 @given(statistics=st.sampled_from(["boson", "fermion"]),
@@ -640,6 +726,16 @@ def test_backends_check_every_point_of_a_batch_before_any_kernel_runs(monkeypatc
         # 2 * 1e308 * 4^2: the largest many-body energy coefficient overflows
         with pytest.raises(ValueError, match="largest many-body energy"):
             backend(ens, SpectrumSpec("box", scale_c=1e308), points)
+    # one call over several columns checks every point of each before any kernel runs,
+    # also a point bad for one column alone: L^p overflows at p = 2, not at p = 1
+    linear, fermions = SpectrumSpec("relativistic-box"), EnsembleSpec("fermion", 3, 5)
+    for bad in bad_points + [(1.0, 1e200)]:
+        for columns in ([(ens, linear), (fermions, BOX)], [(fermions, BOX), (ens, linear)]):
+            with pytest.raises(ValueError):
+                manybody.recursion_columns(columns, points[:3] + [bad] + points[3:])
+    with pytest.raises(ValueError, match="largest many-body energy"):
+        manybody.recursion_columns([(ens, BOX), (ens, SpectrumSpec("box", scale_c=1e308))],
+                                   points)
 
 
 def test_effective_betas_names_an_L_whose_L_p_overflows():
