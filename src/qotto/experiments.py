@@ -6,18 +6,19 @@ The parameterization follows the dimensionless convention: L1 = 1,
 T_c = 1, and the spectrum prefactor carries the regime parameter
 lam = scale_c / (L1^p * T_c), so hot-bath temperatures are in units of T_c.
 
-Sweep presets, the table ``PRESETS`` of series builders; ``sweep(name)``
-gives a preset's rows:
+Sweep presets, the fixed studies of the table ``PRESETS``; ``sweep(name)`` gives a
+preset's rows, other grids go through ``make_series``:
 
     fig2    intermediate regime, lam=1, N=3, R in {2,3,4}, T_h swept
-    fig3    low-temperature regime, lam=20, R=2, N in {3,4}, T_h swept
+    fig3    low-temperature regime, lam=20, R=2, N in {3,4}, T_h swept to 12
     fig45   high (lam=0.05) and intermediate (lam=1) regimes, R=2,
             several truncations N, T_h swept
     fig67   multiparticle, lam in {0.05,1}, R=2, T_h=5, M swept per N,
             by ``recursion_columns``; ``validate`` checks every column that
             ``fig67_columns`` names against enumeration
 
-The other presets take U from ``internal_energies``: the level recursion.
+The other presets, two particles over the 200 values of ``default_th_grid``, take U
+from ``internal_energies``: the level recursion.
 
 For the harmonic spectrum with infinitely many levels, the two-particle
 partition functions close to
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+from functools import partial
 from itertools import chain
 from typing import NamedTuple
 
@@ -54,12 +56,15 @@ _CSV_CELLS = ("%s",) * 4 + ("%.17g",) * 15 + ("%s",)
 # |W_s| below this makes a work ratio meaningless; NaN is returned instead
 UNDEFINED_RATIO_GUARD = 1e-14
 
-# the truncations N of figs 4-7, and the particle numbers M of figs 6-7
+# the truncations N of figs 4-7, the particle numbers M of figs 6-7, and the hot-bath
+# values of a two-particle preset
 _TRUNCATIONS = (3, 4, 10, 25, 50, 100, 150)
 _FIG67_M = (2, 3, 4, 5, 6, 7, 8)
+_TH_STEPS = 200
 
-# fig67's (beta, L) corners at L1 = T_c = 1, R = 2, T_h = 5: the cold bath at L2, the hot at L1
-FIG67_CORNERS = ((1.0, 2.0), (0.2, 1.0))
+# fig67's engine (L1, R, T_c, T_h) and its (beta, L) corners: cold bath at L2 = R*L1, hot at L1
+_FIG67_L1, _FIG67_R, _FIG67_TC, _FIG67_TH = 1.0, 2.0, 1.0, 5.0
+FIG67_CORNERS = ((1 / _FIG67_TC, _FIG67_R * _FIG67_L1), (1 / _FIG67_TH, _FIG67_L1))
 
 
 class RatioRecord(NamedTuple):
@@ -207,13 +212,12 @@ def work_ratio_two_particle(spec: SpectrumSpec, N: int, statistics: str,
     return work_ratio_multiparticle(spec, N, statistics, 2, L1, R, T_c, T_h) * 2.0
 
 
-def default_th_grid(R: float, power_p: float, steps: int = 200,
-                    top: float = 20.0) -> tuple[float, ...]:
-    """steps values in (R^p, top], open at the positive-work threshold."""
+def default_th_grid(R: float, power_p: float, top: float = 20.0) -> tuple[float, ...]:
+    """200 values in (R^p, top], open at the positive-work threshold."""
     lo = R**power_p
     if lo >= top:
         raise ValueError(f"positive-work threshold {lo} is not below {top}")
-    return tuple(np.linspace(lo, top, steps + 1)[1:].tolist())
+    return tuple(np.linspace(lo, top, _TH_STEPS + 1)[1:].tolist())
 
 
 def th_range(lo: float, hi: float, steps: int) -> tuple[float, ...]:
@@ -228,73 +232,60 @@ def th_range(lo: float, hi: float, steps: int) -> tuple[float, ...]:
     return values
 
 
-def fig2(steps: int = 200) -> list[tuple]:
-    """Two three-level particles, lam=1, R in {2,3,4}, both statistics."""
-    return [sweep_series(SpectrumSpec("box", scale_c=1.0), EnsembleSpec(statistics, 2, 3), 1.0,
-                         R, 1.0, default_th_grid(R, 2.0, steps))
-            for R in (2.0, 3.0, 4.0) for statistics in ("boson", "fermion")]
-
-
-def fig3(steps: int = 200) -> list[tuple]:
-    """Low-temperature regime: lam=20, R=2, N in {3,4}.
-
-    The grid stays within (4, 12]*T_c; by 20*T_c the hot bath already
-    reaches beta*E ~ 1 and the regime assumption breaks down.
-    """
-    grid = default_th_grid(2.0, 2.0, steps, top=12.0)
-    return [sweep_series(SpectrumSpec("box", scale_c=20.0), EnsembleSpec(statistics, 2, N), 1.0,
-                         2.0, 1.0, grid) for N in (3, 4) for statistics in ("boson", "fermion")]
-
-
-def fig45(steps: int = 200, n_values: tuple[int, ...] = _TRUNCATIONS) -> list[tuple]:
-    """High (lam=0.05) and intermediate (lam=1) regimes, R=2, N swept."""
-    grid = default_th_grid(2.0, 2.0, steps)
+def _two_particle(lams, Rs, Ns, top: float) -> list[tuple]:
+    """Two box particles of both statistics at L1 = T_c = 1, one series per (lam, R, N),
+    T_h over ``default_th_grid`` up to top."""
     return [sweep_series(SpectrumSpec("box", scale_c=lam), EnsembleSpec(statistics, 2, N), 1.0,
-                         2.0, 1.0, grid)
-            for lam in (0.05, 1.0) for N in n_values for statistics in ("boson", "fermion")]
+                         R, 1.0, default_th_grid(R, 2.0, top))
+            for lam in lams for R in Rs for N in Ns for statistics in ("boson", "fermion")]
 
 
-def fig67_columns(m_values: tuple[int, ...] = _FIG67_M,
-                  n_values: tuple[int, ...] = _TRUNCATIONS):
+def fig67_columns():
     """fig67's columns in row order, (spectrum, statistics, N, M values) with lam in
     {0.05, 1}, fermions restricted to M <= N."""
     for lam in (0.05, 1.0):
         spec = SpectrumSpec("box", scale_c=lam)
-        for N in n_values:
+        for N in _TRUNCATIONS:
             for statistics in ("boson", "fermion"):
-                ms = [M for M in m_values if statistics == "boson" or M <= N]
-                if ms:
-                    yield spec, statistics, N, ms
+                yield spec, statistics, N, [M for M in _FIG67_M if statistics == "boson" or M <= N]
 
 
-def fig67(m_values: tuple[int, ...] = _FIG67_M,
-          n_values: tuple[int, ...] = _TRUNCATIONS) -> list[tuple]:
+def fig67() -> list[tuple]:
     """Multiparticle ratios at T_h = 5*T_c, R=2, recursion backend.
 
     One float recursion pass over both corners of every column, each to the column's
     largest M, gives every M and the single particle. Each M is its own one-row series,
     holding its M, U1 and U4 constant.
     """
-    L1, R, Tc, Th = 1.0, 2.0, 1.0, 5.0
-    columns = list(fig67_columns(m_values, n_values))
+    columns = list(fig67_columns())
     tops = [(EnsembleSpec(statistics, max(ms), N), spec) for spec, statistics, N, ms in columns]
     series = []
     for (*_, ms), (top, spec), rows in zip(columns, tops, recursion_columns(tops, FIG67_CORNERS)):
         # one config per column: the largest M's top energy bounds every smaller
         # M's, the cycle arithmetic ignores M, and row 1 is the single particle
-        cfg = CycleConfig(spec, top, L1, R, Tc)
+        cfg = CycleConfig(spec, top, _FIG67_L1, _FIG67_R, _FIG67_TC)
         U4_1, U2_1 = rows[0][1]
         Ws = cycle_columns(cfg, U4_1, [U2_1])[4]
-        series += [_assemble(cfg, M, [Th], Ws, rows[M - 1][1]) for M in ms]
+        series += [_assemble(cfg, M, [_FIG67_TH], Ws, rows[M - 1][1]) for M in ms]
     return series
 
 
-PRESETS = {"fig2": fig2, "fig3": fig3, "fig45": fig45, "fig67": fig67}
+PRESETS = {
+    # intermediate regime: lam = 1, three levels, R in {2, 3, 4}
+    "fig2": partial(_two_particle, (1.0,), (2.0, 3.0, 4.0), (3,), 20.0),
+    # low-temperature regime: lam = 20, R = 2, N in {3, 4}. The grid stays within
+    # (4, 12]*T_c; by 20*T_c the hot bath already reaches beta*E ~ 1 and the regime
+    # assumption breaks down
+    "fig3": partial(_two_particle, (20.0,), (2.0,), (3, 4), 12.0),
+    # high (lam = 0.05) and intermediate (lam = 1) regimes, R = 2, N swept
+    "fig45": partial(_two_particle, (0.05, 1.0), (2.0,), _TRUNCATIONS, 20.0),
+    "fig67": fig67,
+}
 
 
-def sweep(preset: str, **params) -> list[RatioRecord]:
-    """The rows of the preset named ``preset``, its builder called with ``params``."""
-    return _records(PRESETS[preset](**params))
+def sweep(preset: str) -> list[RatioRecord]:
+    """The rows of the preset named ``preset``."""
+    return _records(PRESETS[preset]())
 
 
 def harmonic_closed_form_Z(statistics: str, T: float, L: float,

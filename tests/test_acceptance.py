@@ -266,7 +266,7 @@ def test_criterion_06_low_temperature_regime():
     for N in (3, 4):
         ratios[N] = {s: work_ratio_two_particle(spec, N, s, 1.0, 2.0, 1.0, 4.2)
                      for s in ("boson", "fermion")}
-    records = sweep("fig3", steps=200)
+    records = sweep("fig3")
     boson3 = sorted((r for r in records if r.statistics == "boson" and r.N == 3),
                     key=lambda r: r.Th)
     boson4 = sorted((r for r in records if r.statistics == "boson" and r.N == 4),

@@ -3,6 +3,7 @@
 import collections
 import decimal
 import importlib.util
+import inspect
 import math
 import os
 from pathlib import Path
@@ -137,12 +138,15 @@ def test_truncation_error_shrinks_monotonically():
 
 
 def test_default_th_grid_is_open_at_the_threshold_and_closed_at_top():
-    assert default_th_grid(2.0, 2.0, 4) == (8.0, 12.0, 16.0, 20.0)
-    assert default_th_grid(2.0, 2.0, 4, top=12.0) == (6.0, 8.0, 10.0, 12.0)
-    assert default_th_grid(1.5, 1.0, 1, top=2.0) == (2.0,)
+    for grid, lo, top in ((default_th_grid(2.0, 2.0), 4.0, 20.0),
+                          (default_th_grid(2.0, 2.0, top=12.0), 4.0, 12.0),
+                          (default_th_grid(1.5, 1.0, top=2.0), 1.5, 2.0)):
+        assert len(grid) == 200
+        assert grid[0] == lo + (top - lo) / 200
+        assert grid[-1] == top
     for R, top in ((2.0, 4.0), (4.0, 12.0)):  # R^p at or above top
         with pytest.raises(ValueError, match="not below"):
-            default_th_grid(R, 2.0, 4, top=top)
+            default_th_grid(R, 2.0, top=top)
 
 
 def test_sweep_grid_validation():
@@ -165,8 +169,8 @@ def test_evaluate_series_is_lambda_convention_record():
 
 
 def test_record_invariants_on_fig2():
-    records = sweep("fig2", steps=25)
-    assert len(records) == 3 * 2 * 25
+    records = sweep("fig2")
+    assert len(records) == 3 * 2 * 200
     for rec in records:
         assert rec.W == rec.Qh - rec.Qc
         assert rec.eta == 1.0 - rec.R**-2
@@ -175,7 +179,7 @@ def test_record_invariants_on_fig2():
 
 
 def test_csv_header_and_roundtrip():
-    records = sweep("fig2", steps=5)
+    records = sweep("fig2")
     text = records_to_csv(records)
     lines = text.splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
@@ -212,7 +216,7 @@ def test_csv_row_template_matches_per_cell_formatting(monkeypatch):
     recursion = evaluate_series("box", "boson", 4, 6, 0.05, 2.0, (4.5, 5.0, 12.0))
     assert {rec.positive_work.__class__ for rec in recursion} == {np.bool_}
     monkeypatch.undo()
-    for records in (sweep("fig2", steps=10), sweep("fig67"), recursion, hand):
+    for records in (sweep("fig2"), sweep("fig67"), recursion, hand):
         assert records_to_csv(records) == _per_cell_csv(records)
     assert records_to_csv(hand).splitlines()[1] == (
         "harmonic,fermion,3,7,1,2.5,1e-300,5,0.050000000000000003,-0,0,"
@@ -307,7 +311,7 @@ def test_empty_th_list_gives_no_rows_and_still_checks_the_engine(tmp_path):
 def test_records_are_immutable_named_tuples():
     assert [{"lam": "lambda"}.get(f, f) for f in experiments.RatioRecord._fields] == \
         list(CSV_COLUMNS)
-    rec = sweep("fig2", steps=2)[0]
+    rec = sweep("fig2")[0]
     res = run_cycle(CycleConfig(SpectrumSpec("box"), EnsembleSpec("boson", 2, 3), 1.0, 2.0, 1.0),
                     8.0)
     for record, name in ((rec, "W"), (res, "W"), (rec, "positive_work")):
@@ -320,8 +324,8 @@ def test_records_are_immutable_named_tuples():
 
 def test_csv_output_is_deterministic(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    write_csv(sweep("fig3", steps=10), str(p1))
-    write_csv(sweep("fig3", steps=10), str(p2))
+    write_csv(sweep("fig3"), str(p1))
+    write_csv(sweep("fig3"), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
 
 
@@ -330,7 +334,7 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
     blocker.write_text("not a directory")
     target = blocker / "out.csv"
     with pytest.raises(OSError):
-        write_csv(sweep("fig2", steps=2), str(target))
+        write_csv(sweep("fig2"), str(target))
     assert list(tmp_path.iterdir()) == [blocker]
 
 
@@ -345,20 +349,31 @@ def test_write_csv_gives_the_mode_open_would(tmp_path, umask, mode):
     old = os.umask(umask)
     try:
         for path in (fresh, existing):
-            write_csv(sweep("fig2", steps=2), str(path))
+            write_csv(sweep("fig2"), str(path))
             assert path.stat().st_mode & 0o777 == mode
     finally:
         os.umask(old)
 
 
 def test_sweep_is_deterministic():
-    assert sweep("fig2", steps=10) == sweep("fig2", steps=10)
+    assert sweep("fig2") == sweep("fig2")
+
+
+def test_presets_are_fixed_studies():
+    # no preset takes a parameter; other grids go through make_series
+    for builder in (*PRESETS.values(), experiments.fig67_columns):
+        assert not inspect.signature(builder).parameters
+    with pytest.raises(TypeError):
+        sweep("fig2", steps=5)
+    # every fig67 row carries the engine whose corners validate checks
+    assert {((1 / r.Tc, r.R * r.L1), (1 / r.Th, r.L1)) for r in sweep("fig67")} == \
+        {experiments.FIG67_CORNERS}
 
 
 def test_series_rows_equal_per_point_records(monkeypatch):
     grid = (4.5, 5.0, 7.25, 12.0)
     # cap 1 sends both series to the recursion
-    cases = [(manybody.DEFAULT_STATE_CAP, lambda: sweep("fig2", steps=10)),
+    cases = [(manybody.DEFAULT_STATE_CAP, lambda: sweep("fig2")),
              (1, lambda: evaluate_series("box", "fermion", 3, 8, 1.0, 2.0, grid)
               + evaluate_series("box", "boson", 4, 6, 0.05, 2.0, grid))]
     for cap, series in cases:
@@ -386,13 +401,13 @@ def test_fig45_builds_each_ensemble_once(monkeypatch):
 
     monkeypatch.setattr(manybody, "_recursion_levels", counted)
     monkeypatch.setattr(kernels, "energy_histograms", built)
-    records = sweep("fig45", steps=5)
+    records = sweep("fig45")
     # 2 regimes x 7 truncations x 2 statistics: one level pass per series over
-    # the cold corner and all 5 Th, whose row 1 is the single-particle twin
-    assert len(records) == 28 * 5
+    # the cold corner and all 200 Th, whose row 1 is the single-particle twin
+    assert len(records) == 28 * 200
     assert len(calls) == 28
     assert len(set(calls)) == 28
-    assert {(M, size) for *_, M, _, size in calls} == {(2, 6)}
+    assert {(M, size) for *_, M, _, size in calls} == {(2, 201)}
 
 
 def test_fig67_runs_no_oracle(monkeypatch):
@@ -463,7 +478,7 @@ def test_preset_matches_stored_reference(name):
 
 
 def test_fig2_boson_exceeds_classical_almost_everywhere():
-    records = sweep("fig2", steps=50)
+    records = sweep("fig2")
     bosons = [r for r in records if r.statistics == "boson"]
     fermions = [r for r in records if r.statistics == "fermion"]
     assert all(math.isfinite(r.ratio) for r in records)
@@ -477,7 +492,7 @@ def test_fig2_boson_exceeds_classical_almost_everywhere():
 
 
 def test_fig3_low_temperature_content():
-    records = sweep("fig3", steps=40)
+    records = sweep("fig3")
     boson3 = sorted((r for r in records if r.statistics == "boson" and r.N == 3),
                     key=lambda r: r.Th)
     boson4 = sorted((r for r in records if r.statistics == "boson" and r.N == 4),
@@ -491,7 +506,7 @@ def test_fig3_low_temperature_content():
 
 
 def test_fig45_truncation_sensitivity():
-    records = sweep("fig45", steps=10, n_values=(3, 4, 100, 150))
+    records = [r for r in sweep("fig45") if r.N in (3, 4, 100, 150)]
     hot = [r for r in records if r.lam == 0.05]
     assert min(r.ratio for r in hot if r.statistics == "boson" and r.N <= 4) > 2.0
     assert max(r.ratio for r in hot if r.statistics == "fermion" and r.N <= 4) < 2.0
@@ -505,7 +520,7 @@ def test_fig45_truncation_sensitivity():
 
 
 def test_fig67_multiparticle_content():
-    records = sweep("fig67", m_values=(2, 3, 4, 5), n_values=(4, 10, 25))
+    records = [r for r in sweep("fig67") if r.M <= 5 and r.N in (4, 10, 25)]
     assert all(r.M <= r.N for r in records if r.statistics == "fermion")
     per_particle = {}
     for r in records:
