@@ -99,47 +99,45 @@ def _fmt(flag) -> str:
     return str(flag)  # a numpy bool, from the float recursion, prints True/False
 
 
-def _csv(series) -> str:
-    """The one CSV writer, over series of the CSV columns in CSV order, a list where the
-    column varies. Each constant cell is formatted once, `%` escaped, into the series' row
-    template; a series' rows are one `%` of its n joined templates over the row-major
-    chain of its list columns, positive_work always the last."""
-    lines = [",".join(CSV_COLUMNS)]
+def _csv(series):
+    """The one CSV writer, over series of the CSV columns in CSV order (a list where the
+    column varies): the header line, then one chunk of rows per series. Each constant cell
+    is formatted once, `%` escaped, into the series' row template; a chunk is one `%` of n
+    templates, each newline-ended, over the row-major chain of its list columns."""
+    yield ",".join(CSV_COLUMNS) + "\n"
     for columns in series:
         template = ",".join([cell if isinstance(col, list) else (cell % col).replace("%", "%%")
                              for cell, col in zip(_CSV_CELLS, columns)])
         *lists, flags = [col for col in columns if isinstance(col, list)] or [[]]
-        if flags:
-            cells = chain.from_iterable(zip(*lists, map(_fmt, flags)))
-            lines.append("\n".join([template] * len(flags)) % tuple(cells))
-    return "\n".join(lines) + "\n"
+        cells = chain.from_iterable(zip(*lists, map(_fmt, flags)))
+        yield ((template + "\n") * len(flags)) % tuple(cells)  # no rows, no text
 
 
 def records_to_csv(records: list[RatioRecord]) -> str:
     """The records as one series of list columns, their transpose; no records, no rows."""
-    return _csv([[list(col) for col in zip(*records)]])
+    return "".join(_csv([[list(col) for col in zip(*records)]]))
 
 
 def write_csv(records: list[RatioRecord], path: str) -> None:
     """Write atomically: a temp file in the target directory, then rename."""
-    _write(records_to_csv(records), path)
+    _write([records_to_csv(records)], path)
 
 
 def write_series(series, path: str) -> int:
     """Write series, each its CSV columns as ``sweep_series`` gives them, as ``write_csv``
-    writes their rows; the row count."""
+    writes their rows, one series at a time; the row count."""
     _write(_csv(series), path)
     return sum(len(columns[-1]) for columns in series)
 
 
-def _write(text: str, path: str) -> None:
+def _write(chunks, path: str) -> None:
     umask = os.umask(0o077)  # os.umask is the only way to read it
     os.umask(umask)
     tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.chmod(tmp, 0o666 & ~umask)  # what open() gives; mkstemp gives 0o600
         os.replace(tmp, path)
     except BaseException as exc:

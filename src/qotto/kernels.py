@@ -1,7 +1,7 @@
 """Hot numerical kernels: the Boltzmann reduction and the oracle's state counts.
 
 numpy only. ``log_z_and_mean`` reduces energy coefficients, with optional
-multiplicities, at an array of inverse temperatures, in blocks of at most 2^16
+multiplicities, at an array of inverse temperatures, in blocks of at most 2^13
 temperature x state elements: the enumeration oracle's distinct energies and the
 particle recursion's single-particle sums. Sweeps take the level recursion in
 ``manybody``. ``energy_histograms`` counts the oracle's k-particle states by their
@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import numpy as np
 
-# elements of the temperature x state block log_z_and_mean holds at once
-_BLOCK_ELEMENTS = 1 << 16
+# elements of the temperature x state block of log_z_and_mean and the level recursion:
+# 64 KiB of float64, under malloc's mmap threshold, so blocks reuse heap memory
+_BLOCK_ELEMENTS = 1 << 13
 
 
 def log_z_and_mean(w: np.ndarray, beta_effs: np.ndarray,

@@ -252,7 +252,7 @@ def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
 
     Row k's Z_k - 1 and D_k are pairwise sums of its excited terms (the ground
     term is exactly 1, hence log1p); running sums only feed row k + 1, so no row
-    depends on M. Points run in blocks of at most 2^16 point x level elements.
+    depends on M. Points run in blocks of at most 2^13 point x level elements.
     U_k = G_k + D_k/Z_k, G_k the ground sum, rounded once: one vector addition where
     the float G_k is exact, else fsum at every point.
     """
@@ -353,17 +353,17 @@ def _energy_rows(ens: EnsembleSpec, spec: SpectrumSpec,
     The one backend dispatcher. One level recursion over all points gives bosons
     and fermions up to ``DEFAULT_STATE_CAP`` configurations rows 1 (the single
     particle) and M, and distinguishable particles, at any M, row 1 and M times
-    row 1. Bosons and fermions beyond the cap take row M of ``recursion_rows``, and
-    their single particle its own call."""
+    row 1. Bosons and fermions beyond the cap take row M of ``recursion_rows``, and their
+    single particle a one-row level recursion. ``effective_betas`` checks the points here."""
     beta_points = [(inverse_temperature(T), L) for T, L in points]
+    beta_effs, scales = effective_betas(ens, spec, beta_points)  # M times one particle's range
     distinguishable = ens.statistics == "distinguishable"
-    if not distinguishable and ens.state_count > DEFAULT_STATE_CAP:
+    if capped := not distinguishable and ens.state_count > DEFAULT_STATE_CAP:
         many = recursion_rows(ens, spec, beta_points)[-1][1]
-        return [internal_energies(EnsembleSpec(ens.statistics, 1, ens.N), spec, points)
-                if ens.M > 1 else many, many]  # one particle is its own single particle
-    # M times the single particle's range
-    beta_effs, scales = effective_betas(ens, spec, beta_points)
-    rows = _recursion_levels(level_coefficients(spec, ens.N), 1 if distinguishable else ens.M,
-                             beta_effs, ens.statistics == "fermion")
-    single, many = ((np.array(us) / scales).tolist() for _, us in (rows[0], rows[-1]))
-    return [single, [ens.M * u for u in single] if distinguishable else many]
+        if ens.M == 1:  # one particle is its own single particle
+            return [many, many]
+    rows = _recursion_levels(level_coefficients(spec, ens.N),
+                             1 if distinguishable or capped else ens.M, beta_effs,
+                             ens.statistics == "fermion")
+    single, last = ((np.array(us) / scales).tolist() for _, us in (rows[0], rows[-1]))
+    return [single, [ens.M * u for u in single] if distinguishable else many if capped else last]

@@ -338,6 +338,37 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
     assert list(tmp_path.iterdir()) == [blocker]
 
 
+def _box_pairs(statistics, N, grid):
+    return experiments.sweep_series(SpectrumSpec("box", scale_c=0.05),
+                                    EnsembleSpec(statistics, 2, N), 1.0, 2.0, 1.0, grid)
+
+
+def test_write_series_writes_the_bytes_of_records_to_csv(tmp_path):
+    # streamed one chunk per series: no series, a zero-row series, several multi-row ones
+    path = tmp_path / "out.csv"
+    for series in ([], [_box_pairs("boson", 3, [])],
+                   [_box_pairs("boson", 3, (4.5, 5.0)), _box_pairs("fermion", 4, []),
+                    _box_pairs("fermion", 4, (4.5, 7.0, 12.0))], PRESETS["fig2"]()):
+        rows = experiments._records(series)
+        assert experiments.write_series(series, str(path)) == len(rows)
+        assert path.read_bytes() == records_to_csv(rows).encode("utf-8")
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_chunk_source_that_fails_partway_leaves_no_file(tmp_path):
+    # the second series' U1 cell cannot be formatted, after the header and the first
+    # series' rows went to the temp file; the target is neither created nor replaced
+    good = _box_pairs("boson", 3, (4.5, 5.0))
+    bad = (*good[:9], "not a float", *good[10:])
+    fresh, existing = tmp_path / "fresh.csv", tmp_path / "existing.csv"
+    existing.write_text("old\n")
+    for path in (fresh, existing):
+        with pytest.raises(TypeError):
+            experiments.write_series([good, bad], str(path))
+    assert list(tmp_path.iterdir()) == [existing]
+    assert existing.read_text() == "old\n"
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
 def test_write_csv_gives_the_mode_open_would(tmp_path, umask, mode):

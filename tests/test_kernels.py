@@ -134,6 +134,24 @@ def test_batched_log_z_and_mean_equals_one_temperature_calls_bit_for_bit():
         assert list(zip(lz.tolist(), mean.tolist())) == ref
 
 
+def test_block_size_moves_no_bit_of_log_z_and_mean(monkeypatch):
+    # every row is elementwise or reduced along its own states, so all temperatures in
+    # one block give the live blocks' bits, with and without counts
+    rng = np.random.default_rng(5)
+    betas = np.concatenate([[0.0, 1e-300, 1e300], rng.uniform(0.0, 5.0, size=997)])
+    for size in (40, 3000):
+        w = np.sort(rng.uniform(-3.0, 80.0, size=size))
+        counts = rng.integers(1, 10**6, size=size)
+        assert betas.size * size > 2 * kernels._BLOCK_ELEMENTS
+        live = [kernels.log_z_and_mean(w, betas, c) for c in (None, counts)]
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "_BLOCK_ELEMENTS", betas.size * size)
+            one = [kernels.log_z_and_mean(w, betas, c) for c in (None, counts)]
+        for got, want in zip(live, one):
+            for a, b in zip(got, want):
+                assert list(map(float.hex, a.tolist())) == list(map(float.hex, b.tolist()))
+
+
 # every row of one build, for every kind, against brute force; M = N and M = N - 1
 @pytest.mark.parametrize("n,m", [(1, 1), (3, 3), (5, 4), (6, 6), (10, 4), (80, 2), (25, 4)])
 @pytest.mark.parametrize("statistics, tuples", list(TUPLES.items()))

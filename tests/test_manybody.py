@@ -387,17 +387,34 @@ def test_internal_energy_methods_and_cap(monkeypatch):
 
 
 def test_energy_rows_above_the_cap(monkeypatch):
-    # row M from recursion_rows and the single particle from its own call, which
-    # takes the level recursion under the cap; one particle is its own single particle
+    # row M from recursion_rows and the single particle from a one-row level recursion,
+    # as its own call takes under the cap, on points checked once before either route
+    # (and again inside recursion_rows); one particle is its own single particle
     points = [(2.0, 1.0), (0.7, 1.5)]
     beta_points = [(1.0 / T, L) for T, L in points]
+    checks = []
+    check = manybody.effective_betas
+    monkeypatch.setattr(manybody, "effective_betas", lambda *a: checks.append(a) or check(*a))
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 10)
     single, many = manybody._energy_rows(EnsembleSpec("fermion", 3, 6), BOX, points)  # 20 states
+    assert len(checks) == 2
     assert many == recursion_rows(EnsembleSpec("fermion", 3, 6), BOX, beta_points)[-1][1]
     assert single == internal_energies(EnsembleSpec("fermion", 1, 6), BOX, points)
     assert [type(u) for u in single + many] == [float] * 2 + [np.float64] * 2
     rows = manybody._energy_rows(EnsembleSpec("boson", 1, 12), BOX, points)
     assert rows == [recursion_rows(EnsembleSpec("boson", 1, 12), BOX, beta_points)[-1][1]] * 2
+    # where N itself passes the cap, the single particle still takes the level recursion
+    monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 5)
+    del checks[:]
+    single, _ = manybody._energy_rows(EnsembleSpec("boson", 2, 6), BOX, points)
+    assert len(checks) == 2
+    (_, us), = manybody._recursion_levels(level_coefficients(BOX, 6), 1,
+                                          np.array([b / L**2.0 for b, L in beta_points]), False)
+    assert single == [u / L**2.0 for u, (_, L) in zip(us, beta_points)]
+    monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 2_000_000)
+    del checks[:]
+    assert manybody._energy_rows(EnsembleSpec("boson", 2, 6), BOX, points)[0] == single
+    assert len(checks) == 1
 
 # the state cap picks the route: an unbounded cap always takes the level
 # recursion, cap 1 always the particle recursion, the default the level
@@ -487,31 +504,30 @@ def test_level_recursion_keeps_log_z_near_zero_exact():
 
 
 def _level_recursion_fsum_per_point(w, M, beta_effs, fermion):
-    """The level recursion with every row's Boltzmann factors computed for that row and
-    every point's U = G + q summed by fsum: the bitwise reference for the vector route
-    that U takes where the float ground sum G is exact."""
+    """The level recursion with every point in one block, every row's Boltzmann factors
+    computed for that row and every point's U = G + q summed by fsum: the bitwise
+    reference for the blocked points and for the vector route that U takes where the
+    float ground sum G is exact."""
     N = w.size
     ground = w[:M].tolist() if fermion else [w[0].item()] * M
     excited = np.empty((M, beta_effs.size))
     numer = np.empty((M, beta_effs.size))
-    rows = max(1, kernels._BLOCK_ELEMENTS // (N + 1))
-    for i in range(0, beta_effs.size, rows):
-        nb = -beta_effs[i:i + rows, None]
-        z = np.ones((nb.size, N + 1))
-        d = np.zeros((nb.size, N + 1))
-        for k in range(1, M + 1):
-            lo = k - 1 if fermion else 0
-            prev = slice(lo, N) if fermion else slice(1, N + 1)
-            e = w[lo:] - w[lo]
-            with np.errstate(over="ignore"):
-                x = np.exp(nb * e)
-            t = x * z[:, prev]
-            dt = x * d[:, prev] + e * t
-            np.add.reduce(t[:, 1:], axis=1, out=excited[k - 1, i:i + rows])
-            np.add.reduce(dt[:, 1:], axis=1, out=numer[k - 1, i:i + rows])
-            if k < M:
-                np.add.accumulate(t, axis=1, out=z[:, lo + 1:])
-                np.add.accumulate(dt, axis=1, out=d[:, lo + 1:])
+    nb = -beta_effs[:, None]
+    z = np.ones((nb.size, N + 1))
+    d = np.zeros((nb.size, N + 1))
+    for k in range(1, M + 1):
+        lo = k - 1 if fermion else 0
+        prev = slice(lo, N) if fermion else slice(1, N + 1)
+        e = w[lo:] - w[lo]
+        with np.errstate(over="ignore"):
+            x = np.exp(nb * e)
+        t = x * z[:, prev]
+        dt = x * d[:, prev] + e * t
+        np.add.reduce(t[:, 1:], axis=1, out=excited[k - 1])
+        np.add.reduce(dt[:, 1:], axis=1, out=numer[k - 1])
+        if k < M:
+            np.add.accumulate(t, axis=1, out=z[:, lo + 1:])
+            np.add.accumulate(dt, axis=1, out=d[:, lo + 1:])
     ground_sums = np.array([[math.fsum(ground[:k])] for k in range(1, M + 1)])
     with np.errstate(over="ignore"):
         log_zs = -beta_effs * ground_sums
@@ -524,7 +540,7 @@ def _level_recursion_fsum_per_point(w, M, beta_effs, fermion):
 def test_level_recursion_equals_its_fsum_per_point_form_bit_for_bit():
     # every kind, both statistics, M <= 8, lambda in {0.05, 1, 20} and 0.3, from beta = 0
     # to a beta whose beta*e overflows to weight 0 (and log Z to -inf); then 1000 points
-    # on 150 levels, several blocks of the point loop
+    # on 150 levels, several blocks of the point loop against the copy's one block
     def same(w, M, betas, fermion):
         got = manybody._recursion_levels(w, M, betas, fermion)
         want = _level_recursion_fsum_per_point(w, M, betas, fermion)
