@@ -23,10 +23,10 @@
 * Enumeration is the oracle only: it counts every symmetrized configuration
   (multisets for bosons, strictly increasing level tuples for fermions, ordered
   tuples for distinguishable particles) by its exact integer energy, in
-  ``kernels.energy_histograms``. ``enumeration_rows`` counts every k <= M, each
-  row from the last, and reduces each over its distinct energies at a list of
-  (beta, L) points; ``enumeration_log_z_and_u`` does so for M alone, fermions
-  past half filling as holes. Only ``validate`` and the tests call them.
+  ``kernels.energy_histograms``. ``enumeration_rows``, its one entry point,
+  counts every k <= M, each row from the last, and reduces each over its
+  distinct energies at a list of (beta, L) points. Only ``validate`` and the
+  tests call it.
 
 The routes share nothing but Z_1's level coefficients, so they check each
 other, and all give one shape: a list over k = 1..M of (log Z at every point, U at
@@ -93,20 +93,20 @@ class EnsembleSpec:
         return self.N**self.M
 
 
-def _check_histogram_entries(ens: EnsembleSpec, m: int, top: int, rows: bool) -> None:
-    """The oracle's memory guard on one build of m histogram rows, row k spanning
+def _check_histogram_entries(ens: EnsembleSpec, top: int) -> None:
+    """The oracle's memory guard on the M histogram rows of one build, row k spanning
     shapes 0..k*top, whose int64 counts must hold every row's number of states."""
+    m = ens.M
     if top * m * (m + 1) // 2 + m > HARD_ENUMERATION_LIMIT or any(
-            EnsembleSpec(ens.statistics, k, ens.N).state_count >= 2**63
-            for k in (range(1, ens.M + 1) if rows else [ens.M])):
+            EnsembleSpec(ens.statistics, k, ens.N).state_count >= 2**63 for k in range(1, m + 1)):
         advice = ("internal_energies (M times the single-particle energy)"
                   if ens.statistics == "distinguishable" else "the recursion backend")
         count = ens.state_count  # str() refuses an int past 4300 digits; log10 takes it
         named = count if count < 10**15 else f"about 10^{math.log10(count):.0f}"
         raise ValueError(
-            f"enumerating {named} configurations of {ens.M} particles"
-            f"{' and every table below' if rows else ''} exceeds 2^63 states or the limit of "
-            f"{HARD_ENUMERATION_LIMIT} table entries; use {advice}")
+            f"enumerating {named} configurations of {m} particles and every table below "
+            f"exceeds 2^63 states or the limit of {HARD_ENUMERATION_LIMIT} table entries; "
+            f"use {advice}")
 
 
 def inverse_temperature(T: float) -> float:
@@ -155,43 +155,20 @@ def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tup
     return np.array(beta_effs), np.array(scales)
 
 
-def _enumerate(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]],
-               rows: bool) -> list[tuple[list[float], list[float]]]:
-    """(log Z, U) over ``beta_points`` of k = 1..M particles (``rows``) or M alone, each
-    reduced over the distinct energies of its states, counted on the exact integer shapes
-    g(n). M fermions past half filling alone are counted as N - M holes on the reversed
-    ladder g_max - g: holes of energy E' leave particles of energy sum(g) - (N-M) g_max + E'."""
-    beta_effs, scales = effective_betas(ens, spec, beta_points)
-    holes = ens.statistics == "fermion" and not rows and 2 * ens.M > ens.N
-    m = ens.N - ens.M if holes else ens.M
-    g_min, g_max = (spec.level_shape(spec.n_min + n) for n in (0, ens.N - 1))
-    _check_histogram_entries(ens, m, g_max - g_min if holes else g_max, rows)
-    g = level_coefficients(SpectrumSpec(spec.kind), ens.N).astype(np.int64)  # exact: c = 1
-    if holes:  # M = N is the one state, of no holes
-        shift = int(g.sum()) - m * g_max
-        hists = kernels.energy_histograms(g_max - g[::-1], m, "fermion")[-1:] or [np.ones(1, np.int64)]
-    else:
-        shift, hists = 0, kernels.energy_histograms(g, m, ens.statistics)[0 if rows else -1:]
-    out = []
-    for hist in hists:
-        levels = np.flatnonzero(hist)
-        log_zs, means = kernels.log_z_and_mean(spec.scale_c * (levels + shift), beta_effs,
-                                               hist[levels])
-        out.append((log_zs.tolist(), (means / scales).tolist()))
-    return out
-
-
 def enumeration_rows(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tuple[float, float]]
                      ) -> list[tuple[list[float], list[float]]]:
-    """(log Z, U) at every (beta, L) of k = 1..M particles, one enumeration for all k."""
-    return _enumerate(ens, spec, beta_points, True)
-
-
-def enumeration_log_z_and_u(ens: EnsembleSpec, spec: SpectrumSpec,
-                            beta_points: list[tuple[float, float]]
-                            ) -> tuple[list[float], list[float]]:
-    """log Z and U at every (beta, L) in ``beta_points`` from the M-particle counts alone."""
-    return _enumerate(ens, spec, beta_points, False)[0]
+    """(log Z, U) at every (beta, L) of k = 1..M particles, one enumeration for all k: each
+    row reduced over the distinct energies of its states, counted on the exact integer
+    shapes g(n)."""
+    beta_effs, scales = effective_betas(ens, spec, beta_points)
+    _check_histogram_entries(ens, spec.level_shape(spec.n_min + ens.N - 1))
+    g = level_coefficients(SpectrumSpec(spec.kind), ens.N).astype(np.int64)  # exact: c = 1
+    out = []
+    for hist in kernels.energy_histograms(g, ens.M, ens.statistics):
+        levels = np.flatnonzero(hist)
+        log_zs, means = kernels.log_z_and_mean(spec.scale_c * levels, beta_effs, hist[levels])
+        out.append((log_zs.tolist(), (means / scales).tolist()))
+    return out
 
 
 def _recursion_float(lz1: np.ndarray, u1: np.ndarray, tops: list[int], fermion: np.ndarray):

@@ -1,21 +1,26 @@
 """Built-in correctness checks behind the `validate` CLI subcommand.
 
 Each check pits an implementation path against an independent route to the
-same number (enumeration vs recursion, geometry vs heat ratio, closed form
-vs truncated ensemble, bisection vs threshold formula) and reports the
-worst deviation found against a fixed tolerance.
+same number (enumeration vs recursion, state counts vs histogram totals,
+geometry vs heat ratio, closed form vs truncated ensemble, the zero of W vs
+the threshold formula) and reports the worst deviation found against a fixed
+tolerance.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import kernels
 from .experiments import (FIG67_CORNERS, fig67_columns, harmonic_closed_form_W,
                           harmonic_closed_form_Z)
-from .manybody import (EnsembleSpec, enumeration_log_z_and_u, enumeration_rows,
-                       internal_energies, recursion_rows)
-from .spectrum import KINDS, SpectrumSpec
+from .manybody import (STATISTICS, EnsembleSpec, enumeration_rows, internal_energies,
+                       recursion_rows)
+from .spectrum import KINDS, SpectrumSpec, level_coefficients
 from .thermo import (CycleConfig, cycles_from_corners, positive_work_threshold,
                      run_cycle)
 
@@ -37,9 +42,9 @@ def _engine(spec: SpectrumSpec, ens: EnsembleSpec) -> CycleConfig:
 
 
 def check_recursion_vs_enumeration() -> CheckResult:
-    # the particle recursion, and the live route of internal_energies (the level
-    # recursion below 2 million states), against the oracle; 8 on 50 levels:
-    # 1.65e9 boson and 5.4e8 fermion states, counted by energy
+    # every row k of the particle recursion, and row M of the live route of
+    # internal_energies (the level recursion below 2 million states), against the
+    # oracle; 8 on 50 levels: 1.65e9 boson and 5.4e8 fermion states, counted by energy
     sizes = [(M, N) for M in range(1, 5) for N in (2, 4, 8)] + [(8, 50)]
     worst = 0.0
     for kind in ("box", "harmonic"):
@@ -50,12 +55,14 @@ def check_recursion_vs_enumeration() -> CheckResult:
                     continue
                 ens = EnsembleSpec(statistics, M, N)
                 points = [(beta, 1.0) for beta in (0.0, 0.01, 0.1, 1.0, 10.0)]
-                log_zs, us = enumeration_log_z_and_u(ens, spec, points)
-                got_log_zs, got_us = recursion_rows(ens, spec, points)[-1]
+                oracle = enumeration_rows(ens, spec, points)
                 live = internal_energies(ens, spec, [(1.0 / beta, L) for beta, L in points[1:]])
-                worst = max(worst, *(abs(a - b) for a, b in zip(log_zs, got_log_zs)),
-                            *(abs(u - b) / max(1.0, abs(u))
-                              for u, b in zip(us + us[1:], got_us + live)))
+                for k, ((log_zs, us), (got_log_zs, got_us)) in enumerate(
+                        zip(oracle, recursion_rows(ens, spec, points)), 1):
+                    if k == M:  # row M's U at beta > 0 from the live route too
+                        us, got_us = us + us[1:], got_us + live
+                    worst = max(worst, *(abs(a - b) for a, b in zip(log_zs, got_log_zs)),
+                                *(abs(u - b) / max(1.0, abs(u)) for u, b in zip(us, got_us)))
     return CheckResult("recursion-vs-enumeration", worst, 1e-10)
 
 
@@ -80,13 +87,14 @@ def check_fig67_vs_enumeration() -> CheckResult:
 
 
 def check_state_counts() -> CheckResult:
+    # each closed-form count against the total of its row of the oracle's histograms
     worst = 0.0
-    for statistics, M, N, expected in (
-            ("boson", 2, 3, 6), ("fermion", 2, 3, 3),
-            ("distinguishable", 2, 3, 9), ("boson", 4, 6, 126),
-            ("fermion", 3, 8, 56), ("distinguishable", 3, 5, 125)):
-        got = EnsembleSpec(statistics, M, N).state_count
-        worst = max(worst, abs(got - expected))
+    for kind, statistics, N in itertools.product(KINDS, STATISTICS, (1, 3, 5, 8)):
+        g = level_coefficients(SpectrumSpec(kind), N).astype(np.int64)
+        rows = kernels.energy_histograms(g, min(4, N) if statistics == "fermion" else 4,
+                                         statistics)
+        for k, hist in enumerate(rows, 1):
+            worst = max(worst, abs(EnsembleSpec(statistics, k, N).state_count - int(hist.sum())))
     return CheckResult("state-counts", worst, 0.0)
 
 
@@ -107,20 +115,20 @@ def check_efficiency_identity() -> CheckResult:
 
 
 def check_positive_work_threshold() -> CheckResult:
+    # the zero of the secant through W at (1 -+ 1e-6) R^p T_c: within 1e-6 of R^p T_c
+    # only where the two W differ in sign, so W changes sign there
     worst = 0.0
     for kind in KINDS:
         spec = SpectrumSpec(kind)
-        for statistics in ("boson", "fermion", "distinguishable"):
+        for statistics in STATISTICS:
             cfg = _engine(spec, EnsembleSpec(statistics, 2, 4))
             threshold = positive_work_threshold(cfg)
-            lo, hi = 0.5 * threshold, 1.7 * threshold
-            for _ in range(60):
-                mid = 0.5 * (lo + hi)
-                if run_cycle(cfg, mid).W > 0:
-                    hi = mid
-                else:
-                    lo = mid
-            worst = max(worst, abs(0.5 * (lo + hi) - threshold) / threshold)
+            T_lo, T_hi = (1.0 - 1e-6) * threshold, (1.0 + 1e-6) * threshold
+            U4, *U2s = internal_energies(cfg.ens, spec, [(cfg.T_c, cfg.L2), (T_lo, cfg.L1),
+                                                         (T_hi, cfg.L1)])
+            W_lo, W_hi = (res.W for res in cycles_from_corners(cfg, U4, U2s))
+            zero = T_lo - W_lo * (T_hi - T_lo) / (W_hi - W_lo)
+            worst = max(worst, abs(zero - threshold) / threshold)
     return CheckResult("positive-work-threshold", worst, 1e-6)
 
 
@@ -153,7 +161,7 @@ def check_distinguishable_factorization() -> CheckResult:
         single = run_cycle(_engine(spec, EnsembleSpec("distinguishable", 1, 5)), T_h).W
         for M in (2, 3, 4):  # run_cycle's M * U_1 against all N^M states
             cfg = _engine(spec, EnsembleSpec("distinguishable", M, 5))
-            U4, U2 = enumeration_log_z_and_u(cfg.ens, spec, [(1.0, 2.0), (1.0 / T_h, 1.0)])[1]
+            U4, U2 = enumeration_rows(cfg.ens, spec, [(1.0, 2.0), (1.0 / T_h, 1.0)])[-1][1]
             w = cycles_from_corners(cfg, U4, [U2])[0].W
             worst = max(worst, abs(w - M * single) / abs(M * single))
     return CheckResult("distinguishable-factorization", worst, 1e-12)

@@ -35,7 +35,7 @@ import math
 import time
 
 from qotto import (CycleConfig, EnsembleSpec, KINDS, SpectrumSpec,
-                   enumeration_log_z_and_u, harmonic_closed_form_W,
+                   enumeration_rows, harmonic_closed_form_W,
                    harmonic_closed_form_Z, recursion_rows, run_cycle, sweep, work_ratio_multiparticle,
                    work_ratio_two_particle)
 from qotto.cli import main
@@ -84,7 +84,7 @@ def test_criterion_02_backend_oracle_equivalence():
                         continue
                     ens = EnsembleSpec(statistics, M, N)
                     points = [(beta, 1.0) for beta in (0.0, 0.01, 0.1, 1.0, 10.0)]
-                    for log_z, u, got_log_z, got_u in zip(*enumeration_log_z_and_u(ens, spec, points),
+                    for log_z, u, got_log_z, got_u in zip(*enumeration_rows(ens, spec, points)[-1],
                                                           *recursion_rows(ens, spec, points)[-1]):
                         worst_z = max(worst_z, abs(log_z - got_log_z))
                         worst_u = max(worst_u, abs(u - got_u) / max(1.0, abs(u)))
@@ -135,7 +135,7 @@ def _criterion_04_deviation(lam):
         for statistics in ("boson", "fermion"):
             ens = EnsembleSpec(statistics, 2, 200)
             points = ((Th, 1.0), (1.0, 2.0))
-            log_zs = enumeration_log_z_and_u(ens, spec, [(1.0 / T, L) for T, L in points])[0]
+            log_zs = enumeration_rows(ens, spec, [(1.0 / T, L) for T, L in points])[-1][0]
             for (T, L), log_z in zip(points, log_zs):
                 worst = max(worst, abs(math.exp(log_z)
                                        - harmonic_closed_form_Z(statistics, T, L, lam)))
@@ -212,7 +212,7 @@ def test_criterion_04_harmonic_closed_forms_high_temperature_as_specified():
         for statistics in ("boson", "fermion"):
             ens = EnsembleSpec(statistics, 2, N)
             points = ((Th, 1.0), (1.0, R))
-            log_zs = enumeration_log_z_and_u(ens, spec, [(1.0 / T, L) for T, L in points])[0]
+            log_zs = enumeration_rows(ens, spec, [(1.0 / T, L) for T, L in points])[-1][0]
             for (T, L), log_z in zip(points, log_zs):
                 worst = max(worst, abs(math.exp(log_z) - _ladder_Z(statistics, N, T, L, lam)))
             cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=R, T_c=1.0)
@@ -377,8 +377,8 @@ def test_criterion_10_distinguishable_factorization():
             # the enumerated N^M table at both corners, not the factorization
             cfg = CycleConfig(spec=spec, ens=EnsembleSpec("distinguishable", M, 5),
                               L1=1.0, R=2.0, T_c=1.0)
-            U4, U2 = enumeration_log_z_and_u(cfg.ens, spec, [
-                (1.0 / T, L) for T, L in ((cfg.T_c, cfg.L2), (3.0 * 2**p, cfg.L1))])[1]
+            U4, U2 = enumeration_rows(cfg.ens, spec, [
+                (1.0 / T, L) for T, L in ((cfg.T_c, cfg.L2), (3.0 * 2**p, cfg.L1))])[-1][1]
             w = cycles_from_corners(cfg, U4, [U2])[0].W
             worst = max(worst, abs(w - M * single) / abs(M * single))
     ok = worst <= 1e-12

@@ -13,7 +13,7 @@ import pytest
 
 from qotto import cli, experiments, kernels, manybody, validate
 from qotto import (PRESETS, CycleConfig, EnsembleSpec, SpectrumSpec,
-                   enumeration_log_z_and_u, harmonic_closed_form_W,
+                   enumeration_rows, harmonic_closed_form_W,
                    harmonic_closed_form_Z, make_record, make_series, recursion_rows,
                    records_to_csv, run_cycle, sweep, work_ratio_multiparticle,
                    write_csv)
@@ -87,7 +87,7 @@ def test_closed_form_matches_truncated_ensemble_intermediate_regime():
     for statistics in ("boson", "fermion"):
         ens = EnsembleSpec(statistics, 2, 200)
         points = ((5.0, 1.0), (8.0, 1.0), (1.0, 2.0))
-        log_zs = enumeration_log_z_and_u(ens, spec, [(1.0 / T, L) for T, L in points])[0]
+        log_zs = enumeration_rows(ens, spec, [(1.0 / T, L) for T, L in points])[-1][0]
         for (T, L), log_z in zip(points, log_zs):
             assert math.exp(log_z) == pytest.approx(
                 harmonic_closed_form_Z(statistics, T, L, 1.0), abs=1e-8)
@@ -446,7 +446,6 @@ def test_fig67_runs_no_oracle(monkeypatch):
         pytest.fail("a sweep ran the oracle")
 
     monkeypatch.setattr(manybody, "enumeration_rows", oracle)
-    monkeypatch.setattr(manybody, "enumeration_log_z_and_u", oracle)
     monkeypatch.setattr(kernels, "energy_histograms", oracle)
     assert len(sweep("fig67")) == 178
 

@@ -14,8 +14,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qotto import (KINDS, EmptyStateSpaceError, EnsembleSpec, SpectrumSpec,
-                   enumeration_log_z_and_u, enumeration_rows, level_coefficients,
-                   recursion_rows)
+                   enumeration_rows, level_coefficients, recursion_rows)
 from qotto import kernels, manybody
 from qotto.manybody import internal_energies
 
@@ -80,13 +79,13 @@ def test_state_counts(statistics, M, N):
 
 
 def test_enumeration_counts_states_at_beta_zero():
-    (log_z,), _ = enumeration_log_z_and_u(EnsembleSpec("boson", 2, 3), BOX, [(0.0, 1.0)])
+    (log_z,), _ = enumeration_rows(EnsembleSpec("boson", 2, 3), BOX, [(0.0, 1.0)])[-1]
     assert log_z == pytest.approx(math.log(6), rel=1e-15)
 
 
 def test_single_fermion_pair_state_pins_energy():
     points = [(beta, 1.0) for beta in (0.0, 0.7, 50.0)]
-    assert enumeration_log_z_and_u(EnsembleSpec("fermion", 2, 2), BOX, points)[1] == [5.0] * 3
+    assert enumeration_rows(EnsembleSpec("fermion", 2, 2), BOX, points)[-1][1] == [5.0] * 3
 
 
 def test_boson_pair_three_term_oracle():
@@ -95,7 +94,7 @@ def test_boson_pair_three_term_oracle():
     u = (2 * math.exp(-2) + 5 * math.exp(-5) + 8 * math.exp(-8)) / z
     assert z == pytest.approx(0.1424086928636007, rel=1e-15)
     assert u == pytest.approx(2.1560762641502516, rel=1e-15)
-    (log_z,), (U,) = enumeration_log_z_and_u(EnsembleSpec("boson", 2, 2), BOX, [(1.0, 1.0)])
+    (log_z,), (U,) = enumeration_rows(EnsembleSpec("boson", 2, 2), BOX, [(1.0, 1.0)])[-1]
     assert log_z == pytest.approx(math.log(z), rel=1e-14)
     assert U == pytest.approx(u, rel=1e-14)
 
@@ -103,16 +102,16 @@ def test_boson_pair_three_term_oracle():
 def test_enumeration_invalid_arguments():
     ens = EnsembleSpec("boson", 2, 3)
     with pytest.raises(ValueError):
-        enumeration_log_z_and_u(ens, BOX, [(-0.5, 1.0)])
+        enumeration_rows(ens, BOX, [(-0.5, 1.0)])
     with pytest.raises(ValueError):
-        enumeration_log_z_and_u(ens, BOX, [(1.0, 0.0)])
+        enumeration_rows(ens, BOX, [(1.0, 0.0)])
 
 
 def test_recursion_base_case_is_z1():
     ens = EnsembleSpec("boson", 1, 5)
     points = [(beta, 1.3) for beta in (0.0, 0.4, 3.0)]
     [(got_log_zs, got_us)] = recursion_rows(ens, BOX, points)
-    log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
+    log_zs, us = enumeration_rows(ens, BOX, points)[-1]
     assert got_log_zs == pytest.approx(log_zs, rel=1e-14)
     assert got_us == pytest.approx(us, rel=1e-14)
     # the float path: no row was handed over to the level recursion
@@ -134,7 +133,7 @@ def test_recursion_two_particle_unrolling():
 def test_recursion_fermion_pair_matches_enumeration():
     ens = EnsembleSpec("fermion", 2, 3)
     (got_log_z,), (got_u,) = recursion_rows(ens, BOX, [(0.1, 1.0)])[-1]
-    (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(0.1, 1.0)])
+    (log_z,), (u,) = enumeration_rows(ens, BOX, [(0.1, 1.0)])[-1]
     assert abs(got_log_z - log_z) <= 1e-12
     assert abs(got_u - u) <= 1e-12 * max(1.0, abs(u))
 
@@ -161,7 +160,7 @@ def test_recursion_survives_catastrophic_fermion_cancellation():
     # term, far beyond float64; must still match enumeration
     ens = EnsembleSpec("fermion", 4, 8)
     (got_log_z,), (got_u,) = recursion_rows(ens, BOX, [(10.0, 1.0)])[-1]
-    (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(10.0, 1.0)])
+    (log_z,), (u,) = enumeration_rows(ens, BOX, [(10.0, 1.0)])[-1]
     assert abs(got_log_z - log_z) <= 1e-10
     assert abs(got_u - u) <= 1e-9 * max(1.0, abs(u))
 
@@ -310,7 +309,7 @@ def test_backends_agree_property(statistics, M, N, beta, kind):
     ens = EnsembleSpec(statistics, M, N)
     spec = SpectrumSpec(kind)
     (got_log_z,), (got_u,) = recursion_rows(ens, spec, [(beta, 1.0)])[-1]
-    (log_z,), (u,) = enumeration_log_z_and_u(ens, spec, [(beta, 1.0)])
+    (log_z,), (u,) = enumeration_rows(ens, spec, [(beta, 1.0)])[-1]
     assert abs(got_log_z - log_z) <= 1e-10
     assert abs(got_u - u) <= 1e-9 * max(1.0, abs(u))
 
@@ -319,8 +318,8 @@ def test_fermion_partition_never_exceeds_boson():
     for N in (2, 4, 6):
         for M in (2, min(3, N)):
             points = [(beta, 1.0) for beta in (0.0, 0.2, 2.0)]
-            zb = enumeration_log_z_and_u(EnsembleSpec("boson", M, N), BOX, points)[0]
-            zf = enumeration_log_z_and_u(EnsembleSpec("fermion", M, N), BOX, points)[0]
+            zb = enumeration_rows(EnsembleSpec("boson", M, N), BOX, points)[-1][0]
+            zf = enumeration_rows(EnsembleSpec("fermion", M, N), BOX, points)[-1][0]
             assert all(f <= b for f, b in zip(zf, zb))
 
 
@@ -370,7 +369,7 @@ def test_harmonic_pair_matches_untruncated_closed_form():
 
 def test_internal_energy_methods_and_cap(monkeypatch):
     ens = EnsembleSpec("boson", 3, 6)
-    (u_enum,) = enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])[1]
+    (u_enum,) = enumeration_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[-1][1]
     (u_rec,) = recursion_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[-1][1]
     # below the cap: row M of the level recursion, bit for bit
     (u_levels,) = manybody._recursion_levels(level_coefficients(BOX, 6), 3, np.array([0.5]),
@@ -437,7 +436,7 @@ def test_internal_energy_rejects_points_that_break_the_boltzmann_sum(monkeypatch
 
 def test_partition_backends_reject_non_finite_beta_and_width():
     ens = EnsembleSpec("fermion", 2, 4)
-    for backend in (enumeration_log_z_and_u, enumeration_rows, recursion_rows):
+    for backend in (enumeration_rows, recursion_rows):
         for beta, L in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf)):
             with pytest.raises(ValueError):
                 backend(ens, BOX, [(beta, L)])
@@ -446,7 +445,7 @@ def test_partition_backends_reject_non_finite_beta_and_width():
 def test_tiny_accepted_temperature_gives_ground_state_energy():
     for statistics, ground in (("boson", 3.0), ("fermion", 14.0)):
         ens = EnsembleSpec(statistics, 3, 8)
-        assert enumeration_log_z_and_u(ens, BOX, [(1.0 / 1e-300, 1.0)])[1] == [ground]
+        assert enumeration_rows(ens, BOX, [(1.0 / 1e-300, 1.0)])[-1][1] == [ground]
         assert internal_energies(ens, BOX, [(1e-300, 1.0)])[0] == ground
     fermions = EnsembleSpec("fermion", 3, 8)
     assert recursion_rows(fermions, BOX, [(1.0 / T, 1.0) for T in (1e-300, 1e-4)])[-1][1] == \
@@ -473,7 +472,7 @@ def test_level_recursion_matches_enumeration():
         if ens.state_count > 3_000_000:
             continue
         spec = SpectrumSpec(kind, scale_c=lam)
-        log_zs, means = enumeration_log_z_and_u(ens, spec, [(b, 1.0) for b in betas])
+        log_zs, means = enumeration_rows(ens, spec, [(b, 1.0) for b in betas])[-1]
         w = level_coefficients(spec, N)
         got_log_zs, got_us = manybody._recursion_levels(w, M, betas, statistics == "fermion")[-1]
         for log_z, u, got in zip(log_zs, means, zip(got_log_zs, got_us)):
@@ -601,7 +600,7 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
         [(_, single)] = manybody._recursion_levels(level_coefficients(BOX, ens.N), 1,
                                                    np.array([b / L**2.0 for b, L in beta_points]),
                                                    False)
-        direct = enumeration_log_z_and_u(ens, BOX, beta_points)[1]
+        direct = enumeration_rows(ens, BOX, beta_points)[-1][1]
         for cap in (manybody.DEFAULT_STATE_CAP, 1):
             monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
             monkeypatch.setattr(kernels, "energy_histograms", one_particle_only)
@@ -621,7 +620,7 @@ def test_enumeration_guard_advises_auto_for_distinguishable_particles(monkeypatc
     for ens, spec in ((EnsembleSpec("distinguishable", 3, 4000), BOX),
                       (EnsembleSpec("distinguishable", 30, 10), HARM)):
         with pytest.raises(ValueError, match=r"table entries; use internal_energies \(M times"):
-            enumeration_log_z_and_u(ens, spec, [(1.0 / 2.0, 1.0)])
+            enumeration_rows(ens, spec, [(1.0 / 2.0, 1.0)])
 
 
 def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
@@ -629,7 +628,7 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     # (sum_k 4900 k + 1), and the oracle counts them
     ens = EnsembleSpec("boson", 5, 70)
     assert ens.state_count == 16_108_764
-    (log_z,), (u,) = enumeration_log_z_and_u(ens, BOX, [(1.0 / 2.0, 1.0)])
+    (log_z,), (u,) = enumeration_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[-1]
     (level_log_z,), (level_u,) = manybody._recursion_levels(level_coefficients(BOX, 70), 5,
                                                             np.array([0.5]), False)[-1]
     assert (log_z, u) == pytest.approx((level_log_z, level_u), rel=1e-13)
@@ -642,9 +641,8 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     monkeypatch.setattr(kernels, "energy_histograms", reached)
     ens = EnsembleSpec("boson", 2, 4200)
     assert ens.state_count == 8_822_100
-    for backend in (enumeration_log_z_and_u, enumeration_rows):
-        with pytest.raises(ValueError, match="table entries; use the recursion backend"):
-            backend(ens, BOX, [(1.0 / 2.0, 1.0)])
+    with pytest.raises(ValueError, match="table entries; use the recursion backend"):
+        enumeration_rows(ens, BOX, [(1.0 / 2.0, 1.0)])
 
 
 def test_enumeration_guard_names_a_count_past_4300_digits():
@@ -652,31 +650,29 @@ def test_enumeration_guard_names_a_count_past_4300_digits():
     # refusal formatted that count with {} and raised Python's "Exceeds the limit
     # (4300 digits) for integer string conversion" in place of its own message
     ens = EnsembleSpec("boson", 100000, 20000)
-    for backend in (enumeration_log_z_and_u, enumeration_rows):
-        with pytest.raises(ValueError, match=r"^enumerating about 10\^23478 configurations of "
-                                             r"100000 particles.* table entries; use the recursion"):
-            backend(ens, BOX, [(1.0, 1.0)])
+    with pytest.raises(ValueError, match=r"^enumerating about 10\^23478 configurations of "
+                                         r"100000 particles.* table entries; use the recursion"):
+        enumeration_rows(ens, BOX, [(1.0, 1.0)])
 
 
-def test_fermions_past_half_filling_enumerate_their_m_table_alone():
-    # 38 fermions on 40 levels are 780 states, but the 20-fermion row of a rows
-    # build counts 1.4e11: M alone is counted as 2 holes, and a rows build,
-    # 1.2M histogram entries, gives its row 38 bit for bit
+def test_fermions_past_half_filling_take_row_m_of_a_rows_build():
+    # 38 fermions on 40 levels are 780 states, but the 20-fermion row of their rows
+    # build counts 1.4e11: the build, 1.2M histogram entries, gives row 38 as the
+    # level recursion does
     ens = EnsembleSpec("fermion", 38, 40)
     points = [(beta, 1.0) for beta in (0.0, 1e-3, 0.1)]
-    log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
+    log_zs, us = enumeration_rows(ens, BOX, points)[-1]
     got_log_zs, got_us = manybody._recursion_levels(level_coefficients(BOX, 40), 38,
                                                     np.array([b for b, _ in points]), True)[-1]
     assert log_zs[0] == math.log(780)
     assert log_zs == pytest.approx(got_log_zs, rel=1e-13)
     assert us == pytest.approx(got_us, rel=1e-13)
-    assert enumeration_rows(ens, BOX, points)[-1] == (log_zs, us)
 
 
 def test_enumeration_with_any_prefactor_matches_the_float_table():
     # the oracle reduces exact integer shapes at c * g; the table of float
     # coefficients c * g(n), summed per state, gives the same to 1e-13. M = N,
-    # M = N - 1 and, for fermions past half filling, the hole form
+    # M = N - 1 and fermions past half filling
     betas = np.array([0.0, 0.01, 0.3, 2.0, 50.0])
     sizes = [(1, 4), (3, 4), (4, 4), (1, 9), (3, 9)]
     for kind, c, statistics, (M, N) in itertools.product(
@@ -685,7 +681,7 @@ def test_enumeration_with_any_prefactor_matches_the_float_table():
         if statistics != "fermion" and (M, N) not in sizes:
             continue
         ens, spec = EnsembleSpec(statistics, M, N), SpectrumSpec(kind, scale_c=c)
-        log_zs, us = enumeration_log_z_and_u(ens, spec, [(b, 1.0) for b in betas])
+        log_zs, us = enumeration_rows(ens, spec, [(b, 1.0) for b in betas])[-1]
         lz_ref, mean_ref = kernels.log_z_and_mean(np.array(brute_coeffs(statistics, M, N, spec)),
                                                   betas)
         # log Z to 1e-13 of max(1, |log Z|): near log Z = 0 both round log(Z) alike
@@ -703,9 +699,9 @@ def test_enumeration_matches_brute_force(statistics, M, N, beta):
     ens = EnsembleSpec(statistics, M, N)
     if 0 < beta and beta / 1.5**2 == 0:  # a subnormal beta: beta/L^p underflows to 0
         with pytest.raises(ValueError, match=r"beta/L\^p must be finite and nonzero"):
-            enumeration_log_z_and_u(ens, BOX, [(beta, 1.5)])
+            enumeration_rows(ens, BOX, [(beta, 1.5)])
         return
-    (got_log_z,), (got_u,) = enumeration_log_z_and_u(ens, BOX, [(beta, 1.5)])
+    (got_log_z,), (got_u,) = enumeration_rows(ens, BOX, [(beta, 1.5)])[-1]
     log_z, u = brute_log_z_u(brute_coeffs(statistics, M, N, BOX), beta, 1.5, 2.0)
     assert got_log_z == pytest.approx(log_z, rel=1e-12, abs=1e-12)
     assert got_u == pytest.approx(u, rel=1e-12, abs=1e-12)
@@ -715,14 +711,11 @@ def test_backends_check_every_point_of_a_batch_before_any_kernel_runs(monkeypatc
     # a mixed point list gives, bit for bit, what each point gives alone
     ens = EnsembleSpec("boson", 2, 4)
     points = [(0.0, 1.0), (0.3, 2.0), (1.0, 1.0), (7.5, 0.8), (1e3, 1.5), (0.01, 3.0)]
-    log_zs, us = enumeration_log_z_and_u(ens, BOX, points)
     tables = enumeration_rows(ens, BOX, points)
     passes = recursion_rows(ens, BOX, points)
     for i, point in enumerate(points):
-        assert enumeration_log_z_and_u(ens, BOX, [point]) == ([log_zs[i]], [us[i]])
         assert enumeration_rows(ens, BOX, [point]) == [([z[i]], [u[i]]) for z, u in tables]
         assert recursion_rows(ens, BOX, [point]) == [([z[i]], [u[i]]) for z, u in passes]
-    assert tables[-1] == (log_zs, us)
 
     def reached(*args):
         pytest.fail("a kernel ran before every point was checked")
@@ -734,7 +727,7 @@ def test_backends_check_every_point_of_a_batch_before_any_kernel_runs(monkeypatc
     # L^p = 0, beta/L^p = inf and beta/L^p = 0 at beta > 0
     bad_points = [(math.nan, 1.0), (-1.0, 1.0), (1.0, math.inf), (1.0, 0.0),
                   (math.inf, 1.0), (1.0, 1e-200), (1.0, 1e-160), (1e-300, 1e100)]
-    for backend in (enumeration_log_z_and_u, enumeration_rows, recursion_rows):
+    for backend in (enumeration_rows, recursion_rows):
         for bad in bad_points:
             for at in (0, 3, len(points)):
                 with pytest.raises(ValueError):

@@ -28,11 +28,13 @@ def test_validate_reports_a_failing_check(monkeypatch, capsys):
 
 def _count_oracle_calls(monkeypatch):
     calls = []
-    for name in ("enumeration_rows", "enumeration_log_z_and_u"):
-        def counted(ens, spec, beta_points, name=name, original=getattr(validate, name)):
-            calls.append((name, ens, len(beta_points)))
-            return original(ens, spec, beta_points)
-        monkeypatch.setattr(validate, name, counted)
+    original = validate.enumeration_rows
+
+    def counted(ens, spec, beta_points):
+        calls.append((ens, len(beta_points)))
+        return original(ens, spec, beta_points)
+
+    monkeypatch.setattr(validate, "enumeration_rows", counted)
     return calls
 
 
@@ -89,4 +91,31 @@ def test_fig67_check_compares_every_ensemble_with_one_oracle_call_per_column(mon
     assert len({key[:3] for key in reads}) == 103
     # one enumeration per (statistics, N) column, at both lambda and both corners
     assert len(calls) == len(set(calls)) == 14
-    assert {(name, points) for name, _, points in calls} == {("enumeration_rows", 4)}
+    assert {points for _, points in calls} == {4}
+
+
+def test_recursion_check_reads_every_row_below_m(skew_fig67_row):
+    # a shift of 2e-8 in one row k < M of the 8 bosons or fermions on 50 levels, the
+    # check's one ensemble on 50 levels: absolute in log Z, relative in U, at beta = 1
+    assert validate.check_recursion_vs_enumeration().passed
+    for statistics, k, field in itertools.product(("boson", "fermion"), (1, 4, 7), (0, 1)):
+        skew_fig67_row((statistics, 50, 1.0), k, field, 3)
+        assert not validate.check_recursion_vs_enumeration().passed, (statistics, k, field)
+
+
+def test_threshold_check_fails_a_shifted_threshold(monkeypatch):
+    # 1e-5 off R^p T_c, both cycles of each engine do work of one sign
+    original = validate.positive_work_threshold
+    for factor in (1.00001, 0.99999):
+        monkeypatch.setattr(validate, "positive_work_threshold",
+                            lambda cfg, factor=factor: factor * original(cfg))
+        assert not validate.check_positive_work_threshold().passed, factor
+
+
+def test_state_count_check_fails_a_count_off_by_one(monkeypatch):
+    original = EnsembleSpec.state_count
+    for wrong in (EnsembleSpec("boson", 4, 8), EnsembleSpec("fermion", 3, 5),
+                  EnsembleSpec("distinguishable", 1, 1)):
+        monkeypatch.setattr(EnsembleSpec, "state_count",
+                            property(lambda ens, wrong=wrong: original.fget(ens) + (ens == wrong)))
+        assert not validate.check_state_counts().passed, wrong
