@@ -168,7 +168,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                              "(or --figure for a preset)")
         grid = th_range(params["th_min"], params["th_max"], params["th_steps"])
         cfg = _build_cycle_config(params)
-        series = [sweep_series(cfg.spec, cfg.ens, cfg.L1, cfg.R, cfg.T_c, grid)]
+        series = sweep_series(cfg.spec, [cfg.ens], cfg.L1, cfg.R, cfg.T_c, grid)
     print(f"wrote {write_series(series, args.output)} rows to {args.output}")
     return EXIT_OK
 

@@ -17,8 +17,8 @@ preset's rows, other grids go through ``make_series``:
             by ``recursion_columns``; ``validate`` checks every column that
             ``fig67_columns`` names against enumeration
 
-The other presets, two particles over the 200 values of ``default_th_grid``, take U
-from ``internal_energies``: the level recursion.
+The other presets, two particles over the 200 values of ``default_th_grid``, take every
+truncation N of a (lam, R, statistics) from one ``sweep_series`` call: one level pass.
 
 For the harmonic spectrum with infinitely many levels, the two-particle
 partition functions close to
@@ -36,7 +36,7 @@ import math
 import os
 import tempfile
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 from typing import NamedTuple
 
 import numpy as np
@@ -152,16 +152,18 @@ def make_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float,
                 Tc: float, Th_values) -> list[RatioRecord]:
     """M- and single-particle cycles over a Th series, each ensemble built once:
     up to the state cap, one level pass gives both (row 1 is the single particle)."""
-    return _records([sweep_series(spec, ens, L1, R, Tc, Th_values)])
+    return _records(sweep_series(spec, [ens], L1, R, Tc, Th_values))
 
 
-def sweep_series(spec: SpectrumSpec, ens: EnsembleSpec, L1: float, R: float, Tc: float,
-                 Th_values) -> tuple:
-    """The series behind ``make_series``: its CSV columns, as ``_assemble`` gives them."""
-    cfg = CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc)
-    (U4_1, *U2s_1), corners = manybody._energy_rows(
-        ens, spec, [(Tc, cfg.L2)] + [(Th, L1) for Th in Th_values])
-    return _assemble(cfg, ens.M, Th_values, cycle_columns(cfg, U4_1, U2s_1)[4], corners)
+def sweep_series(spec: SpectrumSpec, ensembles: list[EnsembleSpec], L1: float, R: float,
+                 Tc: float, Th_values) -> list[tuple]:
+    """The series behind ``make_series``, one per ensemble (one statistics and M, N ascending,
+    all from one level pass): its CSV columns, as ``_assemble`` gives them."""
+    cfgs = [CycleConfig(spec=spec, ens=ens, L1=L1, R=R, T_c=Tc) for ens in ensembles]
+    rows = manybody._energy_rows(ensembles, spec,
+                                 [(Tc, cfgs[0].L2)] + [(Th, L1) for Th in Th_values])
+    return [_assemble(cfg, cfg.ens.M, Th_values, cycle_columns(cfg, U4_1, U2s_1)[4], corners)
+            for cfg, ((U4_1, *U2s_1), corners) in zip(cfgs, rows)]
 
 
 def _assemble(cfg: CycleConfig, M: int, Th_values, Ws, corners) -> tuple:
@@ -231,11 +233,15 @@ def th_range(lo: float, hi: float, steps: int) -> tuple[float, ...]:
 
 
 def _two_particle(lams, Rs, Ns, top: float) -> list[tuple]:
-    """Two box particles of both statistics at L1 = T_c = 1, one series per (lam, R, N),
-    T_h over ``default_th_grid`` up to top."""
-    return [sweep_series(SpectrumSpec("box", scale_c=lam), EnsembleSpec(statistics, 2, N), 1.0,
-                         R, 1.0, default_th_grid(R, 2.0, top))
-            for lam in lams for R in Rs for N in Ns for statistics in ("boson", "fermion")]
+    """Two box particles of both statistics at L1 = T_c = 1, T_h over ``default_th_grid`` up
+    to top: one series per (lam, R, N, statistics), every N from one ``sweep_series`` call."""
+    series = []
+    for lam, R in product(lams, Rs):
+        spec, grid = SpectrumSpec("box", scale_c=lam), default_th_grid(R, 2.0, top)
+        groups = (sweep_series(spec, [EnsembleSpec(s, 2, N) for N in Ns], 1.0, R, 1.0, grid)
+                  for s in ("boson", "fermion"))
+        series += chain.from_iterable(zip(*groups))
+    return series
 
 
 def fig67_columns():

@@ -4,9 +4,9 @@
   prod_n (1 +- x exp(-beta*e_n))^(+-1) one level at a time, each
   particle-number row relative to its own ground state, so every term is
   positive and nothing cancels. One call takes an array of beta/L^p and
-  gives every k <= M. Below ``DEFAULT_STATE_CAP`` states every live number
-  comes from it: row M for bosons and fermions, M times row 1 for
-  distinguishable particles (Z_M = Z_1^M).
+  gives every k <= M on each first n levels it is asked for. Below
+  ``DEFAULT_STATE_CAP`` states every live number comes from it: row M for bosons
+  and fermions, M times row 1 for distinguishable particles (Z_M = Z_1^M).
 
 * ``recursion_rows`` takes bosons and fermions above the cap. In one float pass
   over every (beta, L) of a point list (of every ensemble, ``recursion_columns``)
@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -212,10 +213,11 @@ def _recursion_float(lz1: np.ndarray, u1: np.ndarray, tops: list[int], fermion: 
     return lz[:, 1:], uu[:, 1:], bad
 
 
-def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
-                      fermion: bool) -> list[tuple[list[float], list[float]]]:
+def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray, fermion: bool,
+                      sizes: list[int]) -> list[list[tuple[list[float], list[float]]]]:
     """Sign-free recursion over levels: (log Z_k, U_k in coefficient units) at every
-    beta_eff in ``beta_effs``, for k = 1..M.
+    beta_eff in ``beta_effs``, for k = 1..M, on the first n levels of ``w`` for every n
+    in the ascending ``sizes`` (the largest ``w.size``): one row list per size.
 
     Adding level n to the first n levels gives, for k = 1..M,
 
@@ -227,16 +229,16 @@ def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
     every factor is at most 1 and every sum positive. The excitation-energy
     numerator D_k obeys the same recursion plus (w_n - ref) x_n Z_{k-1}.
 
-    Row k's Z_k - 1 and D_k are pairwise sums of its excited terms (the ground
-    term is exactly 1, hence log1p); running sums only feed row k + 1, so no row
-    depends on M. Points run in blocks of at most 2^13 point x level elements.
-    U_k = G_k + D_k/Z_k, G_k the ground sum, rounded once: one vector addition where
-    the float G_k is exact, else fsum at every point.
+    Row k's Z_k - 1 and D_k at size n are pairwise sums of its excited terms below level
+    n (the ground term is exactly 1, hence log1p); running sums only feed row k + 1, so
+    no row depends on M or on any level past its size. Points run in blocks of at most
+    2^13 point x level elements. U_k = G_k + D_k/Z_k, G_k the ground sum, rounded once:
+    one vector addition where the float G_k is exact, else fsum at every point.
     """
     N = w.size
     ground = w[:M].tolist() if fermion else [w[0].item()] * M
-    excited = np.empty((M, beta_effs.size))  # Z_k - 1 at every point
-    numer = np.empty((M, beta_effs.size))    # D_k
+    excited = np.empty((len(sizes), M, beta_effs.size))  # Z_k - 1 at every size and point
+    numer = np.empty((len(sizes), M, beta_effs.size))    # D_k
     rows = max(1, kernels._BLOCK_ELEMENTS // (N + 1))
     for i in range(0, beta_effs.size, rows):
         nb = -beta_effs[i:i + rows, None]
@@ -246,32 +248,30 @@ def _recursion_levels(w: np.ndarray, M: int, beta_effs: np.ndarray,
             lo = k - 1 if fermion else 0   # row k's reference level
             # Z_{k-1} without level n (fermions) or with it (bosons), n = lo..N-1
             prev = slice(lo, N) if fermion else slice(1, N + 1)
-            e = w[lo:] - w[lo]
-            with np.errstate(over="ignore"):  # beta_eff * e past the float range is weight 0
-                x = np.exp(nb * e)
+            if fermion or k == 1:  # every boson row has row 1's reference level
+                e = w[lo:] - w[lo]
+                with np.errstate(over="ignore"):  # beta_eff * e past the float range: weight 0
+                    x = np.exp(nb * e)
             t = x * z[:, prev]
             dt = x * d[:, prev] + e * t
-            np.add.reduce(t[:, 1:], axis=1, out=excited[k - 1, i:i + rows])
-            np.add.reduce(dt[:, 1:], axis=1, out=numer[k - 1, i:i + rows])
+            for s, n in enumerate(sizes):
+                np.add.reduce(t[:, 1:n - lo], axis=1, out=excited[s, k - 1, i:i + rows])
+                np.add.reduce(dt[:, 1:n - lo], axis=1, out=numer[s, k - 1, i:i + rows])
             if k < M:  # row k + 1 reads no entry left of its own reference level
                 np.add.accumulate(t, axis=1, out=z[:, lo + 1:])
                 np.add.accumulate(dt, axis=1, out=d[:, lo + 1:])
     ground_sums = [math.fsum(ground[:k]) for k in range(1, M + 1)]
     with np.errstate(over="ignore"):  # a ground energy past the float range is log Z = -inf
         log_zs = -beta_effs * np.array(ground_sums)[:, None]
-    log_zs += np.log1p(excited)
-    out = []
-    for k, (G, log_z, qs) in enumerate(zip(ground_sums, log_zs.tolist(),
-                                           numer / (1.0 + excited)), 1):
-        terms = ground[:k]
-        # U = G + q rounded once from the exact ground sum, as fsum does. A zero fsum
-        # residual proves the float G is that exact sum (a nonzero sum of floats is at
-        # least 2^-1074 and cannot round to 0), and then one IEEE addition G + q rounds
-        # the same exact value once
-        us = ((qs + G).tolist() if math.fsum(terms + [-G]) == 0
-              else [math.fsum(terms + [q]) for q in qs.tolist()])
-        out.append((log_z, us))
-    return out
+    log_zs = (log_zs + np.log1p(excited)).tolist()
+    # U = G + q rounded once from the exact ground sum, as fsum does. A zero fsum residual
+    # proves the float G is that exact sum (a nonzero sum of floats is at least 2^-1074 and
+    # cannot round to 0), and then one IEEE addition G + q rounds the same exact value once
+    sums = [(k, G, math.fsum(ground[:k] + [-G]) == 0) for k, G in enumerate(ground_sums, 1)]
+    return [[(log_z, (qs + G).tolist() if exact else
+              [math.fsum(ground[:k] + [q]) for q in qs.tolist()])
+             for (k, G, exact), log_z, qs in zip(sums, size_log_zs, size_qs)]
+            for size_log_zs, size_qs in zip(log_zs, numer / (1.0 + excited))]
 
 
 def recursion_columns(columns: list[tuple[EnsembleSpec, SpectrumSpec]],
@@ -300,7 +300,8 @@ def recursion_columns(columns: list[tuple[EnsembleSpec, SpectrumSpec]],
         at = slice(c * p, (c + 1) * p)
         rows = [(list(log_zs[at, k]), list(us[at, k])) for k in range(M)]  # numpy float64
         handed = np.flatnonzero(bad[at, :M].any(axis=1)).tolist()
-        levels = _recursion_levels(w, M, beta_effs[handed], fermion[c]) if handed else []
+        levels = (_recursion_levels(w, M, beta_effs[handed], fermion[c], [w.size])[0]
+                  if handed else [])
         for j, i in enumerate(handed):  # the level recursion's values are Python floats
             for k in np.flatnonzero(bad[c * p + i, :M]).tolist():
                 rows[k][0][i], rows[k][1][i] = levels[k][0][j], levels[k][1][j]
@@ -320,27 +321,31 @@ def recursion_rows(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tupl
 def internal_energies(ens: EnsembleSpec, spec: SpectrumSpec,
                       points: list[tuple[float, float]]) -> list[float]:
     """U(T, L) = -d ln Z / d beta at beta = 1/T for every (T, L) in ``points``."""
-    return _energy_rows(ens, spec, points)[-1]
+    return _energy_rows([ens], spec, points)[0][-1]
 
 
-def _energy_rows(ens: EnsembleSpec, spec: SpectrumSpec,
-                 points: list[tuple[float, float]]) -> list[list[float]]:
-    """U at every (T, L) in ``points`` of one particle, then of M.
-
-    The one backend dispatcher. One level recursion over all points gives bosons
-    and fermions up to ``DEFAULT_STATE_CAP`` configurations rows 1 (the single
-    particle) and M, and distinguishable particles, at any M, row 1 and M times
-    row 1. Bosons and fermions beyond the cap take row M of ``recursion_rows``, and their
-    single particle a one-row level recursion. ``effective_betas`` checks the points here."""
+def _energy_rows(ensembles: list[EnsembleSpec], spec: SpectrumSpec,
+                 points: list[tuple[float, float]]) -> list[list[list[float]]]:
+    """U at every (T, L) in ``points`` of one particle, then of M, for each of ``ensembles``
+    (one statistics and M, N ascending): the one backend dispatcher. One level recursion
+    over all points, at the largest N, gives bosons and fermions up to ``DEFAULT_STATE_CAP``
+    configurations rows 1 (the single particle) and M, and distinguishable particles, at
+    any M, row 1 and M times row 1. Bosons and fermions beyond the cap take row M of
+    ``recursion_rows`` and row 1 of that pass, or at M = 1 that row M for both.
+    ``effective_betas`` checks the points once, against the largest N, whose top energy
+    bounds every smaller N's: a group raises wherever its largest N would."""
     beta_points = [(inverse_temperature(T), L) for T, L in points]
-    beta_effs, scales = effective_betas(ens, spec, beta_points)  # M times one particle's range
-    distinguishable = ens.statistics == "distinguishable"
-    if capped := not distinguishable and ens.state_count > DEFAULT_STATE_CAP:
-        many = recursion_rows(ens, spec, beta_points)[-1][1]
-        if ens.M == 1:  # one particle is its own single particle
-            return [many, many]
-    rows = _recursion_levels(level_coefficients(spec, ens.N),
-                             1 if distinguishable or capped else ens.M, beta_effs,
-                             ens.statistics == "fermion")
-    single, last = ((np.array(us) / scales).tolist() for _, us in (rows[0], rows[-1]))
-    return [single, [ens.M * u for u in single] if distinguishable else many if capped else last]
+    beta_effs, scales = effective_betas(ensembles[-1], spec, beta_points)
+    M, distinguishable = ensembles[-1].M, ensembles[-1].statistics == "distinguishable"
+    capped = [not distinguishable and ens.state_count > DEFAULT_STATE_CAP for ens in ensembles]
+    sizes = [ens.N for ens, cap in zip(ensembles, capped) if M > 1 or not cap]
+    passes = _recursion_levels(level_coefficients(spec, sizes[-1]),
+                               1 if distinguishable or all(capped) else M, beta_effs,
+                               ensembles[-1].statistics == "fermion", sizes) if sizes else []
+    out = []
+    for ens, cap, rows in zip_longest(ensembles, capped, passes):  # no rows: M = 1, capped
+        many = recursion_rows(ens, spec, beta_points)[-1][1] if cap else None
+        single, last = ([many, many] if rows is None else
+                        ((np.array(us) / scales).tolist() for _, us in (rows[0], rows[-1])))
+        out.append([single, [M * u for u in single] if distinguishable else many if cap else last])
+    return out

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qotto import cli, experiments, kernels, manybody, validate
+from qotto import cli, experiments, kernels, manybody, thermo, validate
 from qotto import (PRESETS, CycleConfig, EnsembleSpec, SpectrumSpec,
                    enumeration_rows, harmonic_closed_form_W,
                    harmonic_closed_form_Z, make_record, make_series, recursion_rows,
@@ -273,9 +273,9 @@ def test_series_writer_formats_constant_cells_as_the_per_cell_writer(tmp_path, m
     series.append(columns("%d%%", "100%", 3, -0.0, math.inf, slice(None)))
     series.append(columns("box", "boson", 3, 1.0, 2.0, slice(0)))
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
-    series.append(experiments.sweep_series(SpectrumSpec("box", scale_c=0.05),
-                                           EnsembleSpec("boson", 4, 6), 1.0, 2.0, 1.0,
-                                           (4.5, 5.0, 12.0)))
+    series += experiments.sweep_series(SpectrumSpec("box", scale_c=0.05),
+                                       [EnsembleSpec("boson", 4, 6)], 1.0, 2.0, 1.0,
+                                       (4.5, 5.0, 12.0))
     monkeypatch.undo()
     rows = experiments._records(series)
     assert len(rows) == 4 * 2 + 1 + 2 + 0 + 3
@@ -300,7 +300,7 @@ def test_empty_th_list_gives_no_rows_and_still_checks_the_engine(tmp_path):
     spec, ens = SpectrumSpec("box"), EnsembleSpec("boson", 2, 3)
     assert make_series(spec, ens, 1.0, 2.0, 1.0, []) == []
     path = tmp_path / "empty.csv"
-    assert experiments.write_series([experiments.sweep_series(spec, ens, 1.0, 2.0, 1.0, [])],
+    assert experiments.write_series(experiments.sweep_series(spec, [ens], 1.0, 2.0, 1.0, []),
                                     str(path)) == 0
     assert path.read_text(encoding="utf-8") == records_to_csv([]) == ",".join(CSV_COLUMNS) + "\n"
     for grid in ([], [5.0]):  # R = 1 is no engine, with or without a hot bath
@@ -339,8 +339,9 @@ def test_write_csv_failure_leaves_no_partial_file(tmp_path):
 
 
 def _box_pairs(statistics, N, grid):
-    return experiments.sweep_series(SpectrumSpec("box", scale_c=0.05),
-                                    EnsembleSpec(statistics, 2, N), 1.0, 2.0, 1.0, grid)
+    (series,) = experiments.sweep_series(SpectrumSpec("box", scale_c=0.05),
+                                         [EnsembleSpec(statistics, 2, N)], 1.0, 2.0, 1.0, grid)
+    return series
 
 
 def test_write_series_writes_the_bytes_of_records_to_csv(tmp_path):
@@ -419,26 +420,50 @@ def test_series_rows_equal_per_point_records(monkeypatch):
     assert evaluate_series("box", "boson", 2, 3, 1.0, 2.0, ()) == []
 
 
+def test_grouped_presets_equal_one_make_series_per_truncation(tmp_path):
+    # fig3 and fig45 take every N of a (lam, R, statistics) from one level pass: their rows,
+    # and the CSV bytes the sweep command writes, are those of one make_series call per
+    # (lam, R, N, statistics), in that order
+    for name, lams, Ns, top in (("fig3", (20.0,), (3, 4), 12.0),
+                                ("fig45", (0.05, 1.0), experiments._TRUNCATIONS, 20.0)):
+        grid = default_th_grid(2.0, 2.0, top)
+        series = [r for lam in lams for N in Ns for statistics in ("boson", "fermion")
+                  for r in evaluate_series("box", statistics, 2, N, lam, 2.0, grid)]
+        assert sweep(name) == series
+        path = tmp_path / f"{name}.csv"
+        assert experiments.write_series(PRESETS[name](), str(path)) == len(series)
+        assert path.read_text(encoding="utf-8") == records_to_csv(series)
+
+
 def test_fig45_builds_each_ensemble_once(monkeypatch):
     calls = []
     original = manybody._recursion_levels
 
-    def counted(w, M, beta_effs, fermion):
-        calls.append((w.size, w[0], M, fermion, beta_effs.size))
-        return original(w, M, beta_effs, fermion)
+    def counted(w, M, beta_effs, fermion, sizes):
+        calls.append((w.size, w[0], M, fermion, beta_effs.size, tuple(sizes)))
+        return original(w, M, beta_effs, fermion, sizes)
 
     def built(*args):
         pytest.fail("a sweep counted states")
 
+    checks = []
+    check = manybody.effective_betas
+    for module in (manybody, thermo):  # thermo's CycleConfig checks each engine
+        monkeypatch.setattr(module, "effective_betas", lambda *a: checks.append(a) or check(*a))
     monkeypatch.setattr(manybody, "_recursion_levels", counted)
     monkeypatch.setattr(kernels, "energy_histograms", built)
     records = sweep("fig45")
-    # 2 regimes x 7 truncations x 2 statistics: one level pass per series over
-    # the cold corner and all 200 Th, whose row 1 is the single-particle twin
+    # 2 regimes x 2 statistics: one level pass at the largest truncation per (lam,
+    # statistics), over the cold corner and all 200 Th, gives all 7 truncations; its
+    # row 1 is each series' single-particle twin
     assert len(records) == 28 * 200
-    assert len(calls) == 28
-    assert len(set(calls)) == 28
-    assert {(M, size) for *_, M, _, size in calls} == {(2, 201)}
+    assert len(calls) == 4
+    assert len(set(calls)) == 4
+    assert {(size, M, points, sizes) for size, _, M, _, points, sizes in calls} == \
+        {(150, 2, 201, (3, 4, 10, 25, 50, 100, 150))}
+    # each group's points checked once, at its largest N; each series' engine once
+    assert collections.Counter((len(points), ens.N) for ens, _, points in checks) == \
+        {(201, 150): 4, **{(2, N): 4 for N in experiments._TRUNCATIONS}}
 
 
 def test_fig67_runs_no_oracle(monkeypatch):

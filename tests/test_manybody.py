@@ -173,7 +173,7 @@ def _handed_over(ens, spec, beta, L):
     singles = kernels.log_z_and_mean(w, beta / scale * np.arange(1, ens.M + 1))
     bad = manybody._recursion_float(*(a[None] for a in singles), [ens.M],
                                     np.array([fermion]))[2][0].tolist()
-    levels = manybody._recursion_levels(w, ens.M, np.array([beta / scale]), fermion)
+    levels = manybody._recursion_levels(w, ens.M, np.array([beta / scale]), fermion, [ens.N])[0]
     return bad, [(log_zs, [u / scale for u in us]) for log_zs, us in levels]
 
 
@@ -264,7 +264,7 @@ def _recursion_rows_per_point(ens, spec, beta_points):
     rows = [([], []) for _ in range(ens.M)]
     for beta_eff, scale in zip(beta_effs.tolist(), scales.tolist()):
         log_zs, us, bad = _recursion_float_per_point(w, ens.M, beta_eff, fermion)
-        levels = (manybody._recursion_levels(w, ens.M, np.array([beta_eff]), fermion)
+        levels = (manybody._recursion_levels(w, ens.M, np.array([beta_eff]), fermion, [ens.N])[0]
                   if bad.any() else None)
         for k, (log_z, u) in enumerate(zip(log_zs, us)):
             if bad[k]:
@@ -373,7 +373,7 @@ def test_internal_energy_methods_and_cap(monkeypatch):
     (u_rec,) = recursion_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[-1][1]
     # below the cap: row M of the level recursion, bit for bit
     (u_levels,) = manybody._recursion_levels(level_coefficients(BOX, 6), 3, np.array([0.5]),
-                                             False)[-1][1]
+                                             False, [6])[0][-1][1]
     assert internal_energies(ens, BOX, [(2.0, 1.0)])[0] == u_levels
     assert u_levels == pytest.approx(u_enum, rel=1e-12)
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 1)
@@ -395,25 +395,55 @@ def test_energy_rows_above_the_cap(monkeypatch):
     check = manybody.effective_betas
     monkeypatch.setattr(manybody, "effective_betas", lambda *a: checks.append(a) or check(*a))
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 10)
-    single, many = manybody._energy_rows(EnsembleSpec("fermion", 3, 6), BOX, points)  # 20 states
+    single, many = manybody._energy_rows([EnsembleSpec("fermion", 3, 6)], BOX,  # 20 states
+                                         points)[0]
     assert len(checks) == 2
     assert many == recursion_rows(EnsembleSpec("fermion", 3, 6), BOX, beta_points)[-1][1]
     assert single == internal_energies(EnsembleSpec("fermion", 1, 6), BOX, points)
     assert [type(u) for u in single + many] == [float] * 2 + [np.float64] * 2
-    rows = manybody._energy_rows(EnsembleSpec("boson", 1, 12), BOX, points)
+    rows = manybody._energy_rows([EnsembleSpec("boson", 1, 12)], BOX, points)[0]
     assert rows == [recursion_rows(EnsembleSpec("boson", 1, 12), BOX, beta_points)[-1][1]] * 2
     # where N itself passes the cap, the single particle still takes the level recursion
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 5)
     del checks[:]
-    single, _ = manybody._energy_rows(EnsembleSpec("boson", 2, 6), BOX, points)
+    single, _ = manybody._energy_rows([EnsembleSpec("boson", 2, 6)], BOX, points)[0]
     assert len(checks) == 2
     (_, us), = manybody._recursion_levels(level_coefficients(BOX, 6), 1,
-                                          np.array([b / L**2.0 for b, L in beta_points]), False)
+                                          np.array([b / L**2.0 for b, L in beta_points]), False,
+                                          [6])[0]
     assert single == [u / L**2.0 for u, (_, L) in zip(us, beta_points)]
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 2_000_000)
     del checks[:]
-    assert manybody._energy_rows(EnsembleSpec("boson", 2, 6), BOX, points)[0] == single
+    assert manybody._energy_rows([EnsembleSpec("boson", 2, 6)], BOX, points)[0][0] == single
     assert len(checks) == 1
+
+
+def test_a_group_of_truncations_equals_one_call_per_ensemble(monkeypatch):
+    # one point check per group, against its largest N, whose top energy bounds every
+    # smaller N's; every route, the cap splitting a group too, gives each ensemble's rows
+    # as its own call does. A width at which only the largest N's top energy overflows
+    # fails the whole group
+    checks = []
+    check = manybody.effective_betas
+    monkeypatch.setattr(manybody, "effective_betas", lambda *a: checks.append(a) or check(*a))
+    points = [(2.0, 1.0), (0.7, 1.5), (40.0, 3.0)]
+    groups = [[EnsembleSpec("fermion", 2, N) for N in (2, 3, 5, 6, 9)],
+              [EnsembleSpec("boson", 3, N) for N in (1, 2, 3, 4, 7)],
+              [EnsembleSpec("boson", 1, N) for N in (3, 8, 12, 20)],
+              [EnsembleSpec("distinguishable", 2, N) for N in (1, 3, 10)]]
+    for cap, group in itertools.product((2_000_000, 10, 1), groups):
+        monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
+        del checks[:]
+        rows = manybody._energy_rows(group, BOX, points)
+        assert checks[0][0] == group[-1]
+        assert len(checks) == 1 + sum(ens.state_count > cap for ens in group
+                                      if ens.statistics != "distinguishable")
+        assert rows == [manybody._energy_rows([ens], BOX, points)[0] for ens in group]
+    group = [EnsembleSpec("fermion", 2, 3), EnsembleSpec("fermion", 2, 100)]
+    check(group[0], BOX, [(0.5, 1e-153)])  # 13/L^2 is finite, 19801/L^2 is not
+    with pytest.raises(ValueError, match="largest many-body energy"):
+        manybody._energy_rows(group, BOX, [(2.0, 1e-153)])
+
 
 # the state cap picks the route: an unbounded cap always takes the level
 # recursion, cap 1 always the particle recursion, the default the level
@@ -474,7 +504,8 @@ def test_level_recursion_matches_enumeration():
         spec = SpectrumSpec(kind, scale_c=lam)
         log_zs, means = enumeration_rows(ens, spec, [(b, 1.0) for b in betas])[-1]
         w = level_coefficients(spec, N)
-        got_log_zs, got_us = manybody._recursion_levels(w, M, betas, statistics == "fermion")[-1]
+        got_log_zs, got_us = manybody._recursion_levels(w, M, betas, statistics == "fermion",
+                                                        [N])[0][-1]
         for log_z, u, got in zip(log_zs, means, zip(got_log_zs, got_us)):
             assert abs(got[0] - log_z) <= 1e-13 * max(1.0, abs(log_z))
             assert abs(got[1] - u) <= 1e-13 * max(1.0, abs(u))
@@ -487,7 +518,8 @@ def test_level_recursion_keeps_log_z_near_zero_exact():
     # log(Z) lost 3.5e-12 of log Z's relative precision; against a 50-digit sum
     # over all 2925 states of the same float coefficients
     w = level_coefficients(SpectrumSpec("harmonic", scale_c=0.05), 25)
-    (got_log_z,), (got_u,) = manybody._recursion_levels(w, 3, np.array([200.0]), False)[-1]
+    (got_log_z,), (got_u,) = manybody._recursion_levels(w, 3, np.array([200.0]), False,
+                                                        [25])[0][-1]
     with localcontext() as ctx:
         ctx.prec = 50
         z = d = Decimal(0)
@@ -541,7 +573,7 @@ def test_level_recursion_equals_its_fsum_per_point_form_bit_for_bit():
     # to a beta whose beta*e overflows to weight 0 (and log Z to -inf); then 1000 points
     # on 150 levels, several blocks of the point loop against the copy's one block
     def same(w, M, betas, fermion):
-        got = manybody._recursion_levels(w, M, betas, fermion)
+        got = manybody._recursion_levels(w, M, betas, fermion, [w.size])[0]
         want = _level_recursion_fsum_per_point(w, M, betas, fermion)
         assert len(got) == len(want) == M
         for (log_z, u), (want_log_z, want_u) in zip(got, want):
@@ -568,6 +600,27 @@ def test_level_recursion_equals_its_fsum_per_point_form_bit_for_bit():
     w = level_coefficients(SpectrumSpec("box", scale_c=0.05), 150)
     for fermion in (False, True):
         same(w, 8, many, fermion)
+
+
+def test_level_recursion_at_every_size_equals_a_pass_over_its_prefix_bit_for_bit():
+    # the rows of one pass at each of several sizes n are a pass over w[:n] alone, bit for
+    # bit: every kind, both statistics, M in {1, 2, 3}, with N = 1 bosons and N = M
+    # fermions (one state) among the sizes. 3000 points from beta = 0 to weight 0 split
+    # into more point blocks at 150 levels than at the smallest size
+    betas = np.concatenate([[0.0, 1e308], np.geomspace(1e-4, 1e4, 2998)])
+    blocks = [len(range(0, betas.size, kernels._BLOCK_ELEMENTS // (n + 1))) for n in (1, 150)]
+    assert blocks[0] < blocks[1]
+    for (kind, lam), statistics, M in itertools.product(
+            zip(KINDS, (0.05, 1.0, 20.0, 0.3)), ("boson", "fermion"), (1, 2, 3)):
+        fermion = statistics == "fermion"
+        sizes = [M, M + 1, 10, 41, 150] if fermion else [1, 2, 10, 41, 150]
+        w = level_coefficients(SpectrumSpec(kind, scale_c=lam), 150)
+        got = manybody._recursion_levels(w, M, betas, fermion, sizes)
+        assert len(got) == len(sizes)
+        for n, rows in zip(sizes, got):
+            (want,) = manybody._recursion_levels(w[:n], M, betas, fermion, [n])
+            assert len(rows) == len(want) == M
+            assert np.array(rows).tobytes() == np.array(want).tobytes()
 
 
 def test_internal_energies_equal_pointwise_values_on_every_route(monkeypatch):
@@ -599,7 +652,7 @@ def test_distinguishable_beyond_cap_factorizes(monkeypatch):
     for ens in (EnsembleSpec("distinguishable", 3, 4), EnsembleSpec("distinguishable", 2, 7)):
         [(_, single)] = manybody._recursion_levels(level_coefficients(BOX, ens.N), 1,
                                                    np.array([b / L**2.0 for b, L in beta_points]),
-                                                   False)
+                                                   False, [ens.N])[0]
         direct = enumeration_rows(ens, BOX, beta_points)[-1][1]
         for cap in (manybody.DEFAULT_STATE_CAP, 1):
             monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
@@ -630,7 +683,7 @@ def test_enumeration_guard_bounds_table_entries_not_states(monkeypatch):
     assert ens.state_count == 16_108_764
     (log_z,), (u,) = enumeration_rows(ens, BOX, [(1.0 / 2.0, 1.0)])[-1]
     (level_log_z,), (level_u,) = manybody._recursion_levels(level_coefficients(BOX, 70), 5,
-                                                            np.array([0.5]), False)[-1]
+                                                            np.array([0.5]), False, [70])[0][-1]
     assert (log_z, u) == pytest.approx((level_log_z, level_u), rel=1e-13)
 
     # 8.8M states of 2 bosons on 4200 box levels, below the 50M limit, but
@@ -663,7 +716,8 @@ def test_fermions_past_half_filling_take_row_m_of_a_rows_build():
     points = [(beta, 1.0) for beta in (0.0, 1e-3, 0.1)]
     log_zs, us = enumeration_rows(ens, BOX, points)[-1]
     got_log_zs, got_us = manybody._recursion_levels(level_coefficients(BOX, 40), 38,
-                                                    np.array([b for b, _ in points]), True)[-1]
+                                                    np.array([b for b, _ in points]), True,
+                                                    [40])[0][-1]
     assert log_zs[0] == math.log(780)
     assert log_zs == pytest.approx(got_log_zs, rel=1e-13)
     assert us == pytest.approx(got_us, rel=1e-13)
