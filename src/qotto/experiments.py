@@ -317,12 +317,13 @@ def harmonic_closed_form_W(L1: float, R: float, T_c: float, T_h: float,
         raise ValueError("parameters must be positive and finite with R > 1")
     a_h = c / (L1 * L1 * T_h)
     a_c = c / (R * R * L1 * L1 * T_c)
-    try:
+    try:  # 1/sinh(a) as 2 exp(-a)/(1 - exp(-2a)): math.sinh overflows past a = 710.5
         bracket = (3.0 * (1.0 / math.tanh(a_h) - 1.0 / math.tanh(a_c))
-                   + (1.0 / math.sinh(a_h) - 1.0 / math.sinh(a_c)))
+                   + 2.0 * (math.exp(-a_h) / -math.expm1(-2.0 * a_h)
+                            - math.exp(-a_c) / -math.expm1(-2.0 * a_c)))
     except ZeroDivisionError:  # a_h or a_c underflowed to 0
         bracket = math.inf
-    return _finite((1.0 - 1.0 / R**2) * (c / (2.0 * L1 * L1)) * bracket, "W")
+    return _finite((1.0 - 1.0 / (R * R)) * (c / (2.0 * L1 * L1)) * bracket, "W")
 
 
 def _finite(value: float, name: str) -> float:

@@ -4,13 +4,14 @@
   prod_n (1 +- x exp(-beta*e_n))^(+-1) one level at a time, each
   particle-number row relative to its own ground state, so every term is
   positive and nothing cancels. One call takes an array of beta/L^p and
-  gives every k <= M on each first n levels it is asked for. Below
-  ``DEFAULT_STATE_CAP`` states every live number comes from it: row M for bosons
-  and fermions, M times row 1 for distinguishable particles (Z_M = Z_1^M).
+  gives every k <= M on each first n levels it is asked for. Row 1, the single
+  particle, comes from it at any size, and so does every other live number below
+  ``DEFAULT_STATE_CAP`` states: row M for bosons and fermions, M times row 1 for
+  distinguishable particles (Z_M = Z_1^M).
 
-* ``recursion_rows`` takes bosons and fermions above the cap. In one float pass
-  over every (beta, L) of a point list (of every ensemble, ``recursion_columns``)
-  it runs the exact identical-particle recursion
+* ``recursion_rows`` gives row M of M >= 2 bosons or fermions above the cap. In
+  one float pass over every (beta, L) of a point list (of every ensemble,
+  ``recursion_columns``) it runs the exact identical-particle recursion
 
       Z_M(beta) = (1/M) sum_{m=1..M} (+-1)^{m+1} Z_1(m*beta) Z_{M-m}(beta),
 
@@ -39,7 +40,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import zip_longest
 
 import numpy as np
 
@@ -49,8 +49,9 @@ from .spectrum import SpectrumSpec, check_count, level_coefficients
 
 STATISTICS = ("boson", "fermion", "distinguishable")
 
-# above this many states `internal_energies` gives bosons and fermions the
-# particle recursion, not the level recursion. Stored benchmark references pin
+# above this many states `internal_energies` takes row M of M >= 2 bosons or fermions
+# from the particle recursion, not the level recursion; the single particle comes from
+# the level recursion at any size. Stored benchmark references pin
 # the numpy `True` positive_work its float path prints (155 fig67 rows, 13 of
 # points seed 1); the split stays until they store exact values instead
 DEFAULT_STATE_CAP = 2_000_000
@@ -129,28 +130,22 @@ def effective_betas(ens: EnsembleSpec, spec: SpectrumSpec, beta_points: list[tup
     n_top, M = spec.n_min + int(ens.N) - 1, int(ens.M)  # exact ints; no numpy overflow warning
     top = spec.scale_c * (sum(map(spec.level_shape, range(n_top - M + 1, n_top + 1)))
                           if ens.statistics == "fermion" else M * spec.level_shape(n_top))
-    beta_effs, scales, checked = [], [], {}  # L -> L^p: each distinct width is checked once
+    beta_effs, scales = [], []
     for beta, L in beta_points:
         if not (0 <= beta < math.inf):
             raise ValueError(f"inverse temperature must be finite and >= 0, got {beta}")
-        known = L in checked
-        if known:
-            scale = checked[L]
-        else:
-            try:
-                scale = L**spec.power_p
-            except OverflowError:  # Python floats raise where numpy would give inf
-                scale = math.inf
-            if not (0 < L < math.inf and 0 < scale < math.inf):
-                raise ValueError(f"trap width L and L^p must be positive and finite, "
-                                 f"got L = {L}, L^p = {scale}")
+        try:
+            scale = L**spec.power_p
+        except OverflowError:  # Python floats raise where numpy would give inf
+            scale = math.inf
+        if not (0 < L < math.inf and 0 < scale < math.inf):
+            raise ValueError(f"trap width L and L^p must be positive and finite, "
+                             f"got L = {L}, L^p = {scale}")
         if not (0 < (beta_eff := beta / scale) < math.inf or beta == 0):
             raise ValueError(f"beta/L^p must be finite and nonzero, got {beta}/{scale}")
-        if not known:
-            if not top / scale < math.inf:
-                raise ValueError(
-                    f"the largest many-body energy, {top:g}/L^p at L = {L}, is not finite")
-            checked[L] = scale
+        if not top / scale < math.inf:
+            raise ValueError(
+                f"the largest many-body energy, {top:g}/L^p at L = {L}, is not finite")
         beta_effs.append(beta_eff)
         scales.append(scale)
     return np.array(beta_effs), np.array(scales)
@@ -328,24 +323,23 @@ def _energy_rows(ensembles: list[EnsembleSpec], spec: SpectrumSpec,
                  points: list[tuple[float, float]]) -> list[list[list[float]]]:
     """U at every (T, L) in ``points`` of one particle, then of M, for each of ``ensembles``
     (one statistics and M, N ascending): the one backend dispatcher. One level recursion
-    over all points, at the largest N, gives bosons and fermions up to ``DEFAULT_STATE_CAP``
-    configurations rows 1 (the single particle) and M, and distinguishable particles, at
-    any M, row 1 and M times row 1. Bosons and fermions beyond the cap take row M of
-    ``recursion_rows`` and row 1 of that pass, or at M = 1 that row M for both.
+    over all points, at the largest N, gives every ensemble row 1 (the single particle),
+    bosons and fermions up to ``DEFAULT_STATE_CAP`` configurations row M, and
+    distinguishable particles M times row 1. Bosons and fermions with M >= 2 beyond the
+    cap take row M of ``recursion_rows``.
     ``effective_betas`` checks the points once, against the largest N, whose top energy
     bounds every smaller N's: a group raises wherever its largest N would."""
     beta_points = [(inverse_temperature(T), L) for T, L in points]
     beta_effs, scales = effective_betas(ensembles[-1], spec, beta_points)
     M, distinguishable = ensembles[-1].M, ensembles[-1].statistics == "distinguishable"
-    capped = [not distinguishable and ens.state_count > DEFAULT_STATE_CAP for ens in ensembles]
-    sizes = [ens.N for ens, cap in zip(ensembles, capped) if M > 1 or not cap]
-    passes = _recursion_levels(level_coefficients(spec, sizes[-1]),
+    capped = [not distinguishable and M > 1 and ens.state_count > DEFAULT_STATE_CAP
+              for ens in ensembles]
+    passes = _recursion_levels(level_coefficients(spec, ensembles[-1].N),
                                1 if distinguishable or all(capped) else M, beta_effs,
-                               ensembles[-1].statistics == "fermion", sizes) if sizes else []
+                               ensembles[-1].statistics == "fermion", [ens.N for ens in ensembles])
     out = []
-    for ens, cap, rows in zip_longest(ensembles, capped, passes):  # no rows: M = 1, capped
-        many = recursion_rows(ens, spec, beta_points)[-1][1] if cap else None
-        single, last = ([many, many] if rows is None else
-                        ((np.array(us) / scales).tolist() for _, us in (rows[0], rows[-1])))
-        out.append([single, [M * u for u in single] if distinguishable else many if cap else last])
+    for ens, cap, rows in zip(ensembles, capped, passes):
+        single, last = ((np.array(us) / scales).tolist() for _, us in (rows[0], rows[-1]))
+        out.append([single, [M * u for u in single] if distinguishable else
+                    recursion_rows(ens, spec, beta_points)[-1][1] if cap else last])
     return out

@@ -47,7 +47,8 @@ class CycleConfig:
         if not (1 < self.R < math.inf):
             raise ValueError(f"compression ratio R must exceed 1 and be finite, got {self.R}")
         beta_c = inverse_temperature(self.T_c)  # L2 = R*L1 may overflow: check both widths
-        effective_betas(self.ens, self.spec, [(beta_c, self.L1), (beta_c, self.L2)])
+        # L1's width and top energy first (beta = 0 passes beta/L^p), then the cold corner
+        effective_betas(self.ens, self.spec, [(0.0, self.L1), (beta_c, self.L2)])
         if not self.regime_lambda < math.inf:
             raise ValueError(f"the regime parameter lambda = c/(L1^p Tc) = "
                              f"{self.spec.scale_c}/({self.L1}^p * {self.T_c}) is not finite")

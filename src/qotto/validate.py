@@ -2,8 +2,7 @@
 
 Each check pits an implementation path against an independent route to the
 same number (enumeration vs recursion, state counts vs histogram totals,
-geometry vs heat ratio, closed form vs truncated ensemble, the zero of W vs
-the threshold formula) and reports the worst deviation found against a fixed
+closed form vs truncated ensemble, the zero of W vs the threshold formula) and reports the worst deviation found against a fixed
 tolerance.
 """
 
@@ -98,22 +97,6 @@ def check_state_counts() -> CheckResult:
     return CheckResult("state-counts", worst, 0.0)
 
 
-def check_efficiency_identity() -> CheckResult:
-    worst = 0.0
-    for kind in KINDS:
-        spec = SpectrumSpec(kind)
-        p = spec.power_p
-        for statistics in ("boson", "fermion", "distinguishable"):
-            for M in (1, 2, 3):
-                ens = EnsembleSpec(statistics, M, 5)
-                for R in (2.0, 3.0):
-                    cfg = CycleConfig(spec=spec, ens=ens, L1=1.0, R=R, T_c=1.0)
-                    res = run_cycle(cfg, 2.5 * R**p)
-                    if res.Q_h > 1e-12:
-                        worst = max(worst, abs(res.W / res.Q_h - (1.0 - R**-p)))
-    return CheckResult("efficiency-identity", worst, 1e-10)
-
-
 def check_positive_work_threshold() -> CheckResult:
     # the zero of the secant through W at (1 -+ 1e-6) R^p T_c: within 1e-6 of R^p T_c
     # only where the two W differ in sign, so W changes sign there
@@ -198,7 +181,6 @@ ALL_CHECKS = (
     check_recursion_vs_enumeration,
     check_fig67_vs_enumeration,
     check_state_counts,
-    check_efficiency_identity,
     check_positive_work_threshold,
     check_harmonic_closed_forms,
     check_distinguishable_factorization,

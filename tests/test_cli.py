@@ -192,7 +192,8 @@ def test_figure_numbers_map_onto_the_preset_table(tmp_path, capsys, monkeypatch)
     (["cycle", "--scale", "1e308", "--levels", "5"], "largest many-body energy"),
     (["cycle", "--scale", "1e307", "--levels", "3", "--particles", "2"],
      "largest many-body energy"),
-    (["cycle", "--L1", "1e-160", "--particles", "2"], "beta/L^p"),
+    # L1^p = 1e-320 is finite, 18/L1^p is not
+    (["cycle", "--L1", "1e-160", "--particles", "2"], "largest many-body energy"),
     (["sweep", "--scale", "1e308", "--levels", "5", "--th-min", "5", "--th-max", "9"],
      "largest many-body energy"),
     (["cycle", "--L1", "1e-200"], "L and L^p must be"),
@@ -202,6 +203,8 @@ def test_figure_numbers_map_onto_the_preset_table(tmp_path, capsys, monkeypatch)
     (["ratio", "--Tc", "1e-300", "--scale", "1e10"], "regime parameter lambda"),
     (["sweep", "--Tc", "1e-300", "--scale", "1e10", "--th-min", "5", "--th-max", "9"],
      "regime parameter lambda"),
+    # the cold corner: beta_c/L2^p = 1e300/4e-10
+    (["cycle", "--Tc", "1e-300", "--L1", "1e-5"], "beta/L^p"),
 ])
 def test_energies_out_of_float_range_exit_two(tmp_path, capsys, argv, quantity):
     out = tmp_path / "sweep.csv"
@@ -212,6 +215,16 @@ def test_energies_out_of_float_range_exit_two(tmp_path, capsys, argv, quantity):
     assert quantity in captured.err
     assert "nan" not in captured.out
     assert not out.exists()
+
+
+def test_an_engine_with_finite_corners_runs(capsys):
+    # beta_c/L1^p = 1e300/1e-10 is no corner of this cycle: beta_c/L2^p = 1e300 and
+    # beta_h/L1^p = 1e10. It exited 2 with "beta/L^p must be finite and nonzero"
+    assert main(["cycle", "--Tc", "1e-300", "--L1", "1e-5", "--R", "1e5", "--scale", "1e-20",
+                 "--Th", "1"]) == 0
+    got = kv(capsys)
+    assert float(got["W"]) == pytest.approx(3.66666666521e-10, rel=1e-9)
+    assert got["positive_work"] == "true"
 
 
 def test_fermion_top_levels_in_float_range_are_accepted(capsys):
@@ -295,7 +308,7 @@ def test_cli_import_leaves_the_check_suite_to_the_validate_command():
     proc = subprocess.run([sys.executable, "-m", "qotto", "validate"], capture_output=True,
                           text=True, env=_CHILD_ENV)
     assert proc.returncode == 0
-    assert proc.stdout.splitlines()[-1] == "9/9 checks passed"
+    assert proc.stdout.splitlines()[-1] == "8/8 checks passed"
 
 
 def test_module_entrypoint_runs():

@@ -67,6 +67,20 @@ def test_closed_form_rejects_bad_arguments():
             call()
 
 
+def test_closed_form_w_past_the_range_of_sinh():
+    # a_c = c/(R^2 L1^2 T_c) = 2500 overflowed math.sinh; the cold corner is then in
+    # the ground state, and W is the level path's on 200 levels. R*R overflows to inf
+    # where R**2 raised "(34, 'Numerical result out of range')"
+    spec = SpectrumSpec("harmonic")
+    w = harmonic_closed_form_W(1.0, 2.0, 1e-4, 5.0)
+    for statistics in ("boson", "fermion"):
+        cfg = CycleConfig(spec=spec, ens=EnsembleSpec(statistics, 2, 200), L1=1.0, R=2.0,
+                          T_c=1e-4)
+        assert w == pytest.approx(run_cycle(cfg, 5.0).W, abs=1e-12)
+    with pytest.raises(OverflowError, match="leaves the float range"):
+        harmonic_closed_form_W(1.0, 1e200, 1.0, 5.0)
+
+
 def test_closed_form_z_keeps_full_precision_at_high_temperature():
     # 1 - q cancelled when formed directly: 3e-11 relative off at T = 1e6,
     # 4e-5 at 1e12, a division by zero once q rounds to 1. The reference is a

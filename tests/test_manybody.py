@@ -388,7 +388,7 @@ def test_internal_energy_methods_and_cap(monkeypatch):
 def test_energy_rows_above_the_cap(monkeypatch):
     # row M from recursion_rows and the single particle from a one-row level recursion,
     # as its own call takes under the cap, on points checked once before either route
-    # (and again inside recursion_rows); one particle is its own single particle
+    # (and again inside recursion_rows); one particle takes the level pass at any cap
     points = [(2.0, 1.0), (0.7, 1.5)]
     beta_points = [(1.0 / T, L) for T, L in points]
     checks = []
@@ -401,8 +401,13 @@ def test_energy_rows_above_the_cap(monkeypatch):
     assert many == recursion_rows(EnsembleSpec("fermion", 3, 6), BOX, beta_points)[-1][1]
     assert single == internal_energies(EnsembleSpec("fermion", 1, 6), BOX, points)
     assert [type(u) for u in single + many] == [float] * 2 + [np.float64] * 2
+    del checks[:]
     rows = manybody._energy_rows([EnsembleSpec("boson", 1, 12)], BOX, points)[0]
-    assert rows == [recursion_rows(EnsembleSpec("boson", 1, 12), BOX, beta_points)[-1][1]] * 2
+    assert len(checks) == 1
+    (_, us), = manybody._recursion_levels(level_coefficients(BOX, 12), 1,
+                                          np.array([b / L**2.0 for b, L in beta_points]), False,
+                                          [12])[0]
+    assert rows == [[u / L**2.0 for u, (_, L) in zip(us, beta_points)]] * 2
     # where N itself passes the cap, the single particle still takes the level recursion
     monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", 5)
     del checks[:]
@@ -416,6 +421,19 @@ def test_energy_rows_above_the_cap(monkeypatch):
     del checks[:]
     assert manybody._energy_rows([EnsembleSpec("boson", 2, 6)], BOX, points)[0][0] == single
     assert len(checks) == 1
+
+
+def test_one_particle_is_row_one_of_the_level_pass_at_every_cap(monkeypatch):
+    # every single particle takes one route: an M = 1 ensemble's U is row 1 of the level
+    # pass that gives an M = 2 ensemble's single particle, bit for bit, above the cap too
+    points = [(2.0, 1.0), (0.7, 1.5), (40.0, 3.0)]
+    for cap in (manybody.DEFAULT_STATE_CAP, 10, 1):
+        monkeypatch.setattr(manybody, "DEFAULT_STATE_CAP", cap)
+        for spec, statistics, N in itertools.product((BOX, HARM), ("boson", "fermion"),
+                                                     (3, 12)):
+            single = internal_energies(EnsembleSpec(statistics, 1, N), spec, points)
+            pair, = manybody._energy_rows([EnsembleSpec(statistics, 2, N)], spec, points)
+            assert np.array(single).tobytes() == np.array(pair[0]).tobytes(), (cap, N)
 
 
 def test_a_group_of_truncations_equals_one_call_per_ensemble(monkeypatch):
@@ -437,7 +455,7 @@ def test_a_group_of_truncations_equals_one_call_per_ensemble(monkeypatch):
         rows = manybody._energy_rows(group, BOX, points)
         assert checks[0][0] == group[-1]
         assert len(checks) == 1 + sum(ens.state_count > cap for ens in group
-                                      if ens.statistics != "distinguishable")
+                                      if ens.statistics != "distinguishable" and ens.M > 1)
         assert rows == [manybody._energy_rows([ens], BOX, points)[0] for ens in group]
     group = [EnsembleSpec("fermion", 2, 3), EnsembleSpec("fermion", 2, 100)]
     check(group[0], BOX, [(0.5, 1e-153)])  # 13/L^2 is finite, 19801/L^2 is not

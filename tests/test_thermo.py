@@ -238,6 +238,20 @@ def test_config_validation():
             cfg(**bad)
 
 
+def test_config_checks_the_corners_of_the_cycle():
+    # beta_c/L1^p overflows, but it is no corner: the cold corner is beta_c/L2^p = 1e300
+    spec = SpectrumSpec("box", scale_c=1e-20)
+    engine = cfg(spec=spec, L1=1e-5, R=1e5, Tc=1e-300)
+    assert 0 < run_cycle(engine, 1.0).W < math.inf
+    # L1's width and top energy are checked first, and the cold corner after them
+    with pytest.raises(ValueError, match="L = 1e-200"):
+        cfg(spec=spec, L1=1e-200, Tc=1e-300)
+    with pytest.raises(ValueError, match="largest many-body energy.* at L = 1e-160"):
+        cfg(M=2, L1=1e-160)
+    with pytest.raises(ValueError, match=r"beta/L\^p must be finite and nonzero"):
+        cfg(L1=1e-5, Tc=1e-300)
+
+
 def test_cycle_series_equals_single_cycles(monkeypatch):
     # cap 1 sends the fermions to the recursion
     for statistics, M, N, cap in (("boson", 2, 5, manybody.DEFAULT_STATE_CAP),
